@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .octonion import (
     OCT_ZERO,
@@ -333,3 +334,32 @@ def basis_crosses() -> tuple:
             table[i][j] = c
             table[j][i] = c
     return tuple(tuple(row) for row in table)
+
+
+@lru_cache(maxsize=1)
+def cross_tables() -> tuple:
+    """basis_crosses() as scaled integers: (den, consts, pair_coords).
+
+    den is the common denominator of every coordinate in the table.
+    consts lists each nonzero cross-product constant as (l, m, n, c):
+    coordinate n of cross(b_l, b_m) is c/den. pair_coords[i][j] lists
+    the nonzero coordinates of cross(b_i, b_j) as (n, c), on the same
+    denominator. Both views hold the same numbers; structure_tensor uses
+    the first to build cross(k, .) as a matrix and the second to apply it.
+    """
+    table = basis_crosses()
+    den = lcm(*(c.denominator for row in table for elem in row for c in elem.coords()))
+    pair_coords = tuple(
+        tuple(
+            tuple((n, int(c * den)) for n, c in enumerate(elem.coords()) if c)
+            for elem in row
+        )
+        for row in table
+    )
+    consts = tuple(
+        (l, m, n, c)
+        for l in range(27)
+        for m in range(27)
+        for n, c in pair_coords[l][m]
+    )
+    return den, consts, pair_coords

@@ -22,7 +22,8 @@ STENSOR_BASIS_TAG = "jbasis-v1"
 
 
 def rat_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

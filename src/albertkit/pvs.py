@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .albert import AlbertElem, det_j, diag_elem, trilinear_d
+from .albert import AlbertElem, det_j, diag_elem
 
 
 class VPoint:
@@ -100,14 +100,18 @@ class BinaryCubic:
 
 
 def cubic_of(x: VPoint) -> BinaryCubic:
-    """The binary cubic v -> det(a v1 + b v2) of x = (a, b)."""
+    """The binary cubic v -> det(a v1 + b v2) of x = (a, b).
+
+    Four determinants fix it: det(a +- b) = c30 +- c21 + c12 +- c03, so
+    c21 = (det(a+b) - det(a-b))/2 - det(b) and
+    c12 = (det(a+b) + det(a-b))/2 - det(a).
+    """
     a, b = x.a, x.b
-    return BinaryCubic(
-        det_j(a),
-        3 * trilinear_d(a, a, b),
-        3 * trilinear_d(a, b, b),
-        det_j(b),
-    )
+    d0 = det_j(a)
+    d3 = det_j(b)
+    p = det_j(a + b)
+    m = det_j(a - b)
+    return BinaryCubic(d0, (p - m) / 2 - d3, (p + m) / 2 - d0, d3)
 
 
 def delta(x: VPoint) -> Fraction:

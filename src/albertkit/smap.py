@@ -22,29 +22,31 @@ Everything factors through the single element
 
     k_elem(x) = sum sign * dd * (v1 x v3)
 
-via s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X), which
-is what structure_tensor exploits when tabulating all 729 basis pairs.
+via s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
+structure_tensor exploits this when tabulating all 729 basis pairs:
+cross(k, .) is linear, so at each point it is one 27x27 integer matrix
+built from the sparse cross-product constants of albert.cross_tables(),
+and each basis pair is a sparse integer combination of its rows.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from .albert import (
     AlbertElem,
-    basis_crosses,
     cross,
-    det_j,
+    cross_tables,
+    gram_apply,
     pair,
     pair_vec,
     trilinear_d,
 )
 from .errors import NotSemistable
-from .pvs import VPoint, delta
+from .pvs import VPoint, cubic_of, delta
 
 
 class SignedTerm(NamedTuple):
@@ -113,11 +115,13 @@ def k_elem(x: VPoint) -> AlbertElem:
 
     D is symmetric, so each term's scalar only depends on how many of its
     three D-arguments are b: the 32 polarized determinants of the literal
-    sum collapse to 4 values, and the v1 x v3 factors to 3 crosses. Tests
+    sum collapse to 4 values, the coefficients of cubic_of(x) without
+    their binomial factors, and the v1 x v3 factors to 3 crosses. Tests
     pin this to the literal phi1/phi2 through the s_map recombination.
     """
     a, b = x.a, x.b
-    dvals = (det_j(a), trilinear_d(a, a, b), trilinear_d(a, b, b), det_j(b))
+    f = cubic_of(x)
+    dvals = (f.c30, f.c21 / 3, f.c12 / 3, f.c03)
     cr = {(0, 0): cross(a, a), (0, 1): cross(a, b), (1, 1): cross(b, b)}
     acc = AlbertElem((0, 0, 0))
     for sign, picks in SIGNED_TERMS:
@@ -176,51 +180,43 @@ class StructureTensor:
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
 
 
-def _tab_workers() -> int:
-    raw = os.environ.get("ALBERTKIT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def structure_tensor(x: VPoint) -> StructureTensor:
-    """Tabulate s_map(x, b_i, b_j) over all basis pairs.
+    """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
 
-    The point-dependent work (k_elem and its pairing row) happens once;
-    each pair then costs one cross product against a precomputed basis
-    cross. Symmetry in (i, j) halves the work. ALBERTKIT_THREADS > 1
-    spreads the pair loop over a thread pool; assembly is by index, so
-    the result does not depend on scheduling.
+    With k = k_elem(x) scaled to 27 integers over one denominator dk, the
+    rows kx[m] = dk * den * cross(k, b_m) come from the sparse constants of
+    cross_tables(). Each unordered pair then costs -36 times a sparse
+    combination of those rows, plus the two pair_vec(k) terms, all over
+    the common denominator 2 * dk * den^2. Fractions are made only for
+    nonzero entries at the end, and (i, j) is mirrored to (j, i).
     """
-    k, kpv = _s_context(x)
-    crosses = basis_crosses()
-    pairs = [(i, j) for i in range(27) for j in range(i, 27)]
-    half9 = Fraction(9, 2)
-
-    def one(ij):
-        i, j = ij
-        out = cross(k, crosses[i][j]).scale(-18).coords()
-        out = list(out)
-        out[i] += half9 * kpv[j]
-        out[j] += half9 * kpv[i]
-        return out
-
-    workers = _tab_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(ij) for ij in pairs]
-
-    flat = [Fraction(0)] * 19683
-    for (i, j), out in zip(pairs, results):
-        base_ij = (i * 27 + j) * 27
-        flat[base_ij : base_ij + 27] = out
-        if i != j:
-            base_ji = (j * 27 + i) * 27
-            flat[base_ji : base_ji + 27] = out
+    kc = k_elem(x).coords()
+    dk = lcm(*(c.denominator for c in kc))
+    kn = [c.numerator * (dk // c.denominator) for c in kc]
+    den, consts, pair_coords = cross_tables()
+    kx = [[0] * 27 for _ in range(27)]
+    for l, m, n, c in consts:
+        if kn[l]:
+            kx[m][n] += kn[l] * c
+    # gram_apply(kn) = dk * pair_vec(k); this is (9/2) pair_vec(k) on denom
+    kpv = [9 * den * den * v for v in gram_apply(kn)]
+    denom = 2 * dk * den * den
+    zero = Fraction(0)
+    flat = [zero] * 19683
+    for i in range(27):
+        for j in range(i, 27):
+            out = [0] * 27
+            for m, c in pair_coords[i][j]:
+                c *= -36
+                out = [o + c * v for o, v in zip(out, kx[m])]
+            out[i] += kpv[j]
+            out[j] += kpv[i]
+            row = [Fraction(v, denom) if v else zero for v in out]
+            base_ij = (i * 27 + j) * 27
+            flat[base_ij : base_ij + 27] = row
+            if i != j:
+                base_ji = (j * 27 + i) * 27
+                flat[base_ji : base_ji + 27] = row
     return StructureTensor(x, flat)
 
 

@@ -11,6 +11,7 @@ from albertkit.albert import (
     E,
     basis_crosses,
     cross,
+    cross_tables,
     d_expanded,
     det_j,
     diag_elem,
@@ -214,6 +215,19 @@ def test_basis_crosses_table(basis, rng):
         i, j = rng.randrange(27), rng.randrange(27)
         assert table[i][j] == cross(basis[i], basis[j])
         assert table[i][j] == table[j][i]
+
+
+def test_cross_tables_rebuild_basis_crosses():
+    table = basis_crosses()
+    den, consts, pair_coords = cross_tables()
+    from_consts = [[[0] * 27 for _ in range(27)] for _ in range(27)]
+    for l, m, n, c in consts:
+        from_consts[l][m][n] = c
+    for i in range(27):
+        for j in range(27):
+            coords = table[i][j].coords()
+            assert tuple(Fraction(c, den) for c in from_consts[i][j]) == coords
+            assert pair_coords[i][j] == tuple((n, c) for n, c in enumerate(from_consts[i][j]) if c)
 
 
 def test_matrix_round_trip():

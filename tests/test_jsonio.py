@@ -41,6 +41,18 @@ def test_rational_strings():
             str_to_rat(bad)
 
 
+def test_rat_to_str_input_types():
+    assert rat_to_str(0) == "0"
+    assert rat_to_str(7) == "7"
+    assert rat_to_str(-12) == "-12"
+    assert rat_to_str(True) == "1"
+    assert rat_to_str(False) == "0"
+    assert rat_to_str(Fraction(6, 3)) == "2"
+    assert rat_to_str(Fraction(-5)) == "-5"
+    assert rat_to_str(Fraction(4, 6)) == "2/3"
+    assert rat_to_str(Fraction(-9, 12)) == "-3/4"
+
+
 def test_oct_round_trip(rng):
     for _ in range(5):
         x = rand_oct(rng)

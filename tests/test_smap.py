@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import E, jbasis, jordan_mul, trace_j
+from albertkit.albert import AlbertElem, E, jbasis, jordan_mul, trace_j
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
-from albertkit.pvs import VPoint, w_point
+from albertkit.pvs import VPoint, delta, w_point
 from albertkit.smap import (
     SIGNED_TERMS,
     SignedTerm,
@@ -124,17 +124,33 @@ def test_circ_x_rejects_unstable():
         circ_x(VPoint(E, E), E, E)
 
 
+def _sparse_point(rng):
+    """6 of 27 coordinates per component: 20-bit numerators, 8-bit denominators."""
+
+    def elem():
+        c = [0] * 27
+        for n in rng.sample(range(27), 6):
+            c[n] = Fraction(rng.randrange(-(2**20), 2**20), rng.randrange(1, 2**8))
+        return AlbertElem.from_coords(c)
+
+    while True:
+        x = VPoint(elem(), elem())
+        if delta(x) != 0:
+            return x
+
+
 def test_structure_tensor_matches_s(rng):
+    # the integer tabulation against the Fraction contraction, on all 729
+    # ordered pairs at a dense and a sparse large-height point
     basis = jbasis()
-    x = rand_vpoint(rng)
-    t = structure_tensor(x)
-    for _ in range(25):
-        i, j = rng.randrange(27), rng.randrange(27)
-        prod = s_map(x, basis[i], basis[j])
-        assert t.product_coords(i, j) == prod.coords()
-        assert t.product_coords(i, j) == t.product_coords(j, i)
-        k = rng.randrange(27)
-        assert t.entry(i, j, k) == prod.coords()[k]
+    for x in (rand_semistable(rng), _sparse_point(rng)):
+        t = structure_tensor(x)
+        for i in range(27):
+            for j in range(27):
+                prod = s_map(x, basis[i], basis[j]).coords()
+                assert t.product_coords(i, j) == prod
+                for k in range(27):
+                    assert t.entry(i, j, k) == prod[k]
 
 
 def test_structure_tensor_at_base_point_is_jordan(jordan_tensor):
@@ -144,15 +160,11 @@ def test_structure_tensor_at_base_point_is_jordan(jordan_tensor):
             assert t.product_coords(i, j) == jordan_tensor[i][j]
 
 
-def test_structure_tensor_thread_env_matches(rng, monkeypatch):
+def test_structure_tensor_deterministic(rng):
     x = rand_semistable(rng)
-    t1 = structure_tensor(x)
-    monkeypatch.setenv("ALBERTKIT_THREADS", "3")
-    t2 = structure_tensor(x)
-    assert t1 == t2
-    monkeypatch.setenv("ALBERTKIT_THREADS", "not-a-number")
-    t3 = structure_tensor(x)
-    assert t1 == t3
+    y = VPoint(AlbertElem.from_coords(x.a.coords()), AlbertElem.from_coords(x.b.coords()))
+    assert x == y and x is not y
+    assert structure_tensor(x) == structure_tensor(y)
 
 
 def test_s_equivariance_spot(rng):
