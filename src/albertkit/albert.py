@@ -31,6 +31,7 @@ from .octonion import (
     OCT_ZERO,
     Oct,
     ZORN_BASIS,
+    _rat,
     oct_conj,
     oct_mul,
     oct_norm,
@@ -38,15 +39,7 @@ from .octonion import (
     trace_prod3,
 )
 
-Rat = Fraction
-
 _HALF = Fraction(1, 2)
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 class AlbertElem:

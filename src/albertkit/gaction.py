@@ -30,17 +30,10 @@ from .albert import (
 )
 from .errors import SingularMatrix, ZeroScalar
 from .linalg import identity_matrix, inv_exact, mat_mul, mat_scale, mat_vec, transpose
+from .octonion import _rat
 from .pvs import VPoint
 
-Rat = Fraction
-
 _ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def det2(m) -> Fraction:

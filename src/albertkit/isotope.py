@@ -13,8 +13,16 @@ and the bilinear form
        phi_a = 4 det(a)^3 (X x a) x (Y x a)
                + (det(a)^2 q_a(X, Y) - q_a(X, a) q_a(Y, a)) / 2 * a
  * circ_a_tform: the unique U with
-       q_a(U, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z,
-   found by one exact 27x27 solve against the Gram matrix of q_a.
+       q_a(U, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z.
+
+With a# = a x a and the U-operator of the cubic norm structure,
+
+    U_v R = pair(v, R) v - 2 (v# x R),
+
+q_a(X, Y) = pair(U_{a#} X, Y), and U_{a#} has the inverse
+det(a)^{-2} U_a (McCrimmon, A Taste of Jordan Algebras, on isotopes
+J^(u)). So circ_a_tform needs no linear solve: it applies det(a)^{-2} U_a
+to the R with pair(R, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
 Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
@@ -27,18 +35,16 @@ from fractions import Fraction
 
 from .albert import (
     AlbertElem,
-    basis_crosses,
     cross,
     det_j,
+    gram_apply,
+    jbasis,
     pair,
     pair_vec,
     trilinear_d,
 )
 from .errors import SingularPoint
-from .linalg import solve_exact
 from .octonion import oct_q, trace_prod3
-
-Rat = Fraction
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
@@ -87,24 +93,17 @@ def q_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
 def gram_qa(a: AlbertElem) -> tuple:
     """27x27 Gram matrix of q_a over jbasis.
 
-    Uses pair(b_i x b_j, a) = 3 D(b_i, b_j, a) against the precomputed
-    basis crosses, so the whole table costs O(27^2) pairings instead of
-    27^2 polarized determinants.
+    q_a(X, Y) = pair(U_{a#} X, Y), so row j is pair_vec(U_{a#} b_j); with
+    a## = det(a) a that is pair(a#, b_j) a# - 2 det(a) (a x b_j). The
+    matrix is singular exactly when det(a) = 0.
     """
     det_a = det_j(a)
-    crosses = basis_crosses()
-    # D(b_i, a, a) via the same duality: pair(a x a, b_i) = 3 D(a, a, b_i)
-    third = Fraction(1, 3)
-    dvec = [third * v for v in pair_vec(cross(a, a))]
-    gram = []
-    for i in range(27):
-        row = []
-        ci = crosses[i]
-        for j in range(27):
-            dij = third * pair(ci[j], a)
-            row.append(-6 * det_a * dij + 9 * dvec[i] * dvec[j])
-        gram.append(tuple(row))
-    return tuple(gram)
+    a_sharp = cross(a, a)
+    dvec = pair_vec(a_sharp)
+    return tuple(
+        pair_vec(a_sharp.scale(dvec[j]) - cross(a, b).scale(2 * det_a))
+        for j, b in enumerate(jbasis())
+    )
 
 
 def phi_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -147,14 +146,16 @@ def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
                          = D(a, b_k, U) = (1/3) pair(a x U, b_k),
 
     so the 27 right-hand sides come from two pairing rows instead of 27
-    polarized determinants. One exact solve finishes the job.
+    polarized determinants. They are pair(U_{a#} V, b_k) for the product
+    V, so R = gram_apply(rhs) is U_{a#} V and V = det(a)^{-2} U_a R.
     """
     d = _require_invertible(a)
-    dvec = pair_vec(cross(a, a))  # pair(a x a, b_k) = 3 D(a, a, b_k)
+    a_sharp = cross(a, a)
+    dvec = pair_vec(a_sharp)  # pair(a x a, b_k) = 3 D(a, a, b_k)
     dx = trilinear_d(a, a, X)
     dy = trilinear_d(a, a, Y)
     u = cross(cross(a, X), cross(a, Y))
     au_vec = pair_vec(cross(a, u))  # pair(a x U, b_k) = 3 D(P, Q, a x b_k)
     rhs = [(9 * dx * dy * dvec[k] - 8 * d * au_vec[k]) / d for k in range(27)]
-    coords = solve_exact(gram_qa(a), rhs)
-    return AlbertElem.from_coords(coords)
+    r = AlbertElem.from_coords(gram_apply(rhs))
+    return (a.scale(pair(a, r)) - cross(a_sharp, r).scale(2)).scale(1 / d**2)

@@ -9,6 +9,7 @@ so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .albert import AlbertElem
@@ -20,6 +21,10 @@ from .smap import StructureTensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
 
+# integers and fractions only: no decimals or exponents, whose few bytes
+# can stand for an arbitrarily large integer
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def rat_to_str(x: Fraction) -> str:
     if not isinstance(x, Fraction):
@@ -30,12 +35,15 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def str_to_rat(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError("rational must be a string, got %r" % type(s).__name__)
+    t = s.strip()
+    if not _RATIONAL.fullmatch(t):
+        raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
     try:
-        return Fraction(s.strip())
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad rational %r: %s" % (s, exc)) from None
 
@@ -140,7 +148,7 @@ def decode_group(obj) -> GroupElem:
         if kind == "perm":
             if (
                 not isinstance(params, list)
-                or len(params) != 3
+                or any(type(v) is not int for v in params)
                 or sorted(params) != [1, 2, 3]
             ):
                 raise ParseError("perm shorthand needs a permutation of [1, 2, 3]")
@@ -168,5 +176,6 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an over-long integer, deep nesting
         raise ParseError("%s is not valid JSON: %s" % (path, exc)) from None

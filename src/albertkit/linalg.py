@@ -9,7 +9,7 @@ letting rational numerators and denominators grow independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import SingularMatrix
 
@@ -38,17 +38,11 @@ def mat_scale(t, m):
     return tuple(tuple(t * x for x in row) for row in m)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _integer_rows(aug):
     """Scale each augmented row by the lcm of its denominators (solution-preserving)."""
     rows = []
     for row in aug:
-        mult = 1
-        for x in row:
-            mult = _lcm(mult, x.denominator)
+        mult = lcm(*(x.denominator for x in row))
         rows.append([int(x * mult) for x in row])
     return rows
 

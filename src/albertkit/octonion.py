@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 _ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 
 

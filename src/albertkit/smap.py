@@ -16,13 +16,18 @@ bare signed sum is smaller by exactly that factor). Then
     s_map = -18 phi1 + (3/2) phi2,       circ_x = delta(x)^{-1} s_map
 
 so s_map(w, X, Y) = X o Y at the reference point w, and circ_x is the
-product of a Jordan algebra whenever x is semistable.
+product of a Jordan algebra whenever x is semistable: the isotope of J
+at a(x) = 81 (k x k) / delta(x), with k = k_elem(x) below.
 
 Everything factors through the single element
 
-    k_elem(x) = sum sign * dd * (v1 x v3)
+    k_elem(x) = sum sign * dd * (v1 x v3),
 
-via s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
+the Hessian covariant of F_x contracted with a x a, a x b and b x b
+(see k_elem), via
+
+    s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
+
 structure_tensor exploits this when tabulating all 729 basis pairs:
 cross(k, .) is linear, so at each point it is one 27x27 integer matrix
 built from the sparse cross-product constants of albert.cross_tables(),
@@ -114,23 +119,20 @@ def k_elem(x: VPoint) -> AlbertElem:
     """sum over terms of sign * dd * (v1 x v3); phi1 = k x (X x Y).
 
     D is symmetric, so each term's scalar only depends on how many of its
-    three D-arguments are b: the 32 polarized determinants of the literal
-    sum collapse to 4 values, the coefficients of cubic_of(x) without
-    their binomial factors, and the v1 x v3 factors to 3 crosses. Tests
-    pin this to the literal phi1/phi2 through the s_map recombination.
+    D-arguments are b: with p = (det a, D(a,a,b), D(a,b,b), det b), the
+    coefficients of cubic_of(x) without their binomial factors, the signed
+    sum is the Hessian covariant of the binary cubic F_x contracted with
+    the three crosses a x a, a x b and b x b. Tests pin this to the
+    literal signed sum, and to phi1/phi2 through the s_map recombination.
     """
     a, b = x.a, x.b
     f = cubic_of(x)
-    dvals = (f.c30, f.c21 / 3, f.c12 / 3, f.c03)
-    cr = {(0, 0): cross(a, a), (0, 1): cross(a, b), (1, 1): cross(b, b)}
-    acc = AlbertElem((0, 0, 0))
-    for sign, picks in SIGNED_TERMS:
-        dd = dvals[picks[1] + picks[4] + picks[6]] * dvals[picks[3] + picks[5] + picks[7]]
-        if dd == 0:
-            continue
-        key = (picks[0], picks[2]) if picks[0] <= picks[2] else (picks[2], picks[0])
-        acc = acc + cr[key].scale(sign * dd)
-    return acc
+    p0, p1, p2, p3 = f.c30, f.c21 / 3, f.c12 / 3, f.c03
+    return (
+        cross(a, a).scale(2 * (p1 * p3 - p2 * p2))
+        + cross(a, b).scale(2 * (p1 * p2 - p0 * p3))
+        + cross(b, b).scale(2 * (p0 * p2 - p1 * p1))
+    )
 
 
 @lru_cache(maxsize=64)

@@ -679,6 +679,19 @@ def _suite_isomorphism(rng, trials):
         )
 
     out.append(_check("product-transport", max(1, trials // 4), unit_image, rng))
+
+    def x_to_a(rng, i):
+        # circ_x is the isotope product at a(x) = 81 (k x k) / delta(x); a(w) = e
+        x = w_point() if i == 0 else rand_semistable(rng)
+        k = smap.k_elem(x)
+        d = delta(x)
+        a = cross(k, k).scale(81 / d)
+        if det_j(k) != d * d / 729 or (i == 0 and a != E):
+            return False
+        X, Y = rand_albert(rng), rand_albert(rng)
+        return smap.circ_x(x, X, Y) == isotope.circ_a_springer(a, X, Y)
+
+    out.append(_check("x-to-a-link", max(1, trials // 4), x_to_a, rng))
     return out
 
 

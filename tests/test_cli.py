@@ -157,9 +157,15 @@ def test_error_singular_point(files, capsys):
 
 def test_error_parse(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops", encoding="utf-8")
-    code, payload, _ = run_cli(capsys, "det", str(bad))
-    assert code == 1 and payload["error"] == "ParseError"
+    zero_oct = ["0"] * 8
+    for raw in (
+        b"{oops",
+        b'{"diag": ["1", "\xff", "1"]}',
+        dumps({"diag": [True, "1.5", "2e3"], "oct": [zero_oct] * 3}).encode(),
+    ):
+        bad.write_bytes(raw)
+        code, payload, _ = run_cli(capsys, "det", str(bad))
+        assert code == 1 and payload["error"] == "ParseError"
     code, payload, _ = run_cli(capsys, "det", str(tmp_path / "absent.json"))
     assert code == 1 and payload["error"] == "ParseError"
 

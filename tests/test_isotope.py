@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from albertkit.albert import (
     AlbertElem,
@@ -27,7 +29,14 @@ from albertkit.isotope import (
     te_expansion,
 )
 from albertkit.linalg import solve_exact
+from albertkit.octonion import Oct
 from albertkit.verify import rand_albert, rand_invertible
+
+rats = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+octs = st.builds(lambda cs: Oct.from_coords(cs), st.tuples(*[rats] * 8))
+elems = st.builds(
+    lambda d, o: AlbertElem(d, o), st.tuples(rats, rats, rats), st.tuples(octs, octs, octs)
+)
 
 
 def test_t_form_at_unit(rng):
@@ -65,10 +74,10 @@ def test_gram_qa(rng):
     assert gram_qa(E) == tuple(tuple(row) for row in g)
     a = rand_invertible(rng)
     m = gram_qa(a)
-    for _ in range(20):
-        i, j = rng.randrange(27), rng.randrange(27)
-        assert m[i][j] == q_a(a, basis[i], basis[j])
-        assert m[i][j] == m[j][i]
+    for i in range(27):
+        for j in range(27):
+            assert m[i][j] == q_a(a, basis[i], basis[j])
+            assert m[i][j] == m[j][i]
 
 
 def test_phi_a_at_unit(rng):
@@ -94,6 +103,37 @@ def test_two_constructions_agree(rng):
         a = rand_invertible(rng)
         X, Y = rand_albert(rng), rand_albert(rng)
         assert circ_a_tform(a, X, Y) == circ_a_springer(a, X, Y)
+
+
+def _solve_route(a, X, Y):
+    """The product as one exact solve: q_a(U, b) = t_form(a; X, Y, b) / det(a) over jbasis.
+
+    The reference for circ_a_tform, which inverts q_a as det(a)^{-2} U_a.
+    """
+    d = det_j(a)
+    rhs = [t_form(a, X, Y, b) / d for b in jbasis()]
+    return AlbertElem.from_coords(solve_exact(gram_qa(a), rhs))
+
+
+def test_tform_matches_solve_route(rng):
+    basis = jbasis()
+    for a in (E, diag_elem(1, 2, -3), rand_invertible(rng)):
+        for i, j in ((0, 0), (0, 5), (4, 12), (26, 20)):
+            X, Y = basis[i], basis[j]
+            assert circ_a_tform(a, X, Y) == _solve_route(a, X, Y)
+    # random index elements, then one with 63-bit integer numerators
+    large = AlbertElem.from_coords([rng.randrange(-(2**63), 2**63) for _ in range(27)])
+    assert det_j(large) != 0
+    for a in [rand_invertible(rng) for _ in range(4)] + [large]:
+        X, Y = rand_albert(rng), rand_albert(rng)
+        assert circ_a_tform(a, X, Y) == _solve_route(a, X, Y)
+
+
+@settings(max_examples=5, deadline=None)
+@given(elems, elems, elems)
+def test_tform_matches_solve_route_hypothesis(a, X, Y):
+    assume(det_j(a) != 0)
+    assert circ_a_tform(a, X, Y) == _solve_route(a, X, Y)
 
 
 def test_defining_equation(rng):

@@ -36,7 +36,8 @@ def test_rational_strings():
     assert str_to_rat("7/3") == Fraction(7, 3)
     assert str_to_rat("-4") == Fraction(-4)
     assert str_to_rat(5) == Fraction(5)
-    for bad in ("x", "1/0", "", None, 1.5):
+    assert str_to_rat(" -12/8 ") == Fraction(-3, 2)
+    for bad in ("x", "1/0", "", None, 1.5, True, False, "2e3", "1e999999999", "1.5", "1/-2"):
         with pytest.raises(ParseError):
             str_to_rat(bad)
 
@@ -127,6 +128,9 @@ def test_group_shorthand():
         {"kind": "scalar"},
         {"kind": "spin", "params": "1"},
         {"kind": "perm", "params": [1, 1, 2]},
+        {"kind": "perm", "params": ["a", 1, 2]},
+        {"kind": "perm", "params": [True, 2, 3]},
+        {"kind": "diag", "params": [True, "1.5", "2e3"]},
         {"kind": "diag", "params": ["1", "2"]},
         {"L": [], "c": "1"},
         "not-a-dict",
@@ -148,6 +152,7 @@ def test_load_json(tmp_path):
     with pytest.raises(ParseError):
         load_json(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_json(str(bad))
+    for raw in (b"{nope", b'{"k": "\xff"}', b"[" * 100000):
+        bad.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_json(str(bad))

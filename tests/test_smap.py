@@ -4,9 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import AlbertElem, E, jbasis, jordan_mul, trace_j
+from albertkit.albert import (
+    AlbertElem,
+    E,
+    cross,
+    det_j,
+    jbasis,
+    jordan_mul,
+    trace_j,
+    trilinear_d,
+)
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
+from albertkit.isotope import circ_a_springer
 from albertkit.pvs import VPoint, delta, w_point
 from albertkit.smap import (
     SIGNED_TERMS,
@@ -178,3 +188,39 @@ def test_s_equivariance_spot(rng):
     rhs = g.apply_j(s_map(x, X, Y)).scale(g.c ** 3 * d2 ** 4)
     assert lhs == rhs
     assert chi(g) == g.c ** 4 * d2 ** 6
+
+
+def _literal_k(x):
+    """sum over SIGNED_TERMS of sign * D(v2,v5,v7) D(v4,v6,v8) * (v1 x v3)."""
+    acc = AlbertElem((0, 0, 0))
+    ab = (x.a, x.b)
+    for sign, picks in SIGNED_TERMS:
+        v = [ab[p] for p in picks]
+        dd = trilinear_d(v[1], v[4], v[6]) * trilinear_d(v[3], v[5], v[7])
+        acc = acc + cross(v[0], v[2]).scale(sign * dd)
+    return acc
+
+
+def test_k_elem_is_literal_signed_sum(rng):
+    # the Hessian closed form against the 16-term sum it replaced
+    points = (w_point(), rand_semistable(rng), rand_vpoint(rng), _sparse_point(rng))
+    for x in points:
+        k = k_elem(x)
+        assert k == _literal_k(x)
+        X, Y = rand_albert(rng), rand_albert(rng)
+        assert phi1(x, X, Y) == cross(k, cross(X, Y))
+
+
+def test_circ_x_is_isotope_at_a_of_x(rng):
+    # the x -> a link: circ_x is the isotope product of J at a(x) = 81 k#/delta(x)
+    w = w_point()
+    for x in (w, rand_semistable(rng), rand_semistable(rng), _sparse_point(rng)):
+        k = k_elem(x)
+        d = delta(x)
+        assert det_j(k) == d * d / 729
+        a = cross(k, k).scale(81 / d)
+        if x == w:
+            assert a == E
+        for _ in range(2):
+            X, Y = rand_albert(rng), rand_albert(rng)
+            assert circ_x(x, X, Y) == circ_a_springer(a, X, Y)
