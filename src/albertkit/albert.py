@@ -6,10 +6,10 @@ Elements are 3x3 Hermitian matrices
          [conj(x3), s2,  x1      ],
          [x2,  conj(x1), s3      ]]
 
-stored as three rational diagonal entries and three octonion slots. The
-Jordan product is (XY + YX)/2 with the matrix product taken over the
-octonions; trace, the trace pairing, the cubic form det, its full
-polarization D, and the cross product x complete the structure:
+with rational diagonal entries and three octonion slots. The Jordan
+product is (XY + YX)/2 with the matrix product taken over the octonions;
+trace, the trace pairing, the cubic form det, its full polarization D,
+and the cross product x complete the structure:
 
     pair(X, Y)        = Trace(X o Y)
     det(X)            = s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3)
@@ -19,13 +19,39 @@ polarization D, and the cross product x complete the structure:
 
 Coordinates: coords() lists [s1, s2, s3] then the 8 Zorn coordinates of
 x1, x2, x3 in turn (27 in total); jbasis() enumerates the matching basis.
+
+Representation. An AlbertElem holds its 27 coordinates as Python ints
+over one common denominator, in canonical form: den > 0 and
+gcd(den, *nums) == 1. Equality and hashing compare those tuples, and
++, -, scale and pair do integer work only. coords(), .s and .x are
+Fraction and Oct views made on demand.
+
+Tables. cross, jordan_mul, det_j and trilinear_d contract integer
+coordinates against two sparse tables, each built once, on first use,
+from the octonion formulas evaluated on the 8 Zorn basis octonions:
+
+ * cross_tables(): the 270 nonzero constants of cross on basis pairs,
+   over the denominator 2, from the entrywise formula of the cross
+   product (Zorn products of conjugated basis octonions, and the polar
+   form of the norm). jordan_mul is cross plus trace and pairing terms.
+ * det_table(): the 45 monomials of det, from det's own formula
+   (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
+   polarization, over the denominator 6. It never reads the cross table.
+
+Oracles. The octonion-matrix route (to_matrix, mat3_mul, from_matrix,
+jordan_via_matrix, cross_via_matrix), d_expanded, and basis_crosses(),
+which is built on the matrix route, compute the same values from
+Fractions and Octs. They are kept for the tests and are never called
+on the fast path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul
+from typing import NamedTuple
 
 from .octonion import (
     OCT_ZERO,
@@ -36,76 +62,109 @@ from .octonion import (
     oct_mul,
     oct_norm,
     oct_q,
+    trace_prod,
     trace_prod3,
 )
 
 _HALF = Fraction(1, 2)
 
 
-class AlbertElem:
-    """An element of J: diagonal (s1, s2, s3) plus octonion slots (x1, x2, x3)."""
+def _canonical(coords) -> tuple:
+    """(nums, den) for reduced Fractions; their lcm denominator leaves gcd 1."""
+    den = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
-    __slots__ = ("s", "x")
+
+def _fractions(nums, den: int) -> tuple:
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(n, den) for n in nums)
+
+
+class AlbertElem:
+    """An element of J: 27 int coordinates `nums` over the denominator `den`.
+
+    Built from a diagonal (s1, s2, s3) and octonion slots (x1, x2, x3), or
+    from 27 rational coordinates; `.s` and `.x` read those back.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, diag, octs=(OCT_ZERO, OCT_ZERO, OCT_ZERO)):
         a, b, c = diag
-        self.s = (_rat(a), _rat(b), _rat(c))
         x1, x2, x3 = octs
-        self.x = (x1, x2, x3)
-
-    def coords(self) -> tuple:
-        return self.s + self.x[0].coords() + self.x[1].coords() + self.x[2].coords()
+        coords = (_rat(a), _rat(b), _rat(c)) + x1.coords() + x2.coords() + x3.coords()
+        self.nums, self.den = _canonical(coords)
 
     @staticmethod
     def from_coords(c) -> "AlbertElem":
         if len(c) != 27:
             raise ValueError("albert element needs 27 coordinates")
-        return AlbertElem(
-            c[0:3],
-            (
-                Oct.from_coords(c[3:11]),
-                Oct.from_coords(c[11:19]),
-                Oct.from_coords(c[19:27]),
-            ),
-        )
+        return _elem(*_canonical([_rat(v) for v in c]))
+
+    def coords(self) -> tuple:
+        return _fractions(self.nums, self.den)
+
+    @property
+    def s(self) -> tuple:
+        """The diagonal (s1, s2, s3), as Fractions."""
+        return _fractions(self.nums[0:3], self.den)
+
+    @property
+    def x(self) -> tuple:
+        """The octonion slots (x1, x2, x3)."""
+        c = _fractions(self.nums[3:27], self.den)
+        return (Oct.from_coords(c[0:8]), Oct.from_coords(c[8:16]), Oct.from_coords(c[16:24]))
 
     def __eq__(self, other):
         if not isinstance(other, AlbertElem):
             return NotImplemented
-        return self.s == other.s and self.x == other.x
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.s, self.x))
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return "AlbertElem(%r, %r)" % (self.s, self.x)
 
     def is_zero(self) -> bool:
-        return not any(self.s) and all(xi.is_zero() for xi in self.x)
+        return not any(self.nums)
 
     def __add__(self, other):
-        return AlbertElem(
-            tuple(a + b for a, b in zip(self.s, other.s)),
-            tuple(a + b for a, b in zip(self.x, other.x)),
-        )
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _elem([a + b for a, b in zip(self.nums, other.nums)], d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return _elem([a * f1 + b * f2 for a, b in zip(self.nums, other.nums)], d1 * f1)
 
     def __sub__(self, other):
-        return AlbertElem(
-            tuple(a - b for a, b in zip(self.s, other.s)),
-            tuple(a - b for a, b in zip(self.x, other.x)),
-        )
+        return self + (-other)
 
     def __neg__(self):
-        return AlbertElem(tuple(-a for a in self.s), tuple(-a for a in self.x))
+        return _elem([-n for n in self.nums], self.den)
 
     def scale(self, t) -> "AlbertElem":
         t = _rat(t)
-        return AlbertElem(tuple(t * a for a in self.s), tuple(a.scale(t) for a in self.x))
+        p = t.numerator
+        return _elem([p * n for n in self.nums], self.den * t.denominator)
 
     def __rmul__(self, t):
         if isinstance(t, (int, Fraction)):
             return self.scale(t)
         return NotImplemented
+
+
+def _elem(nums, den: int) -> AlbertElem:
+    """The element nums/den (den > 0), reduced to canonical form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    X = object.__new__(AlbertElem)
+    X.nums = tuple(nums)
+    X.den = den
+    return X
 
 
 def diag_elem(a, b, c) -> AlbertElem:
@@ -125,89 +184,208 @@ ALBERT_ZERO = AlbertElem((0, 0, 0))
 
 @lru_cache(maxsize=1)
 def jbasis() -> tuple:
-    """E11, E22, E33, then F_i(b_j) for slot i = 1, 2, 3 over the 8 Zorn basis octonions."""
-    diag = [diag_elem(1, 0, 0), diag_elem(0, 1, 0), diag_elem(0, 0, 1)]
-    slots = [slot_elem(i, b) for i in (1, 2, 3) for b in ZORN_BASIS]
-    return tuple(diag + slots)
+    """E11, E22, E33, then F_i(b_j) for slot i = 1, 2, 3 over the 8 Zorn basis octonions.
+
+    In coordinates, basis element k is the k-th unit vector.
+    """
+    return tuple(_elem([int(i == k) for i in range(27)], 1) for k in range(27))
+
+
+# -- the tables ------------------------------------------------------------------
+
+
+class _IntOct(NamedTuple):
+    """A Zorn octonion with int coordinates, for building the tables.
+
+    The octonion formulas read only alpha, v, w and beta, so oct_mul,
+    oct_conj, oct_norm and trace_prod evaluate on these in integer
+    arithmetic. oct_mul and oct_conj return an Oct, read back by _zorn.
+    """
+
+    alpha: int
+    v: tuple
+    w: tuple
+    beta: int
+
+    def coords(self) -> tuple:
+        return (self.alpha,) + self.v + self.w + (self.beta,)
+
+
+def _zorn(c) -> _IntOct:
+    """The octonion with the integer coordinates c, in Oct.coords() order."""
+    c = [int(t) for t in c]
+    return _IntOct(c[0], tuple(c[1:4]), tuple(c[4:7]), c[7])
+
+
+def _zorn_basis() -> list:
+    return [_zorn(b.coords()) for b in ZORN_BASIS]
+
+
+def _slot(i: int, a: int) -> int:
+    """The coordinate index of Zorn coordinate a of octonion slot i (0, 1, 2)."""
+    return 3 + 8 * i + a
+
+
+def _collect(terms) -> tuple:
+    """Sum (key, c) terms per key and drop zero sums: ((*key, c), ...), sorted."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, 0) + c
+    return tuple(key + (c,) for key, c in sorted(acc.items()) if c)
+
+
+@lru_cache(maxsize=1)
+def cross_tables() -> tuple:
+    """The cross product on basis pairs as integers: (den, consts, pair_coords).
+
+    den is 2. consts lists each nonzero constant as (l, m, n, c):
+    coordinate n of cross(b_l, b_m) is c/den. pair_coords[l][m] lists the
+    nonzero coordinates of cross(b_l, b_m) as (n, c), on the same
+    denominator. The constants come from the entrywise cross product,
+
+        s'_i = (s_j t_k + s_k t_j)/2 - Q(x_i, y_i)
+        x'_i = (conj(x_k) conj(y_j) + conj(y_k) conj(x_j) - s_i y_i - t_i x_i)/2
+
+    for (i, j, k) cyclic, read off the 64 Zorn products of conjugated
+    basis octonions and the polar form 2 Q(e_a, e_b) = tr(e_a conj(e_b))
+    (twice oct_q) on basis pairs.
+    """
+    basis = _zorn_basis()
+    conj = [_zorn(oct_conj(e).coords()) for e in basis]
+    prods = [[[int(t) for t in oct_mul(p, q).coords()] for q in conj] for p in conj]
+    polar = [[trace_prod(p, q) for q in conj] for p in basis]
+    terms = []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        terms += [((j, k, i), 1), ((k, j, i), 1)]
+        for a in range(8):
+            ia, ka = _slot(i, a), _slot(k, a)
+            terms += [((i, ia, ia), -1), ((ia, i, ia), -1)]
+            for b in range(8):
+                terms.append(((ia, _slot(i, b), i), -polar[a][b]))
+                # conj(e_a) conj(e_b) from x_k = e_a, y_j = e_b and from y_k = e_a, x_j = e_b
+                jb = _slot(j, b)
+                for r, c in enumerate(prods[a][b]):
+                    if c:
+                        terms += [((ka, jb, _slot(i, r)), c), ((jb, ka, _slot(i, r)), c)]
+    consts = _collect(terms)
+    pair_coords = [[[] for _ in range(27)] for _ in range(27)]
+    for l, m, n, c in consts:
+        pair_coords[l][m].append((n, c))
+    return 2, consts, tuple(tuple(map(tuple, row)) for row in pair_coords)
+
+
+@lru_cache(maxsize=1)
+def det_table() -> tuple:
+    """The monomials of det as (l, m, n, c), l <= m <= n: det(X) = sum c X_l X_m X_n.
+
+    They come from det's formula s1 s2 s3 - sum_i s_i norm(x_i) +
+    tr((x1 x2) x3) on the basis: oct_norm on basis octonions and their
+    pairwise sums gives norm(x_i), and tr((e_a e_b) e_c), which is
+    trace_prod3(e_a, e_b, e_c) with each of the 64 products e_a e_b made
+    once, gives the trace term. D is the polarization: 6 D(X, Y, Z) is
+    the sum over monomials of c times X_l Y_m Z_n summed over the 6
+    orders of (l, m, n).
+    """
+    basis = _zorn_basis()
+    norm = [oct_norm(e) for e in basis]
+    # the coefficient of x_a x_b in norm(sum_a x_a e_a), for a <= b
+    quad = {
+        (a, b): norm[a] if a == b else oct_norm(_zorn(map(add, p.coords(), q.coords()))) - norm[a] - norm[b]
+        for a, p in enumerate(basis)
+        for b, q in enumerate(basis)
+        if a <= b
+    }
+    terms = [((0, 1, 2), 1)]
+    for i in range(3):
+        terms += [((i, _slot(i, a), _slot(i, b)), -c) for (a, b), c in quad.items()]
+    for a, p in enumerate(basis):
+        for b, q in enumerate(basis):
+            pq = _zorn(oct_mul(p, q).coords())
+            for c, r in enumerate(basis):
+                terms.append(((_slot(0, a), _slot(1, b), _slot(2, c)), trace_prod(pq, r)))
+    return _collect(terms)
 
 
 # -- products and forms -----------------------------------------------------
 
 
-def jordan_mul(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """(XY + YX)/2 via the octonion matrix product.
+def _cross_nums(x, y) -> list:
+    """Numerators of cross on integer coordinates, over the table's denominator 2."""
+    out = [0] * 27
+    for l, m, n, c in cross_tables()[1]:
+        out[n] += c * x[l] * y[m]
+    return out
 
-    For Hermitian X, Y the conjugate transpose of XY is YX, so a single
-    matrix product suffices; the diagonal of the symmetrization is scalar
-    automatically (x yb + y xb = tr(x yb) for octonions x, y).
+
+def cross(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
+    """Freudenthal cross product, contracted against cross_tables().
+
+    It equals the closed form
+
+    X x Y = X o Y - Tr(X)/2 Y - Tr(Y)/2 X - pair(X,Y)/2 e + Tr(X)Tr(Y)/2 e,
+
+    and its defining property pair(X x Y, Z) = 3 D(X, Y, Z) is a test invariant.
     """
-    s1, s2, s3 = X.s
-    t1, t2, t3 = Y.s
-    x1, x2, x3 = X.x
-    y1, y2, y3 = Y.x
-    q11 = oct_q(x1, y1)
-    q22 = oct_q(x2, y2)
-    q33 = oct_q(x3, y3)
-    new_s = (s1 * t1 + q33 + q22, s2 * t2 + q33 + q11, s3 * t3 + q22 + q11)
+    return _elem(_cross_nums(X.nums, Y.nums), 2 * X.den * Y.den)
 
-    def off(xi, yi, xj, yj, xk, yk, ss, tt):
-        # slot i with (i, j, k) cyclic:
-        #   x'_i = (conj(x_k) conj(y_j) + conj(y_k) conj(x_j)
-        #           + (s_j + s_k) y_i + (t_j + t_k) x_i) / 2
-        m = oct_mul(oct_conj(xk), oct_conj(yj)) + oct_mul(oct_conj(yk), oct_conj(xj))
-        return (m + ss * yi + tt * xi).scale(_HALF)
 
-    nx1 = off(x1, y1, x2, y2, x3, y3, s2 + s3, t2 + t3)
-    nx2 = off(x2, y2, x3, y3, x1, y1, s3 + s1, t3 + t1)
-    nx3 = off(x3, y3, x1, y1, x2, y2, s1 + s2, t1 + t2)
-    return AlbertElem(new_s, (nx1, nx2, nx3))
+def jordan_mul(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
+    """(XY + YX)/2 = X x Y + Tr(X)/2 Y + Tr(Y)/2 X + (pair(X,Y) - Tr(X)Tr(Y))/2 e.
+
+    All terms on the denominator 2 den(X) den(Y); the matrix route
+    (jordan_via_matrix) is the reference.
+    """
+    x, y = X.nums, Y.nums
+    tx = x[0] + x[1] + x[2]
+    ty = y[0] + y[1] + y[2]
+    out = [c + tx * b + ty * a for c, a, b in zip(_cross_nums(x, y), x, y)]
+    e = _pair_nums(x, y) - tx * ty
+    out[0] += e
+    out[1] += e
+    out[2] += e
+    return _elem(out, 2 * X.den * Y.den)
 
 
 def trace_j(X: AlbertElem) -> Fraction:
-    return X.s[0] + X.s[1] + X.s[2]
+    x = X.nums
+    return Fraction(x[0] + x[1] + x[2], X.den)
+
+
+def _pair_nums(x, y) -> int:
+    return sum(map(mul, x, gram_apply(y)))
 
 
 def pair(X: AlbertElem, Y: AlbertElem) -> Fraction:
     """Trace(X o Y) = sum_i s_i t_i + 2 sum_i Q(x_i, y_i)."""
-    s, t, x, y = X.s, Y.s, X.x, Y.x
-    return (
-        s[0] * t[0]
-        + s[1] * t[1]
-        + s[2] * t[2]
-        + 2 * (oct_q(x[0], y[0]) + oct_q(x[1], y[1]) + oct_q(x[2], y[2]))
-    )
+    return Fraction(_pair_nums(X.nums, Y.nums), X.den * Y.den)
 
 
 def det_j(X: AlbertElem) -> Fraction:
-    """The cubic norm form: s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3)."""
-    s1, s2, s3 = X.s
-    x1, x2, x3 = X.x
-    return (
-        s1 * s2 * s3
-        - s1 * oct_norm(x1)
-        - s2 * oct_norm(x2)
-        - s3 * oct_norm(x3)
-        + trace_prod3(x1, x2, x3)
-    )
+    """The cubic norm form s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3), via det_table()."""
+    x = X.nums
+    acc = 0
+    for l, m, n, c in det_table():
+        acc += c * x[l] * x[m] * x[n]
+    return Fraction(acc, X.den ** 3)
 
 
 def trilinear_d(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Full polarization of det: symmetric, D(X, X, X) = det(X)."""
-    xy = X + Y
-    s = (
-        det_j(xy + Z)
-        - det_j(xy)
-        - det_j(Y + Z)
-        - det_j(Z + X)
-        + det_j(X)
-        + det_j(Y)
-        + det_j(Z)
-    )
-    return s / 6
+    """Full polarization of det: symmetric, D(X, X, X) = det(X).
+
+    Each monomial c X_l X_m X_n of det_table() contributes c/6 times the
+    sum of X_l Y_m Z_n over the 6 orders of (l, m, n).
+    """
+    x, y, z = X.nums, Y.nums, Z.nums
+    acc = 0
+    for l, m, n, c in det_table():
+        yl, ym, yn = y[l], y[m], y[n]
+        zl, zm, zn = z[l], z[m], z[n]
+        acc += c * (x[l] * (ym * zn + yn * zm) + x[m] * (yl * zn + yn * zl) + x[n] * (yl * zm + ym * zl))
+    return Fraction(acc, 6 * X.den * Y.den * Z.den)
 
 
 def d_expanded(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Multilinear expansion of D; cross-validates trilinear_d.
+    """Multilinear expansion of D over Fractions and Octs; the reference for det_table().
 
     6D = sum over index permutations of s_i t_j u_k
        + sum over argument-to-slot assignments of tr((slot1 slot2) slot3)
@@ -229,25 +407,7 @@ def d_expanded(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
     return acc / 6
 
 
-def cross(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """Freudenthal cross product, the closed form
-
-    X x Y = X o Y - Tr(X)/2 Y - Tr(Y)/2 X - pair(X,Y)/2 e + Tr(X)Tr(Y)/2 e.
-
-    Its defining property pair(X x Y, Z) = 3 D(X, Y, Z) is a test invariant.
-    """
-    m = jordan_mul(X, Y)
-    tx = trace_j(X)
-    ty = trace_j(Y)
-    ec = (tx * ty - trace_j(m)) * _HALF
-    out = m - (tx * _HALF) * Y - (ty * _HALF) * X
-    return AlbertElem(
-        (out.s[0] + ec, out.s[1] + ec, out.s[2] + ec),
-        out.x,
-    )
-
-
-# -- matrix view (naive reference path; also used to derive permutations) ----
+# -- matrix view (the reference path; also used to derive permutations) --------
 
 
 def to_matrix(X: AlbertElem):
@@ -288,6 +448,40 @@ def from_matrix(M) -> AlbertElem:
     )
 
 
+def jordan_via_matrix(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
+    """(XY + YX)/2 through the octonion matrix product; the reference for jordan_mul."""
+    M, N = to_matrix(X), to_matrix(Y)
+    P, Q = mat3_mul(M, N), mat3_mul(N, M)
+    return from_matrix(
+        tuple(tuple((P[i][j] + Q[i][j]).scale(_HALF) for j in range(3)) for i in range(3))
+    )
+
+
+def cross_via_matrix(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
+    """The closed form of the cross product on jordan_via_matrix; the reference for cross."""
+    m = jordan_via_matrix(X, Y)
+    tx, ty = trace_j(X), trace_j(Y)
+    ec = (tx * ty - trace_j(m)) * _HALF
+    return m - Y.scale(tx * _HALF) - X.scale(ty * _HALF) + E.scale(ec)
+
+
+@lru_cache(maxsize=1)
+def basis_crosses() -> tuple:
+    """cross(b_i, b_j) for all basis pairs, as a 27x27 table of AlbertElems.
+
+    Built by cross_via_matrix, independently of cross_tables(); the tests
+    check the tables against it.
+    """
+    basis = jbasis()
+    table = [[None] * 27 for _ in range(27)]
+    for i in range(27):
+        for j in range(i, 27):
+            c = cross_via_matrix(basis[i], basis[j])
+            table[i][j] = c
+            table[j][i] = c
+    return tuple(tuple(row) for row in table)
+
+
 # -- pairing Gram machinery --------------------------------------------------
 
 
@@ -298,61 +492,20 @@ def pair_gram() -> tuple:
     return tuple(tuple(pair(a, b) for b in basis) for a in basis)
 
 
-_SLOT_SWAP = ((0, 7, 1), (7, 0, 1), (1, 4, -1), (4, 1, -1), (2, 5, -1), (5, 2, -1), (3, 6, -1), (6, 3, -1))
+# gram_apply(c)[k] = sign * c[j] for (k, j, sign): the diagonal is kept, and
+# within each slot alpha and beta swap, and v_i and w_i swap with a sign -1.
+_SLOT_SWAP = ((0, 7, 1), (1, 4, -1), (2, 5, -1), (3, 6, -1), (4, 1, -1), (5, 2, -1), (6, 3, -1), (7, 0, 1))
+_GRAM = ((0, 0, 1), (1, 1, 1), (2, 2, 1)) + tuple(
+    (base + i, base + j, sign) for base in (3, 11, 19) for i, j, sign in _SLOT_SWAP
+)
 
 
 def gram_apply(c) -> tuple:
     """pair_gram() @ c as a signed shuffle (the Gram matrix squares to the identity)."""
-    out = [Fraction(0)] * 27
-    out[0], out[1], out[2] = c[0], c[1], c[2]
-    for base in (3, 11, 19):
-        for i, j, sign in _SLOT_SWAP:
-            out[base + i] = c[base + j] if sign > 0 else -c[base + j]
-    return tuple(out)
+    return tuple(c[j] if sign > 0 else -c[j] for _, j, sign in _GRAM)
 
 
 def pair_vec(X: AlbertElem) -> tuple:
     """The tuple of pair(X, b) over the basis; equals gram_apply(coords(X))."""
-    return gram_apply(X.coords())
-
-
-@lru_cache(maxsize=1)
-def basis_crosses() -> tuple:
-    """cross(b_i, b_j) for all basis pairs, as a 27x27 table of AlbertElems."""
-    basis = jbasis()
-    table = [[None] * 27 for _ in range(27)]
-    for i in range(27):
-        for j in range(i, 27):
-            c = cross(basis[i], basis[j])
-            table[i][j] = c
-            table[j][i] = c
-    return tuple(tuple(row) for row in table)
-
-
-@lru_cache(maxsize=1)
-def cross_tables() -> tuple:
-    """basis_crosses() as scaled integers: (den, consts, pair_coords).
-
-    den is the common denominator of every coordinate in the table.
-    consts lists each nonzero cross-product constant as (l, m, n, c):
-    coordinate n of cross(b_l, b_m) is c/den. pair_coords[i][j] lists
-    the nonzero coordinates of cross(b_i, b_j) as (n, c), on the same
-    denominator. Both views hold the same numbers; structure_tensor uses
-    the first to build cross(k, .) as a matrix and the second to apply it.
-    """
-    table = basis_crosses()
-    den = lcm(*(c.denominator for row in table for elem in row for c in elem.coords()))
-    pair_coords = tuple(
-        tuple(
-            tuple((n, int(c * den)) for n, c in enumerate(elem.coords()) if c)
-            for elem in row
-        )
-        for row in table
-    )
-    consts = tuple(
-        (l, m, n, c)
-        for l in range(27)
-        for m in range(27)
-        for n, c in pair_coords[l][m]
-    )
-    return den, consts, pair_coords
+    d = X.den
+    return tuple(Fraction(v, d) for v in gram_apply(X.nums))

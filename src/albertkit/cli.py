@@ -2,7 +2,8 @@
 
 Every value crossing stdin/stdout is exact; rationals print as "p/q".
 Identical argv and input files produce identical bytes. Failures exit 1
-with {"error": kind, "detail": message} on stdout.
+with {"error": kind, "detail": message} on stdout; a malformed command
+line is a ParseError. --help prints usage and exits 0.
 """
 
 from __future__ import annotations
@@ -27,8 +28,15 @@ from .jsonio import (
 from .pvs import cubic_of, delta
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the JSON error contract."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="albertkit",
         description="Exact computations in the exceptional Jordan algebra, "
         "its cubic form, and the structure map on pairs.",
@@ -163,9 +171,8 @@ def _dispatch(args):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        payload, code = _dispatch(args)
+        payload, code = _dispatch(_parser().parse_args(argv))
     except AlbertKitError as exc:
         sys.stdout.write(dumps({"error": exc.kind, "detail": str(exc)}))
         return 1

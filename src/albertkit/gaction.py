@@ -107,12 +107,10 @@ def diag_conj(l1, l2, l3) -> GroupElem:
     if ls[0] * ls[1] * ls[2] == 0:
         raise ZeroScalar("diag_conj needs nonzero entries")
 
-    def f(X: AlbertElem) -> AlbertElem:
-        s = tuple(ls[i] ** 2 * X.s[i] for i in range(3))
-        x = tuple(X.x[i].scale(ls[(i + 1) % 3] * ls[(i + 2) % 3]) for i in range(3))
-        return AlbertElem(s, x)
-
-    return _elem_from_j_map(f, (ls[0] * ls[1] * ls[2]) ** 2)
+    # a diagonal matrix in coordinates: 3 diagonal entries, then 8 per slot
+    factors = [l * l for l in ls] + [ls[(i + 1) % 3] * ls[(i + 2) % 3] for i in range(3) for _ in range(8)]
+    L = tuple(tuple(t if i == j else 0 for j in range(27)) for i, t in enumerate(factors))
+    return GroupElem(L, (ls[0] * ls[1] * ls[2]) ** 2)
 
 
 def perm_elem(sigma) -> GroupElem:

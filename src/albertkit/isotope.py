@@ -37,7 +37,6 @@ from .albert import (
     AlbertElem,
     cross,
     det_j,
-    gram_apply,
     jbasis,
     pair,
     pair_vec,
@@ -139,23 +138,19 @@ def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The product defined implicitly by q_a(X circ Y, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
-    The right side over the basis Z = b_k collapses through duality:
+    The right side collapses through duality, pair(V x W, Z) = 3 D(V, W, Z):
     with P = a x X, Q = a x Y and U = P x Q,
 
-        D(P, Q, a x b_k) = (1/3) pair(U, a x b_k)
-                         = D(a, b_k, U) = (1/3) pair(a x U, b_k),
+        D(a, a, Z) = (1/3) pair(a#, Z),
+        D(P, Q, a x Z) = (1/3) pair(U, a x Z) = D(a, Z, U) = (1/3) pair(a x U, Z),
 
-    so the 27 right-hand sides come from two pairing rows instead of 27
-    polarized determinants. They are pair(U_{a#} V, b_k) for the product
-    V, so R = gram_apply(rhs) is U_{a#} V and V = det(a)^{-2} U_a R.
+    so det(a)^{-1} t_form(a; X, Y, Z) = pair(R, Z) for the element
+    R = det(a)^{-1} pair(a#, X) pair(a#, Y) a# - 8 (a x U). The product V
+    has pair(U_{a#} V, Z) = pair(R, Z) for every Z, so U_{a#} V = R and
+    V = det(a)^{-2} U_a R.
     """
     d = _require_invertible(a)
     a_sharp = cross(a, a)
-    dvec = pair_vec(a_sharp)  # pair(a x a, b_k) = 3 D(a, a, b_k)
-    dx = trilinear_d(a, a, X)
-    dy = trilinear_d(a, a, Y)
     u = cross(cross(a, X), cross(a, Y))
-    au_vec = pair_vec(cross(a, u))  # pair(a x U, b_k) = 3 D(P, Q, a x b_k)
-    rhs = [(9 * dx * dy * dvec[k] - 8 * d * au_vec[k]) / d for k in range(27)]
-    r = AlbertElem.from_coords(gram_apply(rhs))
+    r = a_sharp.scale(pair(a_sharp, X) * pair(a_sharp, Y) / d) - cross(a, u).scale(8)
     return (a.scale(pair(a, r)) - cross(a_sharp, r).scale(2)).scale(1 / d**2)

@@ -58,10 +58,8 @@ def decode_oct(obj) -> Oct:
 
 
 def encode_albert(X: AlbertElem) -> dict:
-    return {
-        "diag": [rat_to_str(c) for c in X.s],
-        "oct": [encode_oct(xi) for xi in X.x],
-    }
+    c = [rat_to_str(v) for v in X.coords()]
+    return {"diag": c[0:3], "oct": [c[3:11], c[11:19], c[19:27]]}
 
 def decode_albert(obj) -> AlbertElem:
     if not isinstance(obj, dict) or set(obj) != {"diag", "oct"}:
@@ -72,10 +70,12 @@ def decode_albert(obj) -> AlbertElem:
         raise ParseError("diag must hold 3 rationals")
     if not isinstance(octs, list) or len(octs) != 3:
         raise ParseError("oct must hold 3 octonions")
-    return AlbertElem(
-        tuple(str_to_rat(c) for c in diag),
-        tuple(decode_oct(o) for o in octs),
-    )
+    coords = [str_to_rat(c) for c in diag]
+    for o in octs:
+        if not isinstance(o, (list, tuple)) or len(o) != 8:
+            raise ParseError("octonion must be an array of 8 rationals")
+        coords += [str_to_rat(c) for c in o]
+    return AlbertElem.from_coords(coords)
 
 
 def encode_vpoint(x: VPoint) -> dict:

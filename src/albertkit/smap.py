@@ -37,8 +37,6 @@ and each basis pair is a sparse integer combination of its rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 from typing import NamedTuple
 
 from .albert import (
@@ -47,7 +45,6 @@ from .albert import (
     cross_tables,
     gram_apply,
     pair,
-    pair_vec,
     trilinear_d,
 )
 from .errors import NotSemistable
@@ -135,16 +132,9 @@ def k_elem(x: VPoint) -> AlbertElem:
     )
 
 
-@lru_cache(maxsize=64)
-def _s_context(x: VPoint):
-    """(k_elem(x), pair_vec of it), cached per point."""
-    k = k_elem(x)
-    return k, pair_vec(k)
-
-
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """-18 phi1 + (3/2) phi2, contracted through k_elem(x)."""
-    k, _ = _s_context(x)
+    k = k_elem(x)
     kx = pair(k, X)
     ky = pair(k, Y)
     out = cross(k, cross(X, Y)).scale(-18)
@@ -185,16 +175,15 @@ class StructureTensor:
 def structure_tensor(x: VPoint) -> StructureTensor:
     """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
 
-    With k = k_elem(x) scaled to 27 integers over one denominator dk, the
+    With k = k_elem(x) as its 27 integers over its denominator dk, the
     rows kx[m] = dk * den * cross(k, b_m) come from the sparse constants of
     cross_tables(). Each unordered pair then costs -36 times a sparse
     combination of those rows, plus the two pair_vec(k) terms, all over
     the common denominator 2 * dk * den^2. Fractions are made only for
     nonzero entries at the end, and (i, j) is mirrored to (j, i).
     """
-    kc = k_elem(x).coords()
-    dk = lcm(*(c.denominator for c in kc))
-    kn = [c.numerator * (dk // c.denominator) for c in kc]
+    k = k_elem(x)
+    kn, dk = k.nums, k.den
     den, consts, pair_coords = cross_tables()
     kx = [[0] * 27 for _ in range(27)]
     for l, m, n, c in consts:

@@ -1,24 +1,29 @@
 """The 27-dimensional algebra: products, forms, cross product, Gram tools."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albertkit.albert import (
+    ALBERT_ZERO,
     AlbertElem,
     E,
     basis_crosses,
     cross,
     cross_tables,
+    cross_via_matrix,
     d_expanded,
     det_j,
+    det_table,
     diag_elem,
     from_matrix,
     gram_apply,
     jbasis,
     jordan_mul,
+    jordan_via_matrix,
     mat3_mul,
     pair,
     pair_gram,
@@ -35,6 +40,10 @@ octs = st.builds(lambda cs: Oct.from_coords(cs), st.tuples(*[rats] * 8))
 elems = st.builds(
     lambda d, o: AlbertElem(d, o), st.tuples(rats, rats, rats), st.tuples(octs, octs, octs)
 )
+
+# 63-bit numerators over small denominators, for the integer kernels
+big_rats = st.builds(Fraction, st.integers(-(2**63), 2**63), st.integers(1, 2**10))
+big_elems = st.builds(AlbertElem.from_coords, st.lists(big_rats, min_size=27, max_size=27))
 
 HALF = Fraction(1, 2)
 
@@ -264,3 +273,60 @@ def test_value_semantics():
     assert a != diag_elem(1, 2, 4)
     assert 3 * a == a.scale(3)
     assert (a - a).is_zero()
+
+
+def test_kernels_match_references_on_basis_pairs(basis, jordan_tensor):
+    """cross, jordan_mul, det_j and trilinear_d against the matrix route and d_expanded."""
+    crosses = basis_crosses()
+    W = AlbertElem.from_coords([Fraction(k - 13, 1 + k % 3) for k in range(27)])
+    for i in range(27):
+        for j in range(27):
+            X, Y = basis[i], basis[j]
+            assert cross(X, Y) == crosses[i][j]
+            assert jordan_mul(X, Y).coords() == jordan_tensor[i][j]
+            S = X + Y.scale(2) + W
+            assert det_j(S) == d_expanded(S, S, S)
+            assert trilinear_d(X, Y, W) == d_expanded(X, Y, W)
+
+
+@settings(max_examples=8, deadline=None)
+@given(big_elems, big_elems, big_elems)
+def test_kernels_match_references_63_bit(X, Y, Z):
+    assert cross(X, Y) == cross_via_matrix(X, Y)
+    assert jordan_mul(X, Y) == jordan_via_matrix(X, Y)
+    assert det_j(X) == d_expanded(X, X, X)
+    assert trilinear_d(X, Y, Z) == d_expanded(X, Y, Z)
+
+
+def test_table_sizes():
+    den, consts, _ = cross_tables()
+    assert den == 2 and len(consts) == 270
+    assert len(det_table()) == 45
+    assert all(l <= m <= n for l, m, n, _ in det_table())
+
+
+def _assert_canonical(X):
+    assert X.den > 0 and gcd(X.den, *X.nums) == 1
+    assert all(type(n) is int for n in X.nums) and len(X.nums) == 27
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(elems, big_elems))
+def test_canonical_form_across_routes(X):
+    routes = (
+        X,
+        AlbertElem.from_coords(X.coords()),
+        AlbertElem.from_coords([str(c) for c in X.coords()]),
+        AlbertElem(X.s, X.x),
+        X.scale(2).scale(HALF),
+        X.scale(Fraction(-6, 7)).scale(Fraction(7, -6)),
+        (X + X) - X,
+    )
+    for R in routes:
+        _assert_canonical(R)
+        assert R == X and hash(R) == hash(X)
+        assert (R.nums, R.den) == (X.nums, X.den)
+    zeros = (X - X, X + (-X), X.scale(0), ALBERT_ZERO, AlbertElem.from_coords([0] * 27))
+    for Z in zeros:
+        _assert_canonical(Z)
+        assert Z == ALBERT_ZERO and hash(Z) == hash(ALBERT_ZERO) and Z.den == 1

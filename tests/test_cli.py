@@ -170,6 +170,26 @@ def test_error_parse(files, capsys, tmp_path):
     assert code == 1 and payload["error"] == "ParseError"
 
 
+def test_usage_errors_follow_error_contract(capsys):
+    for argv in (
+        ["isotope-mul", "--method", "bogus", "a", "b", "c"],
+        ["bogus"],
+        ["det"],
+        [],
+        ["verify", "--trials", "many"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        payload = json.loads(captured.out)
+        assert set(payload) == {"error", "detail"} and payload["error"] == "ParseError"
+        assert captured.out == dumps(payload) and captured.err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: albertkit" in capsys.readouterr().out
+
+
 def test_verify_subcommand(files, capsys):
     code, payload, _ = run_cli(
         capsys, "verify", "--suite", "octonion", "--seed", "3", "--trials", "4"
