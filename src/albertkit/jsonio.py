@@ -131,7 +131,7 @@ def encode_group(g: GroupElem) -> dict:
     }
 
 def decode_group(obj) -> GroupElem:
-    """Full form {"L", "c", "g2"} or generator shorthand {"kind", "params"}."""
+    """Full form {"L", "c", "g2"}, L monomial with det multiplier c, or shorthand {"kind", "params"}."""
     if not isinstance(obj, dict):
         raise ParseError("group element must be an object")
     if "kind" in obj:
@@ -158,11 +158,13 @@ def decode_group(obj) -> GroupElem:
         raise ParseError("unknown generator kind %r" % (kind,))
     if set(obj) != {"L", "c", "g2"}:
         raise ParseError('group element must be {"L", "c", "g2"} or a shorthand')
-    return GroupElem(
-        _decode_matrix(obj["L"], 27, 27, "L"),
-        str_to_rat(obj["c"]),
-        _decode_matrix(obj["g2"], 2, 2, "g2"),
-    )
+    L = _decode_matrix(obj["L"], 27, 27, "L")
+    c = str_to_rat(obj["c"])
+    g2 = _decode_matrix(obj["g2"], 2, 2, "g2")
+    try:
+        return GroupElem.from_dense(L, c, g2)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def dumps(obj) -> str:

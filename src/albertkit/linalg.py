@@ -3,7 +3,8 @@
 Matrices are tuples of tuples of Fraction. The solver clears denominators
 row by row and then runs fraction-free (Bareiss) elimination over the
 integers, which keeps intermediate entries at the size of minors instead of
-letting rational numerators and denominators grow independently.
+letting rational numerators and denominators grow independently. It is
+the only elimination loop: inv_exact runs it once per unit column.
 """
 
 from __future__ import annotations
@@ -14,28 +15,17 @@ from math import lcm
 from .errors import SingularMatrix
 
 
-def identity_matrix(n: int):
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def mat_vec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def mat_mul(a, b):
+    """a @ b, skipping zero terms: a product of monomial matrices costs O(n^2) Fraction work."""
     bt = tuple(zip(*b))
+    zero = Fraction(0)
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), zero) for col in bt) for row in a
     )
-
-
-def mat_scale(t, m):
-    return tuple(tuple(t * x for x in row) for row in m)
 
 
 def _integer_rows(aug):
@@ -81,22 +71,7 @@ def solve_exact(m, rhs):
 
 
 def inv_exact(m):
-    """Exact inverse via Gauss-Jordan. Raises SingularMatrix if not invertible."""
+    """Exact inverse, one solve_exact per unit column. Raises SingularMatrix if not invertible."""
     n = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrix("rank < %d" % n)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        inv_p = 1 / a[k][k]
-        a[k] = [x * inv_p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    cols = [solve_exact(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return tuple(zip(*cols))

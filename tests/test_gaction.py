@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import cross, det_j, diag_elem, jbasis, pair, slot_elem
+from albertkit.albert import cross, det_j, diag_elem, jbasis, pair, pair_gram, slot_elem
 from albertkit.errors import SingularMatrix, ZeroScalar
 from albertkit.gaction import (
     GroupElem,
@@ -19,7 +19,7 @@ from albertkit.gaction import (
     scalar_elem,
     tilde,
 )
-from albertkit.linalg import mat_mul
+from albertkit.linalg import inv_exact, mat_mul, mat_vec
 from albertkit.octonion import Oct, oct_conj
 from albertkit.pvs import cubic_of, delta, w_point
 from albertkit.verify import rand_albert, rand_group, rand_special, rand_vpoint
@@ -81,9 +81,20 @@ def test_gl2_elem():
 def test_group_elem_validation():
     ident = identity_elem()
     with pytest.raises(ZeroScalar):
-        GroupElem(ident.L, 0)
+        GroupElem(ident.perm, ident.scales, 0)
     with pytest.raises(SingularMatrix):
-        GroupElem(ident.L, 1, ((1, 1), (1, 1)))
+        GroupElem(ident.perm, ident.scales, 1, ((1, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        GroupElem((0,) + tuple(range(26)), ident.scales, 1)
+    with pytest.raises(ValueError):
+        GroupElem(range(26), ident.scales, 1)
+    with pytest.raises(ZeroScalar):
+        GroupElem(ident.perm, (0,) + ident.scales[1:], 1)
+    # the dense entry point checks the claimed det multiplier exactly
+    g = diag_conj(2, 3, 5) * perm_elem((2, 3, 1))
+    assert GroupElem.from_dense(g.L, g.c, g.g2) == g
+    with pytest.raises(ValueError):
+        GroupElem.from_dense(g.L, 2 * g.c, g.g2)
 
 
 def test_character_soundness(rng):
@@ -172,3 +183,30 @@ def test_act_v_is_group_action(rng):
         assert act_v(g * h, x) == act_v(g, act_v(h, x))
     x = rand_vpoint(rng)
     assert act_v(identity_elem(), x) == x
+
+
+def _dense_reference_elems(rng):
+    """One element of each generator kind, then 8 rand_group words, some with gl2 and perm factors."""
+    words = [rand_group(rng) for _ in range(8)]
+    assert any(g.perm != identity_elem().perm for g in words)
+    assert any(g.g2 != identity_elem().g2 for g in words)
+    return [
+        scalar_elem(Fraction(-3, 2)),
+        diag_conj(2, Fraction(1, 3), -5),
+        perm_elem((3, 1, 2)),
+        gl2_elem([[1, 2], [3, 5]]),
+    ] + words
+
+
+def test_monomial_form_matches_dense_reference(rng):
+    # the dense 27x27 algebra, kept here as the oracle of the monomial form
+    M = pair_gram()
+    elems = _dense_reference_elems(rng)
+    for g, h in zip(elems, elems[1:] + elems[:1]):
+        L = g.L
+        X = rand_albert(rng)
+        assert g.apply_j(X).coords() == mat_vec(L, X.coords())
+        assert (g * h).L == mat_mul(L, h.L)
+        assert tilde(g).L == mat_mul(mat_mul(M, inv_exact(tuple(zip(*L)))), M)
+        factor = g.c * det2(g.g2) ** 2
+        assert mu(g).L == tuple(tuple(factor * v for v in row) for row in L)

@@ -113,6 +113,17 @@ def test_group_full_round_trip(rng):
         assert decode_group(encode_group(g)) == g
 
 
+def _full_identity(c="1", column=None, row=None):
+    """The full form of the identity on J, with a claimed c, a zeroed column or a row of ones."""
+    L = [["1" if i == j else "0" for j in range(27)] for i in range(27)]
+    if column is not None:
+        for r in L:
+            r[column] = "0"
+    if row is not None:
+        L[row] = ["1"] * 27
+    return {"L": L, "c": c, "g2": [["1", "0"], ["0", "1"]]}
+
+
 def test_group_shorthand():
     assert decode_group({"kind": "scalar", "params": "2/3"}) == scalar_elem(
         Fraction(2, 3)
@@ -133,10 +144,14 @@ def test_group_shorthand():
         {"kind": "diag", "params": [True, "1.5", "2e3"]},
         {"kind": "diag", "params": ["1", "2"]},
         {"L": [], "c": "1"},
+        _full_identity(c="5"),
+        _full_identity(column=4),
+        _full_identity(row=0),
         "not-a-dict",
     ):
         with pytest.raises(ParseError):
             decode_group(bad)
+    assert decode_group(_full_identity()) == scalar_elem(1)
 
 
 def test_dumps_canonical():
