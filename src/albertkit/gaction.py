@@ -21,6 +21,7 @@ products (a multiplicative family, asserted in tests).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .albert import _GRAM, AlbertElem, _elem, det_table, from_matrix, jbasis, to_matrix
@@ -148,12 +149,18 @@ def perm_elem(sigma) -> GroupElem:
 
     Derived entrywise: the new (i, j) entry is the old (sigma(i), sigma(j))
     entry, which permutes the diagonal and the octonion slots and, for odd
-    permutations, conjugates the slots. det is preserved, so c = 1. The
-    basis images are the columns handed to from_dense.
+    permutations, conjugates the slots. det is preserved, so c = 1. Each
+    call returns a new element; its monomial form is built once per sigma.
     """
     sig = tuple(sigma)
     if sorted(sig) != [1, 2, 3]:
         raise ValueError("sigma must be a permutation of (1, 2, 3)")
+    return GroupElem(*_perm_monomial(sig), 1)
+
+
+@lru_cache(maxsize=6)
+def _perm_monomial(sig: tuple) -> tuple:
+    """(perm, scales) of perm_elem(sig), from the basis images as the columns handed to from_dense."""
 
     def f(X: AlbertElem) -> AlbertElem:
         M = to_matrix(X)
@@ -161,7 +168,8 @@ def perm_elem(sigma) -> GroupElem:
         return from_matrix(N)
 
     cols = [f(b).coords() for b in jbasis()]
-    return GroupElem.from_dense(tuple(zip(*cols)), 1)
+    g = GroupElem.from_dense(tuple(zip(*cols)), 1)
+    return g.perm, g.scales
 
 
 def gl2_elem(m) -> GroupElem:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from .albert import AlbertElem
 from .errors import ParseError
@@ -92,10 +94,20 @@ def cubic_to_str(f: BinaryCubic) -> str:
 
 
 def encode_stensor(t: StructureTensor) -> dict:
+    """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
+
+    Each distinct integer numerator is reduced against t.den and formatted
+    once, keyed on the int, to the string rat_to_str gives its Fraction.
+    """
+    den = t.den
+    strs = {}
+    for v in set(chain.from_iterable(t.rows)):
+        g = gcd(v, den)
+        strs[v] = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),
-        "entries": [rat_to_str(v) for v in t.flat],
+        "entries": list(map(strs.__getitem__, chain.from_iterable(t.rows))),
     }
 
 def decode_stensor(obj) -> StructureTensor:
@@ -106,7 +118,7 @@ def decode_stensor(obj) -> StructureTensor:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
-    return StructureTensor(
+    return StructureTensor.from_fractions(
         decode_vpoint(obj["point"]),
         [str_to_rat(v) for v in entries],
     )

@@ -31,12 +31,17 @@ the Hessian covariant of F_x contracted with a x a, a x b and b x b
 structure_tensor exploits this when tabulating all 729 basis pairs:
 cross(k, .) is linear, so at each point it is one 27x27 integer matrix
 built from the sparse cross-product constants of albert.cross_tables(),
-and each basis pair is a sparse integer combination of its rows.
+and each basis pair is a sparse integer combination of its rows. The
+StructureTensor keeps those integers over one common denominator, and
+jsonio.encode_stensor formats them directly: no Fraction is made on the
+way from k_elem to the JSON entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .albert import (
@@ -144,29 +149,61 @@ def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 class StructureTensor:
     """All 27^3 structure constants of s_map at a point, in jbasis coordinates.
 
-    entry(i, j, k) is the k-th coordinate of s_map(x, basis_i, basis_j);
-    flat storage is row-major in (i, j, k).
+    Stored as integers over one positive denominator: rows[i * 27 + j] is
+    the 27 numerators of s_map(x, b_i, b_j), and den their denominator,
+    with gcd(den, every numerator) = 1, so == compares (point, rows, den).
+    structure_tensor builds the 378 unordered rows and shares each one
+    between (i, j) and (j, i). entry, product_coords and flat (row-major
+    in (i, j, k)) are Fraction views built on each call. Immutable.
     """
 
-    __slots__ = ("point", "flat")
+    __slots__ = ("point", "rows", "den")
 
-    def __init__(self, point: VPoint, flat):
+    def __init__(self, point: VPoint, rows, den: int):
+        rows = tuple(map(tuple, rows))
+        if len(rows) != 729 or any(len(r) != 27 for r in rows):
+            raise ValueError("structure tensor needs 27^2 rows of 27 entries")
+        if den <= 0:
+            raise ValueError("structure tensor needs a positive denominator")
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            cut = {id(r): tuple(v // g for v in r) for r in rows}
+            rows = tuple(cut[id(r)] for r in rows)
+            den //= g
+        for name, value in (("point", point), ("rows", rows), ("den", den)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_fractions(cls, point: VPoint, flat) -> "StructureTensor":
+        """The tensor with 19683 row-major Fraction entries, over their lcm."""
         if len(flat) != 19683:
             raise ValueError("structure tensor needs 27^3 entries")
-        self.point = point
-        self.flat = tuple(flat)
+        den = lcm(*(v.denominator for v in flat))
+        nums = [v.numerator * (den // v.denominator) for v in flat]
+        return cls(point, [nums[b : b + 27] for b in range(0, 19683, 27)], den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StructureTensor is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("StructureTensor is immutable")
+
+    @property
+    def flat(self) -> tuple:
+        d = self.den
+        return tuple(Fraction(v, d) for r in self.rows for v in r)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self.flat[(i * 27 + j) * 27 + k]
+        return Fraction(self.rows[i * 27 + j][k], self.den)
 
     def product_coords(self, i: int, j: int) -> tuple:
-        base = (i * 27 + j) * 27
-        return self.flat[base : base + 27]
+        d = self.den
+        return tuple(Fraction(v, d) for v in self.rows[i * 27 + j])
 
     def __eq__(self, other):
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return self.point == other.point and self.flat == other.flat
+        return (self.point, self.rows, self.den) == (other.point, other.rows, other.den)
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
@@ -176,39 +213,41 @@ def structure_tensor(x: VPoint) -> StructureTensor:
     """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
 
     With k = k_elem(x) as its 27 integers over its denominator dk, the
-    rows kx[m] = dk * den * cross(k, b_m) come from the sparse constants of
-    cross_tables(). Each unordered pair then costs -36 times a sparse
-    combination of those rows, plus the two pair_vec(k) terms, all over
-    the common denominator 2 * dk * den^2. Fractions are made only for
-    nonzero entries at the end, and (i, j) is mirrored to (j, i).
+    rows kx[m] = 2 dk cross(k, b_m) come from the sparse constants of
+    cross_tables() (all over 2), and gram_apply(kn) = dk pair_vec(k). Then
+
+        s_map(x, b_i, b_j) = 9 S_ij / (2 dk),
+        S_ij = gram[j] b_i + gram[i] b_j - sum of c kx[m] over pair_coords[i][j],
+
+    so each unordered pair is a sparse integer combination of rows. The
+    content h of kx and gram divides every S_ij, so gcd(2 dk, 9 h) is
+    divided out of those 27 rows rather than out of the 378 products. No
+    Fraction is made; (i, j) and (j, i) share one integer row.
     """
     k = k_elem(x)
     kn, dk = k.nums, k.den
-    den, consts, pair_coords = cross_tables()
+    _, consts, pair_coords = cross_tables()
     kx = [[0] * 27 for _ in range(27)]
     for l, m, n, c in consts:
         if kn[l]:
             kx[m][n] += kn[l] * c
-    # gram_apply(kn) = dk * pair_vec(k); this is (9/2) pair_vec(k) on denom
-    kpv = [9 * den * den * v for v in gram_apply(kn)]
-    denom = 2 * dk * den * den
-    zero = Fraction(0)
-    flat = [zero] * 19683
+    gram = gram_apply(kn)
+    h = gcd(*chain.from_iterable(kx), *gram) or 1
+    g = gcd(2 * dk, 9 * h)
+    f = 9 * h // g
+    kx = [[v // h for v in row] for row in kx]
+    fgram = [f * v // h for v in gram]
+    rows = [None] * 729
     for i in range(27):
         for j in range(i, 27):
             out = [0] * 27
             for m, c in pair_coords[i][j]:
-                c *= -36
+                c *= -f
                 out = [o + c * v for o, v in zip(out, kx[m])]
-            out[i] += kpv[j]
-            out[j] += kpv[i]
-            row = [Fraction(v, denom) if v else zero for v in out]
-            base_ij = (i * 27 + j) * 27
-            flat[base_ij : base_ij + 27] = row
-            if i != j:
-                base_ji = (j * 27 + i) * 27
-                flat[base_ji : base_ji + 27] = row
-    return StructureTensor(x, flat)
+            out[i] += fgram[j]
+            out[j] += fgram[i]
+            rows[i * 27 + j] = rows[j * 27 + i] = tuple(out)
+    return StructureTensor(x, rows, 2 * dk // g)
 
 
 def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:

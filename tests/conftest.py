@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import jbasis, jordan_via_matrix
+from albertkit.albert import AlbertElem, jbasis, jordan_via_matrix
+from albertkit.pvs import VPoint, delta
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,24 @@ def jordan_tensor(basis):
 @pytest.fixture()
 def rng():
     return random.Random(20260819)
+
+
+def _sparse_point(rng):
+    """6 of 27 coordinates per component: 20-bit numerators, 8-bit denominators."""
+
+    def elem():
+        c = [0] * 27
+        for n in rng.sample(range(27), 6):
+            c[n] = Fraction(rng.randrange(-(2**20), 2**20), rng.randrange(1, 2**8))
+        return AlbertElem.from_coords(c)
+
+    while True:
+        x = VPoint(elem(), elem())
+        if delta(x) != 0:
+            return x
+
+
+@pytest.fixture(scope="session")
+def sparse_point():
+    """sparse_point(rng): a semistable point of large height with few nonzero coordinates."""
+    return _sparse_point

@@ -1,15 +1,17 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes, error shape."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from albertkit.albert import diag_elem, jordan_mul
+from albertkit.albert import AlbertElem, diag_elem, jordan_mul
 from albertkit.cli import main
 from albertkit.jsonio import dumps, encode_albert, encode_vpoint
 from albertkit.pvs import VPoint, w_point
@@ -90,6 +92,29 @@ def test_structure_tensor_output(files, capsys):
     assert payload["basis"] == "jbasis-v1"
     assert len(payload["entries"]) == 19683
     assert payload["point"] == json.loads(open(files["w"]).read())
+
+
+def _fixed_dense_point():
+    """A semistable point with 50 of 54 coordinates nonzero, from a fixed formula."""
+    a = AlbertElem.from_coords([Fraction((7 * i + 3) % 11 - 5, 1 + i % 4) for i in range(27)])
+    b = AlbertElem.from_coords([Fraction((5 * i + 2) % 13 - 6, 1 + (i + 1) % 3) for i in range(27)])
+    return VPoint(a, b)
+
+
+# sha256 of the `structure` stdout bytes, as printed by the Fraction-based encoder
+STRUCTURE_SHA256 = {
+    "w": "7ba41d6f63d9754f751864fc5696576c4e4aae87102bd1c38941928352d2a959",
+    "dense": "2262c1fdc62b3ff0dc06dc2fa4a1c4c3120918d92b2ed52a8d225129e820309c",
+}
+
+
+def test_structure_bytes_pinned(tmp_path, capsys):
+    for name, point in (("w", w_point()), ("dense", _fixed_dense_point())):
+        path = tmp_path / (name + ".json")
+        path.write_text(dumps(encode_vpoint(point)), encoding="utf-8")
+        code, _, raw = run_cli(capsys, "structure", str(path))
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == STRUCTURE_SHA256[name]
 
 
 def test_tform_qa(files, capsys):

@@ -1,10 +1,21 @@
 """Group elements: generators, composition, characters, tilde and mu."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from albertkit.albert import cross, det_j, diag_elem, jbasis, pair, pair_gram, slot_elem
+from albertkit.albert import (
+    cross,
+    det_j,
+    diag_elem,
+    from_matrix,
+    jbasis,
+    pair,
+    pair_gram,
+    slot_elem,
+    to_matrix,
+)
 from albertkit.errors import SingularMatrix, ZeroScalar
 from albertkit.gaction import (
     GroupElem,
@@ -67,6 +78,22 @@ def test_perm_elem():
     assert g.c == 1 and cyc.c == 1
     with pytest.raises(ValueError):
         perm_elem((1, 1, 3))
+
+
+def test_perm_elem_matches_matrix_route():
+    # the monomial form built once per sigma, against from_dense of the basis
+    # images on the octonion-matrix route, for all six permutations
+    for sigma in permutations((1, 2, 3)):
+        cols = []
+        for b in jbasis():
+            M = to_matrix(b)
+            N = tuple(tuple(M[sigma[i] - 1][sigma[j] - 1] for j in range(3)) for i in range(3))
+            cols.append(from_matrix(N).coords())
+        g = perm_elem(list(sigma))
+        assert g == GroupElem.from_dense(tuple(zip(*cols)), 1)
+        # every call hands out its own element
+        g.c = Fraction(5)
+        assert perm_elem(sigma) is not g and perm_elem(sigma).c == 1
 
 
 def test_gl2_elem():

@@ -27,7 +27,7 @@ from albertkit.jsonio import (
 from albertkit.octonion import Oct
 from albertkit.pvs import cubic_of, w_point
 from albertkit.smap import structure_tensor
-from albertkit.verify import rand_albert, rand_group, rand_oct, rand_vpoint
+from albertkit.verify import rand_albert, rand_group, rand_oct, rand_semistable, rand_vpoint
 
 
 def test_rational_strings():
@@ -91,12 +91,15 @@ def test_cubic_string():
     assert cubic_to_str(cubic_of(w_point())) == "[0, 1, -1, 0]"
 
 
-def test_stensor_round_trip():
-    t = structure_tensor(w_point())
-    enc = encode_stensor(t)
-    assert enc["basis"] == STENSOR_BASIS_TAG
-    assert len(enc["entries"]) == 19683
-    assert decode_stensor(enc) == t
+def test_stensor_round_trip(rng, sparse_point):
+    for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
+        t = structure_tensor(x)
+        enc = encode_stensor(t)
+        assert enc["basis"] == STENSOR_BASIS_TAG
+        assert len(enc["entries"]) == 19683
+        back = decode_stensor(enc)
+        assert back == t
+        assert back.rows == t.rows and back.den == t.den
     bad = dict(enc)
     bad["basis"] = "other"
     with pytest.raises(ParseError):
@@ -105,6 +108,17 @@ def test_stensor_round_trip():
     short["entries"] = enc["entries"][:5]
     with pytest.raises(ParseError):
         decode_stensor(short)
+
+
+def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
+    # the int-keyed encoder against the per-entry Fraction reference
+    for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
+        t = structure_tensor(x)
+        flat = t.flat
+        assert encode_stensor(t)["entries"] == [rat_to_str(v) for v in flat]
+        if x != w_point():
+            # entries reduce against t.den to several different denominators
+            assert len({v.denominator for v in flat}) > 2
 
 
 def test_group_full_round_trip(rng):

@@ -1,6 +1,7 @@
 """The degree-8 map on pairs: kernels, contraction, tensors, normalization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,7 @@ from albertkit.pvs import VPoint, delta, w_point
 from albertkit.smap import (
     SIGNED_TERMS,
     SignedTerm,
+    StructureTensor,
     circ_x,
     k_elem,
     phi1,
@@ -134,26 +136,11 @@ def test_circ_x_rejects_unstable():
         circ_x(VPoint(E, E), E, E)
 
 
-def _sparse_point(rng):
-    """6 of 27 coordinates per component: 20-bit numerators, 8-bit denominators."""
-
-    def elem():
-        c = [0] * 27
-        for n in rng.sample(range(27), 6):
-            c[n] = Fraction(rng.randrange(-(2**20), 2**20), rng.randrange(1, 2**8))
-        return AlbertElem.from_coords(c)
-
-    while True:
-        x = VPoint(elem(), elem())
-        if delta(x) != 0:
-            return x
-
-
-def test_structure_tensor_matches_s(rng):
+def test_structure_tensor_matches_s(rng, sparse_point):
     # the integer tabulation against the Fraction contraction, on all 729
     # ordered pairs at a dense and a sparse large-height point
     basis = jbasis()
-    for x in (rand_semistable(rng), _sparse_point(rng)):
+    for x in (rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
         for i in range(27):
             for j in range(27):
@@ -175,6 +162,38 @@ def test_structure_tensor_deterministic(rng):
     y = VPoint(AlbertElem.from_coords(x.a.coords()), AlbertElem.from_coords(x.b.coords()))
     assert x == y and x is not y
     assert structure_tensor(x) == structure_tensor(y)
+
+
+def test_structure_tensor_integer_form(rng):
+    x = rand_semistable(rng)
+    t = structure_tensor(x)
+    # one canonical integer form: rows shared across (i, j) and (j, i), reduced
+    assert all(t.rows[i * 27 + j] is t.rows[j * 27 + i] for i in range(27) for j in range(27))
+    assert all(type(r) is tuple for r in t.rows) and t.den > 0
+    assert gcd(t.den, *(v for r in t.rows for v in r)) == 1
+    scaled = StructureTensor(x, [[6 * v for v in r] for r in t.rows], 6 * t.den)
+    assert scaled == t and scaled.rows == t.rows and scaled.den == t.den
+    assert StructureTensor.from_fractions(x, t.flat) == t
+    # k = 0: the zero tensor, over 1
+    zero = structure_tensor(VPoint(E.scale(0), E))
+    assert zero.den == 1 and not any(v for r in zero.rows for v in r)
+    with pytest.raises(ValueError):
+        StructureTensor(x, t.rows[:728], t.den)
+    with pytest.raises(ValueError):
+        StructureTensor(x, t.rows, 0)
+    with pytest.raises(ValueError):
+        StructureTensor.from_fractions(x, t.flat[:27])
+
+
+def test_structure_tensor_is_immutable(rng):
+    t = structure_tensor(rand_semistable(rng))
+    for name in ("point", "rows", "den"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(TypeError):
+        t.rows[0] = t.rows[1]
 
 
 def test_s_equivariance_spot(rng):
@@ -201,9 +220,9 @@ def _literal_k(x):
     return acc
 
 
-def test_k_elem_is_literal_signed_sum(rng):
+def test_k_elem_is_literal_signed_sum(rng, sparse_point):
     # the Hessian closed form against the 16-term sum it replaced
-    points = (w_point(), rand_semistable(rng), rand_vpoint(rng), _sparse_point(rng))
+    points = (w_point(), rand_semistable(rng), rand_vpoint(rng), sparse_point(rng))
     for x in points:
         k = k_elem(x)
         assert k == _literal_k(x)
@@ -211,10 +230,10 @@ def test_k_elem_is_literal_signed_sum(rng):
         assert phi1(x, X, Y) == cross(k, cross(X, Y))
 
 
-def test_circ_x_is_isotope_at_a_of_x(rng):
+def test_circ_x_is_isotope_at_a_of_x(rng, sparse_point):
     # the x -> a link: circ_x is the isotope product of J at a(x) = 81 k#/delta(x)
     w = w_point()
-    for x in (w, rand_semistable(rng), rand_semistable(rng), _sparse_point(rng)):
+    for x in (w, rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
         k = k_elem(x)
         d = delta(x)
         assert det_j(k) == d * d / 729
