@@ -12,7 +12,8 @@ The package builds, over the rationals with no tolerance anywhere:
  * the degree-6 trilinear form T_a with both isotope constructions and
    the exact solver linking them (`isotope`),
  * JSON round-tripping (`jsonio`), seeded verification suites
-   (`verify`), and the `albertkit` CLI (`cli`).
+   (`verify`), the literal routes the kernels are tested against
+   (`reference`), and the `albertkit` CLI (`cli`).
 """
 
 from .albert import (

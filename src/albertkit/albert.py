@@ -38,11 +38,8 @@ from the octonion formulas evaluated on the 8 Zorn basis octonions:
    (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
    polarization, over the denominator 6. It never reads the cross table.
 
-Oracles. The octonion-matrix route (to_matrix, mat3_mul, from_matrix,
-jordan_via_matrix, cross_via_matrix), d_expanded, and basis_crosses(),
-which is built on the matrix route, compute the same values from
-Fractions and Octs. They are kept for the tests and are never called
-on the fast path.
+Oracles. The literal routes the kernels are tested against live in
+reference.py; basis_crosses() below is built on its matrix route.
 """
 
 from __future__ import annotations
@@ -57,16 +54,13 @@ from .octonion import (
     OCT_ZERO,
     Oct,
     ZORN_BASIS,
+    _Frozen,
     _rat,
     oct_conj,
     oct_mul,
     oct_norm,
-    oct_q,
     trace_prod,
-    trace_prod3,
 )
-
-_HALF = Fraction(1, 2)
 
 
 def _canonical(coords) -> tuple:
@@ -81,8 +75,8 @@ def _fractions(nums, den: int) -> tuple:
     return tuple(Fraction(n, den) for n in nums)
 
 
-class AlbertElem:
-    """An element of J: 27 int coordinates `nums` over the denominator `den`.
+class AlbertElem(_Frozen):
+    """An element of J: 27 int coordinates `nums` over the denominator `den`. Immutable.
 
     Built from a diagonal (s1, s2, s3) and octonion slots (x1, x2, x3), or
     from 27 rational coordinates; `.s` and `.x` read those back.
@@ -94,7 +88,9 @@ class AlbertElem:
         a, b, c = diag
         x1, x2, x3 = octs
         coords = (_rat(a), _rat(b), _rat(c)) + x1.coords() + x2.coords() + x3.coords()
-        self.nums, self.den = _canonical(coords)
+        nums, den = _canonical(coords)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_coords(c) -> "AlbertElem":
@@ -162,9 +158,14 @@ def _elem(nums, den: int) -> AlbertElem:
         nums = [n // g for n in nums]
         den //= g
     X = object.__new__(AlbertElem)
-    X.nums = tuple(nums)
-    X.den = den
+    _set_nums(X, tuple(nums))
+    _set_den(X, den)
     return X
+
+
+# the slot setters object.__setattr__ would reach, without its name lookup: _elem is on every hot path
+_set_nums = AlbertElem.nums.__set__
+_set_den = AlbertElem.den.__set__
 
 
 def diag_elem(a, b, c) -> AlbertElem:
@@ -333,7 +334,7 @@ def jordan_mul(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """(XY + YX)/2 = X x Y + Tr(X)/2 Y + Tr(Y)/2 X + (pair(X,Y) - Tr(X)Tr(Y))/2 e.
 
     All terms on the denominator 2 den(X) den(Y); the matrix route
-    (jordan_via_matrix) is the reference.
+    (reference.jordan_via_matrix) is the reference.
     """
     x, y = X.nums, Y.nums
     tx = x[0] + x[1] + x[2]
@@ -384,94 +385,15 @@ def trilinear_d(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
     return Fraction(acc, 6 * X.den * Y.den * Z.den)
 
 
-def d_expanded(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Multilinear expansion of D over Fractions and Octs; the reference for det_table().
-
-    6D = sum over index permutations of s_i t_j u_k
-       + sum over argument-to-slot assignments of tr((slot1 slot2) slot3)
-       - 2 sum_i [s_i Q(y_i, z_i) + t_i Q(x_i, z_i) + u_i Q(x_i, y_i)].
-
-    The trace products multiply in slot order; octonions are noncommutative
-    and nonassociative, and only this reading satisfies D(X, X, X) = det(X).
-    """
-    s, t, u = X.s, Y.s, Z.s
-    x, y, z = X.x, Y.x, Z.x
-    perm3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    acc = Fraction(0)
-    for i, j, k in perm3:
-        acc += s[i] * t[j] * u[k]
-    for A, B, C in ((x, y, z), (y, x, z), (y, z, x), (x, z, y), (z, x, y), (z, y, x)):
-        acc += trace_prod3(A[0], B[1], C[2])
-    for i in range(3):
-        acc -= 2 * (s[i] * oct_q(y[i], z[i]) + t[i] * oct_q(x[i], z[i]) + u[i] * oct_q(x[i], y[i]))
-    return acc / 6
-
-
-# -- matrix view (the reference path; also used to derive permutations) --------
-
-
-def to_matrix(X: AlbertElem):
-    """The underlying 3x3 octonion matrix (diagonal entries as scalar octonions)."""
-    s1, s2, s3 = X.s
-    x1, x2, x3 = X.x
-    sc = lambda a: Oct(a, (0, 0, 0), (0, 0, 0), a)
-    return (
-        (sc(s1), x3, oct_conj(x2)),
-        (oct_conj(x3), sc(s2), x1),
-        (x2, oct_conj(x1), sc(s3)),
-    )
-
-
-def mat3_mul(A, B):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = oct_mul(A[i][0], B[0][j]) + oct_mul(A[i][1], B[1][j]) + oct_mul(A[i][2], B[2][j])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def from_matrix(M) -> AlbertElem:
-    """Read a Hermitian octonion matrix back into an AlbertElem (checked)."""
-    for i in range(3):
-        d = M[i][i]
-        if d.alpha != d.beta or any(d.v) or any(d.w):
-            raise ValueError("diagonal entry %d is not scalar" % (i + 1))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if M[j][i] != oct_conj(M[i][j]):
-            raise ValueError("matrix is not Hermitian at (%d, %d)" % (i, j))
-    return AlbertElem(
-        (M[0][0].alpha, M[1][1].alpha, M[2][2].alpha),
-        (M[1][2], M[2][0], M[0][1]),
-    )
-
-
-def jordan_via_matrix(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """(XY + YX)/2 through the octonion matrix product; the reference for jordan_mul."""
-    M, N = to_matrix(X), to_matrix(Y)
-    P, Q = mat3_mul(M, N), mat3_mul(N, M)
-    return from_matrix(
-        tuple(tuple((P[i][j] + Q[i][j]).scale(_HALF) for j in range(3)) for i in range(3))
-    )
-
-
-def cross_via_matrix(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """The closed form of the cross product on jordan_via_matrix; the reference for cross."""
-    m = jordan_via_matrix(X, Y)
-    tx, ty = trace_j(X), trace_j(Y)
-    ec = (tx * ty - trace_j(m)) * _HALF
-    return m - Y.scale(tx * _HALF) - X.scale(ty * _HALF) + E.scale(ec)
-
-
 @lru_cache(maxsize=1)
 def basis_crosses() -> tuple:
     """cross(b_i, b_j) for all basis pairs, as a 27x27 table of AlbertElems.
 
-    Built by cross_via_matrix, independently of cross_tables(); the tests
-    check the tables against it.
+    Built by reference.cross_via_matrix, independently of cross_tables();
+    the tests check the tables against it.
     """
+    from .reference import cross_via_matrix
+
     basis = jbasis()
     table = [[None] * 27 for _ in range(27)]
     for i in range(27):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import isotope, smap, verify
+from . import isotope, smap
 from .albert import det_j, jordan_mul, trace_j, trilinear_d
 from .albert import cross as cross_j
 from .errors import AlbertKitError, ParseError
@@ -26,6 +26,20 @@ from .jsonio import (
     rat_to_str,
 )
 from .pvs import cubic_of, delta
+
+
+MAX_TRIALS = 1000
+
+
+def _trials(text: str) -> int:
+    """--trials: an integer from 1 to MAX_TRIALS."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError("trials must be an integer from 1 to %d, got %r" % (MAX_TRIALS, text))
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,9 +108,11 @@ def _parser() -> argparse.ArgumentParser:
         "--gram", action="store_true", help="emit the full 27x27 Gram matrix instead"
     )
     sp = sub.add_parser("verify", help="run exact verification suites")
-    sp.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
+    sp.add_argument("--suite", default="all", help="one suite, or all (the default)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument(
+        "--trials", type=_trials, default=20, help="random trials per check, 1 to %d (default 20)" % MAX_TRIALS
+    )
     return p
 
 
@@ -155,7 +171,8 @@ def _dispatch(args):
         x = decode_albert(load_json(args.x))
         y = decode_albert(load_json(args.y))
         return {"qa": rat_to_str(isotope.q_a(a, x, y))}, 0
-    # verify
+    from . import verify
+
     results = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
     ok = all(r.failed == 0 for r in results)
     payload = {

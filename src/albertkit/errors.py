@@ -35,7 +35,7 @@ class SingularMatrix(AlbertKitError):
     kind = "SingularMatrix"
 
 
-class ParseError(AlbertKitError):
-    """Input JSON does not match the documented schema."""
+class ParseError(AlbertKitError, ValueError):
+    """An input or argument does not match the documented schema; a ValueError too."""
 
     kind = "ParseError"

@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .albert import _GRAM, AlbertElem, _elem, det_table, from_matrix, jbasis, to_matrix
+from .albert import _GRAM, AlbertElem, _elem, det_table
 from .errors import SingularMatrix, ZeroScalar
 from .linalg import mat_mul
-from .octonion import _rat
+from .octonion import _Frozen, _rat
 from .pvs import VPoint
 
 _ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -42,8 +42,8 @@ def det2(m) -> Fraction:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-class GroupElem:
-    """L b_j = scales[j] b_{perm[j]} on J; c: its det multiplier; g2: GL(2) factor.
+class GroupElem(_Frozen):
+    """L b_j = scales[j] b_{perm[j]} on J; c: its det multiplier; g2: GL(2) factor. Immutable.
 
     A dense matrix comes in only through from_dense; .L is a read-only dense view.
     """
@@ -51,10 +51,10 @@ class GroupElem:
     __slots__ = ("perm", "scales", "c", "g2")
 
     def __init__(self, perm, scales, c, g2=_ID2):
-        self.perm = tuple(perm)
-        self.scales = tuple(_rat(s) for s in scales)
-        self.c = _rat(c)
-        self.g2 = tuple(tuple(_rat(v) for v in row) for row in g2)
+        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "scales", tuple(_rat(s) for s in scales))
+        object.__setattr__(self, "c", _rat(c))
+        object.__setattr__(self, "g2", tuple(tuple(_rat(v) for v in row) for row in g2))
         if sorted(self.perm) != list(_ID_PERM):
             raise ValueError("L must be monomial and invertible: perm is not a permutation of range(27)")
         if len(self.scales) != 27 or not all(self.scales):
@@ -147,29 +147,34 @@ def diag_conj(l1, l2, l3) -> GroupElem:
 def perm_elem(sigma) -> GroupElem:
     """X -> P X P^T for the permutation matrix P of sigma (images of 1, 2, 3).
 
-    Derived entrywise: the new (i, j) entry is the old (sigma(i), sigma(j))
-    entry, which permutes the diagonal and the octonion slots and, for odd
-    permutations, conjugates the slots. det is preserved, so c = 1. Each
-    call returns a new element; its monomial form is built once per sigma.
+    The new (i, j) entry is the old (sigma(i), sigma(j)) entry, so the new
+    s_i is the old s_sigma(i) and the new x_i the old x_sigma(i),
+    conjugated when sigma is odd. det is preserved, so c = 1. One element
+    per sigma is built, in closed form, and shared.
     """
     sig = tuple(sigma)
     if sorted(sig) != [1, 2, 3]:
         raise ValueError("sigma must be a permutation of (1, 2, 3)")
-    return GroupElem(*_perm_monomial(sig), 1)
+    return _perm_elem(sig)
+
+
+# (b, sign) at index a: Zorn coordinate a goes to sign * coordinate b, kept or under
+# conjugation (alpha, v; w, beta) -> (beta, -v; -w, alpha)
+_KEEP = tuple((a, 1) for a in range(8))
+_CONJ = ((7, 1),) + tuple((a, -1) for a in range(1, 7)) + ((0, 1),)
 
 
 @lru_cache(maxsize=6)
-def _perm_monomial(sig: tuple) -> tuple:
-    """(perm, scales) of perm_elem(sig), from the basis images as the columns handed to from_dense."""
-
-    def f(X: AlbertElem) -> AlbertElem:
-        M = to_matrix(X)
-        N = tuple(tuple(M[sig[i] - 1][sig[j] - 1] for j in range(3)) for i in range(3))
-        return from_matrix(N)
-
-    cols = [f(b).coords() for b in jbasis()]
-    g = GroupElem.from_dense(tuple(zip(*cols)), 1)
-    return g.perm, g.scales
+def _perm_elem(sig: tuple) -> GroupElem:
+    coord = _CONJ if (sig[1] - sig[0]) % 3 == 2 else _KEEP  # odd sigma: conjugate
+    perm, scales = [0] * 27, [1] * 27
+    for new, s in enumerate(sig):
+        old = s - 1
+        perm[old] = new
+        for a, (b, sign) in enumerate(coord):
+            perm[3 + 8 * old + a] = 3 + 8 * new + b
+            scales[3 + 8 * old + a] = sign
+    return GroupElem(perm, scales, 1)
 
 
 def gl2_elem(m) -> GroupElem:

@@ -43,7 +43,6 @@ from .albert import (
     trilinear_d,
 )
 from .errors import SingularPoint
-from .octonion import oct_q, trace_prod3
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
@@ -54,34 +53,6 @@ def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fracti
     head = 27 * daa_x * daa_y * daa_z
     tail = 24 * det_j(a) * trilinear_d(cross(a, X), cross(a, Y), cross(a, Z))
     return head - tail
-
-
-def te_expansion(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Explicit expansion of t_form at a = e:
-
-    sum_i s_i t_i u_i + (1/2) sum over slot assignments of tr(x_i y_j z_k)
-    + (1/2) sum_{i != j} [s_i tr(y_j conj(z_j)) + t_i tr(x_j conj(z_j))
-                          + u_i tr(x_j conj(y_j))].
-
-    The three-factor traces multiply in slot order (slot-1 factor first),
-    the reading under which the sum is symmetric in (X, Y, Z) and agrees
-    with the trace term of det. Kept separate from t_form as a
-    cross-check target.
-    """
-    s, t, u = X.s, Y.s, Z.s
-    x, y, z = X.x, Y.x, Z.x
-    acc = s[0] * t[0] * u[0] + s[1] * t[1] * u[1] + s[2] * t[2] * u[2]
-    tr_sum = Fraction(0)
-    for A, B, C in ((x, y, z), (y, x, z), (y, z, x), (x, z, y), (z, x, y), (z, y, x)):
-        tr_sum += trace_prod3(A[0], B[1], C[2])
-    acc += tr_sum / 2
-    ts, tt, tu = sum(s), sum(t), sum(u)
-    for j in range(3):
-        # (1/2) tr(p conj(q)) = Q(p, q)
-        acc += (ts - s[j]) * oct_q(y[j], z[j])
-        acc += (tt - t[j]) * oct_q(x[j], z[j])
-        acc += (tu - u[j]) * oct_q(x[j], y[j])
-    return acc
 
 
 def q_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -28,12 +29,21 @@ STENSOR_BASIS_TAG = "jbasis-v1"
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _too_long() -> ParseError:
+    """An output integer is past the int-to-str digit limit, which is left as it is set."""
+    limit = sys.get_int_max_str_digits()
+    return ParseError("the result has an integer of more than %d digits, the limit for printing one" % limit)
+
+
 def rat_to_str(x: Fraction) -> str:
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        raise _too_long() from None
 
 
 def str_to_rat(s) -> Fraction:
@@ -101,9 +111,12 @@ def encode_stensor(t: StructureTensor) -> dict:
     """
     den = t.den
     strs = {}
-    for v in set(chain.from_iterable(t.rows)):
-        g = gcd(v, den)
-        strs[v] = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+    try:
+        for v in set(chain.from_iterable(t.rows)):
+            g = gcd(v, den)
+            strs[v] = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+    except ValueError:
+        raise _too_long() from None
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),

@@ -58,16 +58,32 @@ def _vscale(t, u):
     return (t * u[0], t * u[1], t * u[2])
 
 
-class Oct:
-    """A split octonion (alpha, v; w, beta) with exact rational entries."""
+class _Frozen:
+    """A value type whose slots, once set through object.__setattr__, cannot change.
+
+    Values are hashed and shared (E, OCT_UNIT, the bases, cached group
+    elements), so an assignment would corrupt every holder.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Oct(_Frozen):
+    """A split octonion (alpha, v; w, beta) with exact rational entries. Immutable."""
 
     __slots__ = ("alpha", "v", "w", "beta")
 
     def __init__(self, alpha, v=_ZERO3, w=_ZERO3, beta=0):
-        self.alpha = _rat(alpha)
-        self.v = _vec3(v)
-        self.w = _vec3(w)
-        self.beta = _rat(beta)
+        object.__setattr__(self, "alpha", _rat(alpha))
+        object.__setattr__(self, "v", _vec3(v))
+        object.__setattr__(self, "w", _vec3(w))
+        object.__setattr__(self, "beta", _rat(beta))
 
     # -- value semantics ----------------------------------------------------
 

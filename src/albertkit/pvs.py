@@ -18,16 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .albert import AlbertElem, det_j, diag_elem
+from .octonion import _Frozen
 
 
-class VPoint:
-    """A point of V = J + J."""
+class VPoint(_Frozen):
+    """A point of V = J + J. Immutable."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: AlbertElem, b: AlbertElem):
-        self.a = a
-        self.b = b
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __eq__(self, other):
         if not isinstance(other, VPoint):
@@ -44,16 +45,14 @@ class VPoint:
         return VPoint(self.a.scale(t), self.b.scale(t))
 
 
-class BinaryCubic:
-    """c30 v1^3 + c21 v1^2 v2 + c12 v1 v2^2 + c03 v2^3."""
+class BinaryCubic(_Frozen):
+    """c30 v1^3 + c21 v1^2 v2 + c12 v1 v2^2 + c03 v2^3. Immutable."""
 
     __slots__ = ("c30", "c21", "c12", "c03")
 
     def __init__(self, c30, c21, c12, c03):
-        self.c30 = Fraction(c30)
-        self.c21 = Fraction(c21)
-        self.c12 = Fraction(c12)
-        self.c03 = Fraction(c03)
+        for name, value in (("c30", c30), ("c21", c21), ("c12", c12), ("c03", c03)):
+            object.__setattr__(self, name, Fraction(value))
 
     def coeffs(self) -> tuple:
         return (self.c30, self.c21, self.c12, self.c03)

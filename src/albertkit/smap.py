@@ -53,6 +53,7 @@ from .albert import (
     trilinear_d,
 )
 from .errors import NotSemistable
+from .octonion import _Frozen
 from .pvs import VPoint, cubic_of, delta
 
 
@@ -146,7 +147,7 @@ def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return out + (Y.scale(kx) + X.scale(ky)).scale(Fraction(9, 2))
 
 
-class StructureTensor:
+class StructureTensor(_Frozen):
     """All 27^3 structure constants of s_map at a point, in jbasis coordinates.
 
     Stored as integers over one positive denominator: rows[i * 27 + j] is
@@ -181,12 +182,6 @@ class StructureTensor:
         den = lcm(*(v.denominator for v in flat))
         nums = [v.numerator * (den // v.denominator) for v in flat]
         return cls(point, [nums[b : b + 27] for b in range(0, 19683, 27)], den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureTensor is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("StructureTensor is immutable")
 
     @property
     def flat(self) -> tuple:

@@ -17,17 +17,15 @@ from .albert import (
     AlbertElem,
     E,
     cross,
-    d_expanded,
     det_j,
     diag_elem,
     jbasis,
     jordan_mul,
-    jordan_via_matrix,
     pair,
     trace_j,
     trilinear_d,
 )
-from .errors import NotSemistable, SingularMatrix, SingularPoint
+from .errors import NotSemistable, ParseError, SingularMatrix, SingularPoint
 from .linalg import solve_exact
 from .octonion import (
     OCT_UNIT,
@@ -40,6 +38,7 @@ from .octonion import (
     oct_trace,
 )
 from .pvs import VPoint, cubic_of, delta, is_semistable, w_point
+from .reference import d_expanded, jordan_via_matrix, te_expansion
 
 
 class CheckResult(NamedTuple):
@@ -524,7 +523,7 @@ def _suite_isotope_defs(rng, trials):
 
     def te_transcribed(rng, i):
         X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
-        return isotope.t_form(E, X, Y, Z) == isotope.te_expansion(X, Y, Z)
+        return isotope.t_form(E, X, Y, Z) == te_expansion(X, Y, Z)
 
     out.append(_check("te-expansion-match", trials, te_transcribed, rng))
 
@@ -747,19 +746,18 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = 0, trials: int = 20) -> list:
-    """Run one suite (or "all") deterministically; returns CheckResults."""
-    table = dict(_SUITES)
-    if name == "all":
-        results = []
-        for sub, fn in _SUITES:
-            # string seeds hash stably (unlike tuples under PYTHONHASHSEED)
-            rng = random.Random("%d:%s" % (seed, sub))
-            results.extend(
-                CheckResult("%s/%s" % (sub, r.name), r.passed, r.failed)
-                for r in fn(rng, trials)
-            )
-        return results
-    if name not in table:
-        raise ValueError("unknown suite %r; choices: %s" % (name, ", ".join(SUITE_NAMES)))
-    rng = random.Random("%d:%s" % (seed, name))
-    return table[name](rng, trials)
+    """Run one suite (or "all") deterministically; returns CheckResults.
+
+    An unknown name is a ParseError that lists the valid ones. Under "all"
+    each check's name is prefixed with its suite's.
+    """
+    chosen = _SUITES if name == "all" else [s for s in _SUITES if s[0] == name]
+    if not chosen:
+        raise ParseError("unknown suite %r; choices: %s" % (name, ", ".join(SUITE_NAMES)))
+    results = []
+    for sub, fn in chosen:
+        # string seeds hash stably (unlike tuples under PYTHONHASHSEED)
+        rng = random.Random("%d:%s" % (seed, sub))
+        prefix = sub + "/" if name == "all" else ""
+        results.extend(CheckResult(prefix + r.name, r.passed, r.failed) for r in fn(rng, trials))
+    return results

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import AlbertElem, jbasis, jordan_via_matrix
+from albertkit.albert import AlbertElem, jbasis
+from albertkit.reference import jordan_via_matrix
 from albertkit.pvs import VPoint, delta
 
 

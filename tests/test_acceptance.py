@@ -42,11 +42,11 @@ from albertkit.isotope import (
     pairing_a,
     q_a,
     t_form,
-    te_expansion,
 )
 from albertkit.linalg import solve_exact
 from albertkit.octonion import ZORN_BASIS, oct_mul, oct_norm
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
+from albertkit.reference import te_expansion
 from albertkit.smap import circ_x, s_map, structure_tensor
 from albertkit.verify import (
     rand_albert,

@@ -14,26 +14,30 @@ from albertkit.albert import (
     basis_crosses,
     cross,
     cross_tables,
-    cross_via_matrix,
-    d_expanded,
     det_j,
     det_table,
     diag_elem,
-    from_matrix,
     gram_apply,
     jbasis,
     jordan_mul,
-    jordan_via_matrix,
-    mat3_mul,
     pair,
     pair_gram,
     pair_vec,
     slot_elem,
-    to_matrix,
     trace_j,
     trilinear_d,
 )
-from albertkit.octonion import Oct, oct_conj, oct_mul, oct_norm, oct_trace
+from albertkit.gaction import perm_elem
+from albertkit.octonion import OCT_UNIT, Oct, oct_conj, oct_mul, oct_norm, oct_trace
+from albertkit.pvs import cubic_of, w_point
+from albertkit.reference import (
+    cross_via_matrix,
+    d_expanded,
+    from_matrix,
+    jordan_via_matrix,
+    mat3_mul,
+    to_matrix,
+)
 
 rats = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 octs = st.builds(lambda cs: Oct.from_coords(cs), st.tuples(*[rats] * 8))
@@ -273,6 +277,27 @@ def test_value_semantics():
     assert a != diag_elem(1, 2, 4)
     assert 3 * a == a.scale(3)
     assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [OCT_UNIT, E, w_point(), cubic_of(w_point()), perm_elem((2, 1, 3))],
+    ids=["Oct", "AlbertElem", "VPoint", "BinaryCubic", "GroupElem"],
+)
+def test_value_types_are_immutable(value):
+    # shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and held
+    # by callers, so no slot may be reassigned, deleted or added
+    h = hash(value)
+    for name in type(value).__slots__:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert hash(value) == h
 
 
 def test_kernels_match_references_on_basis_pairs(basis, jordan_tensor):

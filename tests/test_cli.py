@@ -195,13 +195,20 @@ def test_error_parse(files, capsys, tmp_path):
     assert code == 1 and payload["error"] == "ParseError"
 
 
-def test_usage_errors_follow_error_contract(capsys):
+def test_usage_errors_follow_error_contract(capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a usage error must be reported before any trial runs")
+
+    monkeypatch.setattr("albertkit.verify.run_suite", no_trials)
     for argv in (
         ["isotope-mul", "--method", "bogus", "a", "b", "c"],
         ["bogus"],
         ["det"],
         [],
         ["verify", "--trials", "many"],
+        ["verify", "--trials", "-3"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "1000000000"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
@@ -213,6 +220,55 @@ def test_usage_errors_follow_error_contract(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: albertkit" in capsys.readouterr().out
+
+
+def test_unknown_suite_lists_the_valid_ones(capsys):
+    code, payload, _ = run_cli(capsys, "verify", "--suite", "no-such-suite")
+    assert code == 1 and payload["error"] == "ParseError"
+    assert "no-such-suite" in payload["detail"] and "cubic-form" in payload["detail"]
+
+
+def test_results_past_the_digit_limit_are_parse_errors(tmp_path, capsys, rng):
+    # valid inputs whose output integers pass the int-to-str digit limit (4300):
+    # det of three 1435-digit entries (4.5 KB), and the structure tensor at a
+    # point with 800-digit coordinates (43 KB)
+    def elem(c):
+        return {"diag": c[:3], "oct": [c[3:11], c[11:19], c[19:27]]}
+
+    det_file = tmp_path / "det.json"
+    det_file.write_text(dumps(elem(["9" * 1435] * 3 + ["0"] * 24)), encoding="utf-8")
+    point_file = tmp_path / "point.json"
+    coords = [str(rng.randrange(10**799, 10**800)) for _ in range(54)]
+    point_file.write_text(dumps({"a": elem(coords[:27]), "b": elem(coords[27:])}), encoding="utf-8")
+    for argv in (["det", str(det_file)], ["structure", str(point_file)]):
+        code, payload, _ = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert payload["error"] == "ParseError" and "4300 digits" in payload["detail"], argv
+
+
+def test_commands_load_no_oracle(tmp_path):
+    """A cold command imports neither the reference routes nor the verify suites."""
+    elem = tmp_path / "elem.json"
+    elem.write_text(dumps(encode_albert(diag_elem(1, 2, 3))), encoding="utf-8")
+    script = (
+        "import contextlib, io, itertools, sys\n"
+        "from albertkit.cli import main\n"
+        "from albertkit.gaction import perm_elem\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['det', sys.argv[1]])\n"
+        "assert (code, out.getvalue()) == (0, '{\"det\":\"6\"}\\n'), out.getvalue()\n"
+        "for sigma in itertools.permutations((1, 2, 3)):\n"
+        "    perm_elem(sigma)\n"
+        "print(sorted(m for m in ('albertkit.reference', 'albertkit.verify') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(elem)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_subcommand(files, capsys):

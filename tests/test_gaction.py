@@ -9,12 +9,10 @@ from albertkit.albert import (
     cross,
     det_j,
     diag_elem,
-    from_matrix,
     jbasis,
     pair,
     pair_gram,
     slot_elem,
-    to_matrix,
 )
 from albertkit.errors import SingularMatrix, ZeroScalar
 from albertkit.gaction import (
@@ -33,6 +31,7 @@ from albertkit.gaction import (
 from albertkit.linalg import inv_exact, mat_mul, mat_vec
 from albertkit.octonion import Oct, oct_conj
 from albertkit.pvs import cubic_of, delta, w_point
+from albertkit.reference import from_matrix, to_matrix
 from albertkit.verify import rand_albert, rand_group, rand_special, rand_vpoint
 
 
@@ -81,8 +80,8 @@ def test_perm_elem():
 
 
 def test_perm_elem_matches_matrix_route():
-    # the monomial form built once per sigma, against from_dense of the basis
-    # images on the octonion-matrix route, for all six permutations
+    # the closed-form monomial element of each sigma, against from_dense of the
+    # basis images on the octonion-matrix route, for all six permutations
     for sigma in permutations((1, 2, 3)):
         cols = []
         for b in jbasis():
@@ -91,9 +90,10 @@ def test_perm_elem_matches_matrix_route():
             cols.append(from_matrix(N).coords())
         g = perm_elem(list(sigma))
         assert g == GroupElem.from_dense(tuple(zip(*cols)), 1)
-        # every call hands out its own element
-        g.c = Fraction(5)
-        assert perm_elem(sigma) is not g and perm_elem(sigma).c == 1
+        # one shared element per sigma, which no caller can change
+        with pytest.raises(AttributeError):
+            g.c = Fraction(5)
+        assert perm_elem(sigma) is g and g.c == 1
 
 
 def test_gl2_elem():

@@ -26,10 +26,10 @@ from albertkit.isotope import (
     phi_a,
     q_a,
     t_form,
-    te_expansion,
 )
 from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
+from albertkit.reference import te_expansion
 from albertkit.verify import rand_albert, rand_invertible
 
 rats = st.fractions(min_value=-2, max_value=2, max_denominator=2)
