@@ -12,8 +12,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from .albert import AlbertElem
 from .errors import ParseError
@@ -23,6 +23,7 @@ from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
+_STENSOR_KEYS = {"basis", "entries", "point"}
 
 # integers and fractions only: no decimals or exponents, whose few bytes
 # can stand for an arbitrarily large integer
@@ -103,28 +104,50 @@ def cubic_to_str(f: BinaryCubic) -> str:
     return "[%s, %s, %s, %s]" % tuple(rat_to_str(c) for c in f.coeffs())
 
 
+class _StensorEntries(list):
+    """The entry strings of encode_stensor, carrying their rendered JSON array.
+
+    snapshot is the tuple of strings that text was made from; dumps
+    splices text only while the list still equals it.
+    """
+
+    __slots__ = ("text", "snapshot")
+
+
 def encode_stensor(t: StructureTensor) -> dict:
     """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
 
     Each distinct integer numerator is reduced against t.den and formatted
     once, keyed on the int, to the string rat_to_str gives its Fraction.
+    The distinct rows (378 when (i, j) and (j, i) share one) are looked up
+    and joined once each, and "entries" carries the JSON text of the whole
+    array for dumps.
     """
     den = t.den
+    distinct = {id(r): r for r in t.rows}
     strs = {}
     try:
-        for v in set(chain.from_iterable(t.rows)):
+        for v in set().union(*distinct.values()):
             g = gcd(v, den)
             strs[v] = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
     except ValueError:
         raise _too_long() from None
+    row_strs = {i: itemgetter(*r)(strs) for i, r in distinct.items()}
+    order = list(map(id, t.rows))
+    entries = _StensorEntries()
+    for r in map(row_strs.__getitem__, order):
+        entries += r
+    entries.snapshot = tuple(entries)
+    row_texts = {i: '"' + '","'.join(r) + '"' for i, r in row_strs.items()}
+    entries.text = "[" + ",".join(map(row_texts.__getitem__, order)) + "]"
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),
-        "entries": list(map(strs.__getitem__, chain.from_iterable(t.rows))),
+        "entries": entries,
     }
 
 def decode_stensor(obj) -> StructureTensor:
-    if not isinstance(obj, dict) or set(obj) != {"basis", "entries", "point"}:
+    if not isinstance(obj, dict) or set(obj) != _STENSOR_KEYS:
         raise ParseError('structure tensor must be {"basis", "point", "entries"}')
     if obj["basis"] != STENSOR_BASIS_TAG:
         raise ParseError("unknown basis tag %r" % (obj["basis"],))
@@ -192,9 +215,26 @@ def decode_group(obj) -> GroupElem:
         raise ParseError(str(exc)) from None
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
-    """Canonical bytes: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical bytes: sorted keys, fixed separators, trailing newline.
+
+    An encode_stensor dict whose entries are unchanged since encoding gets
+    their rendered text spliced in between "basis" and "point"; every
+    other value, a changed stensor dict included, goes through json.dumps.
+    """
+    if isinstance(obj, dict) and obj.keys() == _STENSOR_KEYS:
+        entries = obj["entries"]
+        if type(entries) is _StensorEntries and tuple(entries) == entries.snapshot:
+            return '{"basis":%s,"entries":%s,"point":%s}\n' % (
+                _canonical(obj["basis"]),
+                entries.text,
+                _canonical(obj["point"]),
+            )
+    return _canonical(obj) + "\n"
 
 
 def load_json(path):

@@ -28,27 +28,31 @@ the Hessian covariant of F_x contracted with a x a, a x b and b x b
 
     s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
 
-structure_tensor exploits this when tabulating all 729 basis pairs:
-cross(k, .) is linear, so at each point it is one 27x27 integer matrix
-built from the sparse cross-product constants of albert.cross_tables(),
-and each basis pair is a sparse integer combination of its rows. The
-StructureTensor keeps those integers over one common denominator, and
-jsonio.encode_stensor formats them directly: no Fraction is made on the
-way from k_elem to the JSON entries.
+structure_tensor exploits this when tabulating all 729 basis pairs: the
+map k -> tensor is linear and fixed, and each of its 19683 basis entries
+is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_table()
+finds that pattern once, from the sparse cross-product constants of
+albert.cross_tables() and the Gram shuffle, so at each point the tensor
+is 109 integers read into 378 shared rows. The StructureTensor keeps
+those integers over one common denominator, and jsonio.encode_stensor
+formats them directly: no Fraction is made on the way from k_elem to the
+JSON entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .albert import (
+    _GRAM,
     AlbertElem,
     cross,
     cross_tables,
-    gram_apply,
     pair,
     trilinear_d,
 )
@@ -166,9 +170,10 @@ class StructureTensor(_Frozen):
             raise ValueError("structure tensor needs 27^2 rows of 27 entries")
         if den <= 0:
             raise ValueError("structure tensor needs a positive denominator")
-        g = gcd(den, *chain.from_iterable(rows))
+        distinct = {id(r): r for r in rows}
+        g = gcd(den, *chain.from_iterable(distinct.values()))
         if g != 1:
-            cut = {id(r): tuple(v // g for v in r) for r in rows}
+            cut = {i: tuple(v // g for v in r) for i, r in distinct.items()}
             rows = tuple(cut[id(r)] for r in rows)
             den //= g
         for name, value in (("point", point), ("rows", rows), ("den", den)):
@@ -204,44 +209,66 @@ class StructureTensor(_Frozen):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
 
 
+_COEFFS = (-2, -1, 1, 2)
+
+
+@lru_cache(maxsize=1)
+def _slot_table() -> tuple:
+    """The fixed linear pattern of structure_tensor: (i * 27 + j, j * 27 + i, take) for i <= j.
+
+    Entry n of S_ij (see structure_tensor) is a linear form in the 27
+    integers kn of k. Over the basis it is 0 or one term c kn[l] with c
+    in _COEFFS. take is itemgetter over 27 slots into the values 0 (slot
+    0) and c kn[l] (slot 1 + 27 q + l, with c = _COEFFS[q]), so it reads
+    row (i, j) from those values. Raises ValueError if an entry has any
+    other form.
+    """
+    _, consts, pair_coords = cross_tables()
+    by_m = [[] for _ in range(27)]
+    for l, m, n, c in consts:
+        by_m[m].append((l, n, c))
+    table = []
+    for i in range(27):
+        for j in range(i, 27):
+            terms = [(n, l, -c * c2) for m, c in pair_coords[i][j] for l, n, c2 in by_m[m]]
+            terms += [(i, *_GRAM[j][1:]), (j, *_GRAM[i][1:])]
+            form = {}
+            for n, l, c in terms:
+                form[n, l] = form.get((n, l), 0) + c
+            slots = [0] * 27
+            for (n, l), c in form.items():
+                if c:
+                    if slots[n] or c not in _COEFFS:
+                        raise ValueError("structure entry (%d, %d, %d) is not one term c k_l" % (i, j, n))
+                    slots[n] = 1 + 27 * _COEFFS.index(c) + l
+            table.append((i * 27 + j, j * 27 + i, itemgetter(*slots)))
+    return tuple(table)
+
+
 def structure_tensor(x: VPoint) -> StructureTensor:
     """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
 
-    With k = k_elem(x) as its 27 integers over its denominator dk, the
-    rows kx[m] = 2 dk cross(k, b_m) come from the sparse constants of
-    cross_tables() (all over 2), and gram_apply(kn) = dk pair_vec(k). Then
+    With k = k_elem(x) as its 27 integers kn over its denominator dk, let
+    kx[m] = 2 dk cross(k, b_m), from the constants of cross_tables() (all
+    over 2), and gram = gram_apply(kn) = dk pair_vec(k). Then
 
         s_map(x, b_i, b_j) = 9 S_ij / (2 dk),
         S_ij = gram[j] b_i + gram[i] b_j - sum of c kx[m] over pair_coords[i][j],
 
-    so each unordered pair is a sparse integer combination of rows. The
-    content h of kx and gram divides every S_ij, so gcd(2 dk, 9 h) is
-    divided out of those 27 rows rather than out of the 378 products. No
-    Fraction is made; (i, j) and (j, i) share one integer row.
+    and every entry of S_ij is 0 or c kn[l] (see _slot_table). So the
+    point's own work is 109 values, 0 and 9 c kn[l] for c in _COEFFS,
+    divided by g = gcd(2 dk, 9 gcd(kn)), the gcd of 2 dk and all of them,
+    and one read per slot for each of the 378 unordered rows, shared by
+    (i, j) and (j, i), over 2 dk / g.
+    No Fraction is made.
     """
     k = k_elem(x)
     kn, dk = k.nums, k.den
-    _, consts, pair_coords = cross_tables()
-    kx = [[0] * 27 for _ in range(27)]
-    for l, m, n, c in consts:
-        if kn[l]:
-            kx[m][n] += kn[l] * c
-    gram = gram_apply(kn)
-    h = gcd(*chain.from_iterable(kx), *gram) or 1
-    g = gcd(2 * dk, 9 * h)
-    f = 9 * h // g
-    kx = [[v // h for v in row] for row in kx]
-    fgram = [f * v // h for v in gram]
+    g = gcd(2 * dk, 9 * gcd(*kn))
+    values = [0] + [9 * c * v // g for c in _COEFFS for v in kn]
     rows = [None] * 729
-    for i in range(27):
-        for j in range(i, 27):
-            out = [0] * 27
-            for m, c in pair_coords[i][j]:
-                c *= -f
-                out = [o + c * v for o, v in zip(out, kx[m])]
-            out[i] += fgram[j]
-            out[j] += fgram[i]
-            rows[i * 27 + j] = rows[j * 27 + i] = tuple(out)
+    for ij, ji, take in _slot_table():
+        rows[ij] = rows[ji] = take(values)
     return StructureTensor(x, rows, 2 * dk // g)
 
 

@@ -1,5 +1,6 @@
 """JSON wire formats: round trips, strict validation, canonical bytes."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,50 @@ def test_dumps_canonical():
     s = dumps({"b": 1, "a": [1, 2]})
     assert s == '{"a":[1,2],"b":1}\n'
     assert dumps({"a": [1, 2], "b": 1}) == s
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_dumps_stensor_matches_json_dumps(rng, sparse_point):
+    # the spliced text against json.dumps of the same dict with a plain list
+    for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
+        enc = encode_stensor(structure_tensor(x))
+        plain = {**enc, "entries": list(enc["entries"])}
+        assert type(plain["entries"]) is list and plain == enc
+        assert dumps(enc) == _json_dumps(plain)
+
+
+def _append(enc):
+    enc["entries"].append("1")
+
+
+def _delete(enc):
+    del enc["entries"][0]
+
+
+def _set(enc):
+    enc["entries"][100] = "5/7"
+
+
+def _sort(enc):
+    enc["entries"].sort()
+
+
+def _repoint(enc):
+    enc["point"] = encode_vpoint(w_point())
+
+
+@pytest.mark.parametrize("mutate", [_set, _append, _delete, _sort, _repoint])
+def test_dumps_stensor_after_mutation(rng, mutate):
+    # the rendered text never goes stale: dumps prints the mutated value
+    enc = encode_stensor(structure_tensor(rand_semistable(rng)))
+    before = dumps(enc)
+    mutate(enc)
+    after = dumps(enc)
+    assert after != before
+    assert after == _json_dumps({**enc, "entries": list(enc["entries"])})
 
 
 def test_load_json(tmp_path):

@@ -23,6 +23,7 @@ from albertkit.smap import (
     SIGNED_TERMS,
     SignedTerm,
     StructureTensor,
+    _slot_table,
     circ_x,
     k_elem,
     phi1,
@@ -148,6 +149,38 @@ def test_structure_tensor_matches_s(rng, sparse_point):
                 assert t.product_coords(i, j) == prod
                 for k in range(27):
                     assert t.entry(i, j, k) == prod[k]
+
+
+def test_slot_table_pinned():
+    # 378 unordered pairs of 27 slots; slot 0 is the value 0, slot
+    # 1 + 27 q + l the single term c kn[l] with c = (-2, -1, 1, 2)[q]
+    table = _slot_table()
+    assert len(table) == 378
+    assert sorted(ij for ij, _, _ in table) == [i * 27 + j for i in range(27) for j in range(i, 27)]
+    assert sorted(ji for _, ji, _ in table) == sorted(j * 27 + i for i in range(27) for j in range(i, 27))
+    ordered = []
+    for ij, ji, take in table:
+        slots = take(range(109))
+        assert len(slots) == 27
+        ordered += slots if ij == ji else slots * 2
+    assert len(ordered) == 19683
+    assert ordered.count(0) == 16632
+    assert {(s - 1) % 27 for s in ordered if s} == set(range(27))
+
+
+def test_structure_tensor_is_isotope(rng, sparse_point):
+    # all 378 unordered basis pairs against delta(x) circ_a_springer(a, b_i, b_j),
+    # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
+    # neither the slot table nor the Hessian form of k_elem
+    basis = jbasis()
+    for x in (w_point(), rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
+        t = structure_tensor(x)
+        d = delta(x)
+        k = _literal_k(x)
+        a = cross(k, k).scale(81 / d)
+        for i in range(27):
+            for j in range(i, 27):
+                assert t.product_coords(i, j) == circ_a_springer(a, basis[i], basis[j]).scale(d).coords()
 
 
 def test_structure_tensor_at_base_point_is_jordan(jordan_tensor):
