@@ -3,7 +3,10 @@
 No floating point crosses this boundary. Encoders return plain Python
 structures ready for json.dumps; decoders validate shape and raise
 ParseError with a readable message. dumps() fixes key order and spacing
-so identical values serialize to identical bytes.
+so identical values serialize to identical bytes. Every rational is
+printed by _fmt from an int over a positive denominator; the "entries"
+of encode_stensor are an immutable tuple carrying the JSON text that
+dumps splices in.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 
 from .albert import AlbertElem
 from .errors import ParseError
 from .gaction import GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
-from .octonion import Oct
+from .octonion import Oct, _Frozen
 from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor
 
@@ -30,21 +34,23 @@ _STENSOR_KEYS = {"basis", "entries", "point"}
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _too_long() -> ParseError:
-    """An output integer is past the int-to-str digit limit, which is left as it is set."""
-    limit = sys.get_int_max_str_digits()
-    return ParseError("the result has an integer of more than %d digits, the limit for printing one" % limit)
+def _fmt(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, "p" or "p/q"; ParseError past the int-to-str digit limit."""
+    g = gcd(n, d)
+    try:
+        if g == d:
+            return str(n // d)
+        return "%d/%d" % (n // g, d // g)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        msg = "the result has an integer of more than %d digits, the limit for printing one" % limit
+        raise ParseError(msg) from None
 
 
 def rat_to_str(x: Fraction) -> str:
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    except ValueError:
-        raise _too_long() from None
+    return _fmt(x.numerator, x.denominator)
 
 
 def str_to_rat(s) -> Fraction:
@@ -71,7 +77,8 @@ def decode_oct(obj) -> Oct:
 
 
 def encode_albert(X: AlbertElem) -> dict:
-    c = [rat_to_str(v) for v in X.coords()]
+    den = X.den
+    c = [_fmt(n, den) for n in X.nums]
     return {"diag": c[0:3], "oct": [c[3:11], c[11:19], c[19:27]]}
 
 def decode_albert(obj) -> AlbertElem:
@@ -104,42 +111,26 @@ def cubic_to_str(f: BinaryCubic) -> str:
     return "[%s, %s, %s, %s]" % tuple(rat_to_str(c) for c in f.coeffs())
 
 
-class _StensorEntries(list):
-    """The entry strings of encode_stensor, carrying their rendered JSON array.
-
-    snapshot is the tuple of strings that text was made from; dumps
-    splices text only while the list still equals it.
-    """
-
-    __slots__ = ("text", "snapshot")
+class _StensorEntries(tuple, _Frozen):
+    """The entry strings of encode_stensor; text is their rendered JSON array."""
 
 
 def encode_stensor(t: StructureTensor) -> dict:
     """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
 
-    Each distinct integer numerator is reduced against t.den and formatted
-    once, keyed on the int, to the string rat_to_str gives its Fraction.
-    The distinct rows (378 when (i, j) and (j, i) share one) are looked up
-    and joined once each, and "entries" carries the JSON text of the whole
-    array for dumps.
+    Each distinct integer numerator is formatted once over t.den. The
+    distinct rows (378 when (i, j) and (j, i) share one) are looked up
+    and joined once each, and "entries" carries the JSON text of the
+    whole array for dumps.
     """
     den = t.den
     distinct = {id(r): r for r in t.rows}
-    strs = {}
-    try:
-        for v in set().union(*distinct.values()):
-            g = gcd(v, den)
-            strs[v] = str(v // g) if g == den else "%d/%d" % (v // g, den // g)
-    except ValueError:
-        raise _too_long() from None
+    strs = {v: _fmt(v, den) for v in set().union(*distinct.values())}
     row_strs = {i: itemgetter(*r)(strs) for i, r in distinct.items()}
     order = list(map(id, t.rows))
-    entries = _StensorEntries()
-    for r in map(row_strs.__getitem__, order):
-        entries += r
-    entries.snapshot = tuple(entries)
+    entries = _StensorEntries(chain.from_iterable(map(row_strs.__getitem__, order)))
     row_texts = {i: '"' + '","'.join(r) + '"' for i, r in row_strs.items()}
-    entries.text = "[" + ",".join(map(row_texts.__getitem__, order)) + "]"
+    object.__setattr__(entries, "text", "[" + ",".join(map(row_texts.__getitem__, order)) + "]")
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),
@@ -152,7 +143,7 @@ def decode_stensor(obj) -> StructureTensor:
     if obj["basis"] != STENSOR_BASIS_TAG:
         raise ParseError("unknown basis tag %r" % (obj["basis"],))
     entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != 19683:
+    if not isinstance(entries, (list, tuple)) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
     return StructureTensor.from_fractions(
         decode_vpoint(obj["point"]),
@@ -222,13 +213,13 @@ def _canonical(obj) -> str:
 def dumps(obj) -> str:
     """Canonical bytes: sorted keys, fixed separators, trailing newline.
 
-    An encode_stensor dict whose entries are unchanged since encoding gets
-    their rendered text spliced in between "basis" and "point"; every
-    other value, a changed stensor dict included, goes through json.dumps.
+    A dict of exactly the encode_stensor keys whose entries are that
+    encoder's tuple gets their rendered text spliced in between "basis"
+    and "point"; every other value goes through json.dumps.
     """
     if isinstance(obj, dict) and obj.keys() == _STENSOR_KEYS:
         entries = obj["entries"]
-        if type(entries) is _StensorEntries and tuple(entries) == entries.snapshot:
+        if type(entries) is _StensorEntries:
             return '{"basis":%s,"entries":%s,"point":%s}\n' % (
                 _canonical(obj["basis"]),
                 entries.text,

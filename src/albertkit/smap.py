@@ -35,8 +35,9 @@ finds that pattern once, from the sparse cross-product constants of
 albert.cross_tables() and the Gram shuffle, so at each point the tensor
 is 109 integers read into 378 shared rows. The StructureTensor keeps
 those integers over one common denominator, and jsonio.encode_stensor
-formats them directly: no Fraction is made on the way from k_elem to the
-JSON entries.
+formats each distinct one once, into an immutable tuple of entry strings
+that carries its JSON text: no Fraction is made on the way from k_elem
+to the JSON bytes.
 """
 
 from __future__ import annotations

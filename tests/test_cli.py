@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes, error shape."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from albertkit.albert import AlbertElem, diag_elem, jordan_mul
 from albertkit.cli import main
@@ -230,8 +234,9 @@ def test_unknown_suite_lists_the_valid_ones(capsys):
 
 def test_results_past_the_digit_limit_are_parse_errors(tmp_path, capsys, rng):
     # valid inputs whose output integers pass the int-to-str digit limit (4300):
-    # det of three 1435-digit entries (4.5 KB), and the structure tensor at a
-    # point with 800-digit coordinates (43 KB)
+    # det of three 1435-digit entries (4.5 KB), the structure tensor at a
+    # point with 800-digit coordinates (43 KB), and the Jordan square of a
+    # 2200-digit diagonal element (encode_albert)
     def elem(c):
         return {"diag": c[:3], "oct": [c[3:11], c[11:19], c[19:27]]}
 
@@ -240,10 +245,97 @@ def test_results_past_the_digit_limit_are_parse_errors(tmp_path, capsys, rng):
     point_file = tmp_path / "point.json"
     coords = [str(rng.randrange(10**799, 10**800)) for _ in range(54)]
     point_file.write_text(dumps({"a": elem(coords[:27]), "b": elem(coords[27:])}), encoding="utf-8")
-    for argv in (["det", str(det_file)], ["structure", str(point_file)]):
+    jordan_file = tmp_path / "jordan.json"
+    jordan_file.write_text(dumps(elem(["9" * 2200] * 3 + ["0"] * 24)), encoding="utf-8")
+    for argv in (
+        ["det", str(det_file)],
+        ["structure", str(point_file)],
+        ["jordan", str(jordan_file), str(jordan_file)],
+    ):
         code, payload, _ = run_cli(capsys, *argv)
         assert code == 1, argv
         assert payload["error"] == "ParseError" and "4300 digits" in payload["detail"], argv
+
+
+# Fuzzed input files. A rational is small, or a run of one digit up to
+# 4400 long over an optional such denominator: past 4300 digits it cannot
+# be parsed, and well below that a product of a few can no longer be
+# printed. A well-formed element holds at most one such large rational:
+# with many distinct large denominators a command takes seconds to
+# minutes before its error, as no input height budget exists yet.
+_SMALL = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-2/3", "5/4", 3, -2])
+_DIGITS = st.builds(lambda d, n: d * n, st.sampled_from("123456789"), st.integers(1, 4400))
+_BIG = st.builds(
+    lambda neg, p, q: ("-" if neg else "") + p + ("/" + q if q else ""),
+    st.booleans(),
+    _DIGITS,
+    st.none() | _DIGITS,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers() | st.text(max_size=6) | _SMALL,
+    lambda kids: st.lists(kids, max_size=9) | st.dictionaries(st.sampled_from(["a", "b", "diag", "oct"]), kids),
+    max_leaves=12,
+)
+
+
+def _as_elem(c):
+    return {"diag": c[0:3], "oct": [c[3:11], c[11:19], c[19:27]]}
+
+
+def _put(c, i, v):
+    return c[:i] + [v] + c[i + 1 :]
+
+
+_COORDS = st.lists(_SMALL, min_size=27, max_size=27)
+_ELEM = st.builds(_put, _COORDS, st.integers(0, 26), _SMALL | _BIG).map(_as_elem)
+# any JSON, an element of the wrong length, or one coordinate of any JSON
+_MISSHAPEN = st.one_of(
+    _JSON,
+    st.lists(_SMALL, max_size=30).map(_as_elem),
+    st.builds(_put, _COORDS, st.integers(0, 26), _JSON).map(_as_elem),
+)
+
+
+def _file(valid):
+    """Bytes of an input file: arbitrary bytes, misshapen JSON, or a value of the right shape."""
+    return st.binary(max_size=40) | st.one_of(_MISSHAPEN, valid, valid).map(json.dumps).map(str.encode)
+
+
+_FUZZ_FILE = {"elem": _file(_ELEM), "point": _file(st.fixed_dictionaries({"a": _ELEM, "b": _ELEM}))}
+
+
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [
+        (["det"], ["elem"]),
+        (["cubic"], ["point"]),
+        (["delta"], ["point"]),
+        (["structure"], ["point"]),
+        (["smap", "--normalize"], ["point", "elem", "elem"]),
+        (["isotope-mul"], ["elem", "elem", "elem"]),
+        (["qa", "--gram"], ["elem"]),
+    ],
+    ids=["det", "cubic", "delta", "structure", "smap", "isotope-mul", "qa"],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_follow_the_error_contract(tmp_path_factory, argv, kinds, data):
+    # any input files end in one canonical JSON line: exit 0 with the result,
+    # or exit 1 with exactly {"error", "detail"}; no exception leaves main
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for n, kind in enumerate(kinds):
+        path = tmp / ("in%d.json" % n)
+        path.write_bytes(data.draw(_FUZZ_FILE[kind], label=kind))
+        paths.append(str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + paths)
+    text = out.getvalue()
+    assert err.getvalue() == "" and text.endswith("\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert text == dumps(payload)
+    assert (code, set(payload) == {"error", "detail"}) in ((0, False), (1, True)), text[:200]
 
 
 def test_commands_load_no_oracle(tmp_path):

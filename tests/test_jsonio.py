@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from albertkit.albert import AlbertElem
 from albertkit.errors import ParseError
 from albertkit.gaction import diag_conj, gl2_elem, perm_elem, scalar_elem
 from albertkit.jsonio import (
@@ -26,7 +27,7 @@ from albertkit.jsonio import (
     str_to_rat,
 )
 from albertkit.octonion import Oct
-from albertkit.pvs import cubic_of, w_point
+from albertkit.pvs import VPoint, cubic_of, w_point
 from albertkit.smap import structure_tensor
 from albertkit.verify import rand_albert, rand_group, rand_oct, rand_semistable, rand_vpoint
 
@@ -43,7 +44,7 @@ def test_rational_strings():
             str_to_rat(bad)
 
 
-def test_rat_to_str_input_types():
+def test_rat_to_str_input_types(rng, sparse_point):
     assert rat_to_str(0) == "0"
     assert rat_to_str(7) == "7"
     assert rat_to_str(-12) == "-12"
@@ -53,6 +54,12 @@ def test_rat_to_str_input_types():
     assert rat_to_str(Fraction(-5)) == "-5"
     assert rat_to_str(Fraction(4, 6)) == "2/3"
     assert rat_to_str(Fraction(-9, 12)) == "-3/4"
+    # encode_albert formats X.nums over X.den: the same strings as rat_to_str of coords()
+    neg = AlbertElem.from_coords([Fraction(-n, 6) for n in range(27)])
+    assert neg.den > 1 and min(neg.nums) < 0
+    for x in (w_point(), rand_semistable(rng), sparse_point(rng), VPoint(neg, neg)):
+        c = {k: [rat_to_str(v) for v in X.coords()] for k, X in (("a", x.a), ("b", x.b))}
+        assert encode_vpoint(x) == {k: {"diag": v[0:3], "oct": [v[3:11], v[11:19], v[19:27]]} for k, v in c.items()}
 
 
 def test_oct_round_trip(rng):
@@ -116,7 +123,7 @@ def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
     for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
         flat = t.flat
-        assert encode_stensor(t)["entries"] == [rat_to_str(v) for v in flat]
+        assert list(encode_stensor(t)["entries"]) == [rat_to_str(v) for v in flat]
         if x != w_point():
             # entries reduce against t.den to several different denominators
             assert len({v.denominator for v in flat}) > 2
@@ -184,7 +191,6 @@ def test_dumps_stensor_matches_json_dumps(rng, sparse_point):
     for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
         enc = encode_stensor(structure_tensor(x))
         plain = {**enc, "entries": list(enc["entries"])}
-        assert type(plain["entries"]) is list and plain == enc
         assert dumps(enc) == _json_dumps(plain)
 
 
@@ -204,15 +210,30 @@ def _sort(enc):
     enc["entries"].sort()
 
 
+def _retext(enc):
+    enc["entries"].text = "[]"
+
+
 def _repoint(enc):
     enc["point"] = encode_vpoint(w_point())
 
 
-@pytest.mark.parametrize("mutate", [_set, _append, _delete, _sort, _repoint])
+def _replace(enc):
+    enc["entries"] = list(enc["entries"])
+    enc["entries"][100] = "5/7"
+
+
+@pytest.mark.parametrize("mutate", [_set, _append, _delete, _sort, _retext, _repoint, _replace])
 def test_dumps_stensor_after_mutation(rng, mutate):
-    # the rendered text never goes stale: dumps prints the mutated value
+    # the entries cannot change in place, so their rendered text never goes
+    # stale; a replaced point or a plain-list entries goes through json.dumps
     enc = encode_stensor(structure_tensor(rand_semistable(rng)))
     before = dumps(enc)
+    if mutate in (_set, _append, _delete, _sort, _retext):
+        with pytest.raises((TypeError, AttributeError)):
+            mutate(enc)
+        assert dumps(enc) == before
+        return
     mutate(enc)
     after = dumps(enc)
     assert after != before
