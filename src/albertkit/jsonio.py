@@ -4,9 +4,12 @@ No floating point crosses this boundary. Encoders return plain Python
 structures ready for json.dumps; decoders validate shape and raise
 ParseError with a readable message. dumps() fixes key order and spacing
 so identical values serialize to identical bytes. Every rational is
-printed by _fmt from an int over a positive denominator; the "entries"
-of encode_stensor are an immutable tuple carrying the JSON text that
-dumps splices in.
+printed by _fmt from an int over a positive denominator, and read by
+str_to_rat straight from its decimal digits. encode_stensor formats the
+109 slot values of a tensor once each and lays them out by smap's slot
+table, into an immutable tuple of entry strings carrying the JSON text
+that dumps splices in; decode_stensor accepts only the entries of the
+tensor of their point.
 """
 
 from __future__ import annotations
@@ -17,21 +20,20 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import itemgetter
 
 from .albert import AlbertElem
 from .errors import ParseError
 from .gaction import GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
 from .octonion import Oct, _Frozen
 from .pvs import BinaryCubic, VPoint
-from .smap import StructureTensor
+from .smap import StructureTensor, lay_out, slot_values, structure_tensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
 _STENSOR_KEYS = {"basis", "entries", "point"}
 
 # integers and fractions only: no decimals or exponents, whose few bytes
 # can stand for an arbitrarily large integer
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _fmt(n: int, d: int) -> str:
@@ -58,11 +60,12 @@ def str_to_rat(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError("rational must be a string, got %r" % type(s).__name__)
-    t = s.strip()
-    if not _RATIONAL.fullmatch(t):
+    m = _RATIONAL.fullmatch(s.strip())
+    if not m:
         raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
+    p, q = m.groups()
     try:
-        return Fraction(t)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad rational %r: %s" % (s, exc)) from None
 
@@ -118,19 +121,14 @@ class _StensorEntries(tuple, _Frozen):
 def encode_stensor(t: StructureTensor) -> dict:
     """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
 
-    Each distinct integer numerator is formatted once over t.den. The
-    distinct rows (378 when (i, j) and (j, i) share one) are looked up
-    and joined once each, and "entries" carries the JSON text of the
-    whole array for dumps.
+    The 109 slot values of t.kn are formatted once each over t.den and
+    laid out into the rows by the slot table; "entries" carries the JSON
+    text of the whole array for dumps.
     """
     den = t.den
-    distinct = {id(r): r for r in t.rows}
-    strs = {v: _fmt(v, den) for v in set().union(*distinct.values())}
-    row_strs = {i: itemgetter(*r)(strs) for i, r in distinct.items()}
-    order = list(map(id, t.rows))
-    entries = _StensorEntries(chain.from_iterable(map(row_strs.__getitem__, order)))
-    row_texts = {i: '"' + '","'.join(r) + '"' for i, r in row_strs.items()}
-    object.__setattr__(entries, "text", "[" + ",".join(map(row_texts.__getitem__, order)) + "]")
+    rows = lay_out([_fmt(v, den) for v in slot_values(t.kn)])
+    entries = _StensorEntries(chain.from_iterable(rows))
+    object.__setattr__(entries, "text", '["' + '","'.join(entries) + '"]')
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),
@@ -138,6 +136,7 @@ def encode_stensor(t: StructureTensor) -> dict:
     }
 
 def decode_stensor(obj) -> StructureTensor:
+    """The structure tensor of the point; ParseError unless the entries are exactly its 19683 constants."""
     if not isinstance(obj, dict) or set(obj) != _STENSOR_KEYS:
         raise ParseError('structure tensor must be {"basis", "point", "entries"}')
     if obj["basis"] != STENSOR_BASIS_TAG:
@@ -145,10 +144,10 @@ def decode_stensor(obj) -> StructureTensor:
     entries = obj["entries"]
     if not isinstance(entries, (list, tuple)) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
-    return StructureTensor.from_fractions(
-        decode_vpoint(obj["point"]),
-        [str_to_rat(v) for v in entries],
-    )
+    t = structure_tensor(decode_vpoint(obj["point"]))
+    if tuple(map(str_to_rat, entries)) != t.flat:
+        raise ParseError("entries are not the structure tensor of the point")
+    return t
 
 
 def _decode_matrix(obj, rows, cols, what) -> tuple:

@@ -32,20 +32,18 @@ structure_tensor exploits this when tabulating all 729 basis pairs: the
 map k -> tensor is linear and fixed, and each of its 19683 basis entries
 is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_table()
 finds that pattern once, from the sparse cross-product constants of
-albert.cross_tables() and the Gram shuffle, so at each point the tensor
-is 109 integers read into 378 shared rows. The StructureTensor keeps
-those integers over one common denominator, and jsonio.encode_stensor
-formats each distinct one once, into an immutable tuple of entry strings
-that carries its JSON text: no Fraction is made on the way from k_elem
-to the JSON bytes.
+albert.cross_tables() and the Gram shuffle. So a StructureTensor stores
+just k, as 27 integers over one denominator, and lay_out reads its 378
+shared rows from the 109 values 0 and c k_l. jsonio.encode_stensor lays
+out the same 109 values, each formatted once, into the JSON text: no
+Fraction is made on the way from k_elem to the JSON bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -155,39 +153,30 @@ def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 class StructureTensor(_Frozen):
     """All 27^3 structure constants of s_map at a point, in jbasis coordinates.
 
-    Stored as integers over one positive denominator: rows[i * 27 + j] is
-    the 27 numerators of s_map(x, b_i, b_j), and den their denominator,
-    with gcd(den, every numerator) = 1, so == compares (point, rows, den).
-    structure_tensor builds the 378 unordered rows and shares each one
-    between (i, j) and (j, i). entry, product_coords and flat (row-major
-    in (i, j, k)) are Fraction views built on each call. Immutable.
+    Stored as the k = k_elem(point) they are a fixed linear image of:
+    kn, the 27 numerators of (9/2) k over one positive denominator den,
+    with gcd(den, *kn) = 1. Each k_l is some entry, up to sign, so ==
+    can compare (point, kn, den). rows[i * 27 + j] is the 27 numerators
+    of s_map(x, b_i, b_j) over den, laid out once, (i, j) and (j, i)
+    sharing one tuple. entry, product_coords and flat (row-major in
+    (i, j, k)) are Fraction views built on each call. Immutable.
     """
 
-    __slots__ = ("point", "rows", "den")
+    __slots__ = ("point", "kn", "den", "rows")
 
-    def __init__(self, point: VPoint, rows, den: int):
-        rows = tuple(map(tuple, rows))
-        if len(rows) != 729 or any(len(r) != 27 for r in rows):
-            raise ValueError("structure tensor needs 27^2 rows of 27 entries")
+    def __init__(self, point: VPoint, kn, den: int):
+        kn = tuple(kn)
+        if len(kn) != 27:
+            raise ValueError("structure tensor needs the 27 numerators of k")
         if den <= 0:
             raise ValueError("structure tensor needs a positive denominator")
-        distinct = {id(r): r for r in rows}
-        g = gcd(den, *chain.from_iterable(distinct.values()))
+        g = gcd(den, *kn)
         if g != 1:
-            cut = {i: tuple(v // g for v in r) for i, r in distinct.items()}
-            rows = tuple(cut[id(r)] for r in rows)
+            kn = tuple(v // g for v in kn)
             den //= g
-        for name, value in (("point", point), ("rows", rows), ("den", den)):
+        rows = lay_out(slot_values(kn))
+        for name, value in (("point", point), ("kn", kn), ("den", den), ("rows", rows)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_fractions(cls, point: VPoint, flat) -> "StructureTensor":
-        """The tensor with 19683 row-major Fraction entries, over their lcm."""
-        if len(flat) != 19683:
-            raise ValueError("structure tensor needs 27^3 entries")
-        den = lcm(*(v.denominator for v in flat))
-        nums = [v.numerator * (den // v.denominator) for v in flat]
-        return cls(point, [nums[b : b + 27] for b in range(0, 19683, 27)], den)
 
     @property
     def flat(self) -> tuple:
@@ -204,7 +193,7 @@ class StructureTensor(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return (self.point, self.rows, self.den) == (other.point, other.rows, other.den)
+        return (self.point, self.kn, self.den) == (other.point, other.kn, other.den)
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
@@ -219,10 +208,9 @@ def _slot_table() -> tuple:
 
     Entry n of S_ij (see structure_tensor) is a linear form in the 27
     integers kn of k. Over the basis it is 0 or one term c kn[l] with c
-    in _COEFFS. take is itemgetter over 27 slots into the values 0 (slot
-    0) and c kn[l] (slot 1 + 27 q + l, with c = _COEFFS[q]), so it reads
-    row (i, j) from those values. Raises ValueError if an entry has any
-    other form.
+    in _COEFFS. take is itemgetter over 27 slots into slot_values(kn),
+    so it reads row (i, j) from those values. Raises ValueError if an
+    entry has any other form.
     """
     _, consts, pair_coords = cross_tables()
     by_m = [[] for _ in range(27)]
@@ -246,6 +234,19 @@ def _slot_table() -> tuple:
     return tuple(table)
 
 
+def slot_values(kn) -> list:
+    """The 109 values the rows are read from: 0, then c kn[l] at slot 1 + 27 q + l, c = _COEFFS[q]."""
+    return [0] + [c * v for c in _COEFFS for v in kn]
+
+
+def lay_out(values) -> tuple:
+    """The 729 rows of 27 read from 109 slot values (ints or their strings); (i, j) and (j, i) share one tuple."""
+    rows = [None] * 729
+    for ij, ji, take in _slot_table():
+        rows[ij] = rows[ji] = take(values)
+    return tuple(rows)
+
+
 def structure_tensor(x: VPoint) -> StructureTensor:
     """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
 
@@ -257,20 +258,11 @@ def structure_tensor(x: VPoint) -> StructureTensor:
         S_ij = gram[j] b_i + gram[i] b_j - sum of c kx[m] over pair_coords[i][j],
 
     and every entry of S_ij is 0 or c kn[l] (see _slot_table). So the
-    point's own work is 109 values, 0 and 9 c kn[l] for c in _COEFFS,
-    divided by g = gcd(2 dk, 9 gcd(kn)), the gcd of 2 dk and all of them,
-    and one read per slot for each of the 378 unordered rows, shared by
-    (i, j) and (j, i), over 2 dk / g.
+    tensor is (9/2) k, as 9 kn over 2 dk, laid out by the slot table.
     No Fraction is made.
     """
     k = k_elem(x)
-    kn, dk = k.nums, k.den
-    g = gcd(2 * dk, 9 * gcd(*kn))
-    values = [0] + [9 * c * v // g for c in _COEFFS for v in kn]
-    rows = [None] * 729
-    for ij, ji, take in _slot_table():
-        rows[ij] = rows[ji] = take(values)
-    return StructureTensor(x, rows, 2 * dk // g)
+    return StructureTensor(x, [9 * v for v in k.nums], 2 * k.den)
 
 
 def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:

@@ -38,7 +38,7 @@ from .octonion import (
     oct_trace,
 )
 from .pvs import VPoint, cubic_of, delta, is_semistable, w_point
-from .reference import d_expanded, jordan_via_matrix, te_expansion
+from .reference import d_expanded, jordan_via_matrix, literal_k, te_expansion
 
 
 class CheckResult(NamedTuple):
@@ -392,6 +392,24 @@ def _suite_smap_contraction(rng, trials):
         return smap.phi1(x, X, Y).is_zero() and smap.phi2(x, X, Y).is_zero()
 
     out.append(_check("repeated-point-vanishes", max(1, trials // 2), diagonal_zero, rng))
+
+    def tensor_isotope(rng, i):
+        # all 378 unordered basis pairs against delta(x) circ_a_springer(a(x), b_i, b_j),
+        # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
+        # neither the slot table nor the Hessian form of k_elem
+        x = w_point() if i == 0 else rand_semistable(rng)
+        t = smap.structure_tensor(x)
+        d = delta(x)
+        k = literal_k(x)
+        a = cross(k, k).scale(81 / d)
+        basis = jbasis()
+        return all(
+            t.product_coords(r, c) == isotope.circ_a_springer(a, basis[r], basis[c]).scale(d).coords()
+            for r in range(27)
+            for c in range(r, 27)
+        )
+
+    out.append(_check("tensor-is-isotope", max(1, trials // 10), tensor_isotope, rng))
     return out
 
 

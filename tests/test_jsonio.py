@@ -39,7 +39,8 @@ def test_rational_strings():
     assert str_to_rat("-4") == Fraction(-4)
     assert str_to_rat(5) == Fraction(5)
     assert str_to_rat(" -12/8 ") == Fraction(-3, 2)
-    for bad in ("x", "1/0", "", None, 1.5, True, False, "2e3", "1e999999999", "1.5", "1/-2"):
+    big = "1" * 4400
+    for bad in ("x", "1/0", "", None, 1.5, True, False, "2e3", "1e999999999", "1.5", "1/-2", big, big + "/3"):
         with pytest.raises(ParseError):
             str_to_rat(bad)
 
@@ -116,6 +117,19 @@ def test_stensor_round_trip(rng, sparse_point):
     short["entries"] = enc["entries"][:5]
     with pytest.raises(ParseError):
         decode_stensor(short)
+    # a tensor holds only the image of k at its point: any other entries are refused
+    changed = list(enc["entries"])
+    changed[100] = rat_to_str(str_to_rat(changed[100]) + 1)
+    with pytest.raises(ParseError):
+        decode_stensor({**enc, "entries": changed})
+    at_w = encode_stensor(structure_tensor(w_point()))
+    with pytest.raises(ParseError):
+        decode_stensor({**enc, "entries": at_w["entries"]})
+    # the right entries in another spelling still decode: "2/4", JSON ints
+    respelled = ["2/4" if v == "1/2" else int(v) if "/" not in v else v for v in at_w["entries"]]
+    assert "2/4" in respelled and 1 in respelled
+    assert decode_stensor({**at_w, "entries": respelled}) == structure_tensor(w_point())
+    assert decode_stensor(json.loads(dumps(enc))) == t
 
 
 def test_encode_stensor_matches_rat_to_str(rng, sparse_point):

@@ -13,12 +13,12 @@ from albertkit.albert import (
     jbasis,
     jordan_mul,
     trace_j,
-    trilinear_d,
 )
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
 from albertkit.isotope import circ_a_springer
 from albertkit.pvs import VPoint, delta, w_point
+from albertkit.reference import literal_k
 from albertkit.smap import (
     SIGNED_TERMS,
     SignedTerm,
@@ -166,6 +166,8 @@ def test_slot_table_pinned():
     assert len(ordered) == 19683
     assert ordered.count(0) == 16632
     assert {(s - 1) % 27 for s in ordered if s} == set(range(27))
+    # every k_l occurs with c = -1 or 1, so the tensor fixes (9/2) k and its (kn, den) is canonical
+    assert {(s - 1) % 27 for s in ordered if s and (s - 1) // 27 in (1, 2)} == set(range(27))
 
 
 def test_structure_tensor_is_isotope(rng, sparse_point):
@@ -176,7 +178,7 @@ def test_structure_tensor_is_isotope(rng, sparse_point):
     for x in (w_point(), rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
         d = delta(x)
-        k = _literal_k(x)
+        k = literal_k(x)
         a = cross(k, k).scale(81 / d)
         for i in range(27):
             for j in range(i, 27):
@@ -200,27 +202,27 @@ def test_structure_tensor_deterministic(rng):
 def test_structure_tensor_integer_form(rng):
     x = rand_semistable(rng)
     t = structure_tensor(x)
-    # one canonical integer form: rows shared across (i, j) and (j, i), reduced
+    # stored as k: the 27 numerators of (9/2) k over one reduced positive denominator
+    assert len(t.kn) == 27 and all(type(v) is int for v in t.kn) and t.den > 0
+    assert gcd(t.den, *t.kn) == 1
+    assert [Fraction(v, t.den) for v in t.kn] == list(k_elem(x).scale(Fraction(9, 2)).coords())
+    scaled = StructureTensor(x, [6 * v for v in t.kn], 6 * t.den)
+    assert scaled == t and (scaled.kn, scaled.den, scaled.rows) == (t.kn, t.den, t.rows)
+    # rows: one immutable tuple of tuples, shared across (i, j) and (j, i)
+    assert type(t.rows) is tuple and len(t.rows) == 729 and all(type(r) is tuple for r in t.rows)
     assert all(t.rows[i * 27 + j] is t.rows[j * 27 + i] for i in range(27) for j in range(27))
-    assert all(type(r) is tuple for r in t.rows) and t.den > 0
-    assert gcd(t.den, *(v for r in t.rows for v in r)) == 1
-    scaled = StructureTensor(x, [[6 * v for v in r] for r in t.rows], 6 * t.den)
-    assert scaled == t and scaled.rows == t.rows and scaled.den == t.den
-    assert StructureTensor.from_fractions(x, t.flat) == t
     # k = 0: the zero tensor, over 1
     zero = structure_tensor(VPoint(E.scale(0), E))
-    assert zero.den == 1 and not any(v for r in zero.rows for v in r)
+    assert zero.den == 1 and not any(zero.kn) and not any(v for r in zero.rows for v in r)
     with pytest.raises(ValueError):
-        StructureTensor(x, t.rows[:728], t.den)
+        StructureTensor(x, t.kn[:26], t.den)
     with pytest.raises(ValueError):
-        StructureTensor(x, t.rows, 0)
-    with pytest.raises(ValueError):
-        StructureTensor.from_fractions(x, t.flat[:27])
+        StructureTensor(x, t.kn, 0)
 
 
 def test_structure_tensor_is_immutable(rng):
     t = structure_tensor(rand_semistable(rng))
-    for name in ("point", "rows", "den"):
+    for name in ("point", "kn", "den", "rows"):
         with pytest.raises(AttributeError):
             setattr(t, name, getattr(t, name))
         with pytest.raises(AttributeError):
@@ -242,23 +244,12 @@ def test_s_equivariance_spot(rng):
     assert chi(g) == g.c ** 4 * d2 ** 6
 
 
-def _literal_k(x):
-    """sum over SIGNED_TERMS of sign * D(v2,v5,v7) D(v4,v6,v8) * (v1 x v3)."""
-    acc = AlbertElem((0, 0, 0))
-    ab = (x.a, x.b)
-    for sign, picks in SIGNED_TERMS:
-        v = [ab[p] for p in picks]
-        dd = trilinear_d(v[1], v[4], v[6]) * trilinear_d(v[3], v[5], v[7])
-        acc = acc + cross(v[0], v[2]).scale(sign * dd)
-    return acc
-
-
 def test_k_elem_is_literal_signed_sum(rng, sparse_point):
     # the Hessian closed form against the 16-term sum it replaced
     points = (w_point(), rand_semistable(rng), rand_vpoint(rng), sparse_point(rng))
     for x in points:
         k = k_elem(x)
-        assert k == _literal_k(x)
+        assert k == literal_k(x)
         X, Y = rand_albert(rng), rand_albert(rng)
         assert phi1(x, X, Y) == cross(k, cross(X, Y))
 
