@@ -2,7 +2,7 @@
 
 A check is one function `body(rng, i) -> bool`, registered by `_check` with
 its suite, its name and its trial count. The count derives from `--trials`:
-`trials` itself, `max(1, trials // per)` (optionally capped), or a fixed
+`trials` itself, `max(least, trials // per)` (optionally capped), or a fixed
 enumeration. `run_suite` walks the registry with one seeded rng per suite
 and counts exact successes. Nothing is approximate: a single failed
 comparison fails the check. Suites are deterministic functions of
@@ -147,11 +147,13 @@ def rand_special(rng: random.Random) -> gaction.GroupElem:
 _REGISTRY: dict = {}
 
 
-def _check(suite: str, name: str, per: int = 1, cap: int | None = None, fixed: int | None = None):
+def _check(
+    suite: str, name: str, per: int = 1, cap: int | None = None, least: int = 1, fixed: int | None = None
+):
     """Register `body(rng, i) -> bool` as check `name` of `suite`.
 
     It runs `fixed` trials when given, else `trials` itself when `per` is 1,
-    else `max(1, trials // per)`, capped at `cap` when given.
+    else `max(least, trials // per)`, capped at `cap` when given.
     """
 
     def count(trials: int) -> int:
@@ -160,7 +162,7 @@ def _check(suite: str, name: str, per: int = 1, cap: int | None = None, fixed: i
         if per == 1:
             return trials
         n = trials // per
-        return max(1, n if cap is None else min(n, cap))
+        return max(least, n if cap is None else min(n, cap))
 
     def register(body: Callable[[random.Random, int], bool]):
         _REGISTRY.setdefault(suite, []).append((name, count, body))
@@ -300,13 +302,6 @@ def _w_anchors(rng, i):
     )
 
 
-@_check("binary-cubic", "delta-degree-12", per=4)
-def _homog(rng, i):
-    x = rand_vpoint(rng)
-    d = delta(x)
-    return delta(x.scale(2)) == 2**12 * d and delta(x.scale(3)) == 3**12 * d
-
-
 @_check("binary-cubic", "degenerate-points", per=4)
 def _degenerate(rng, i):
     a = rand_albert(rng)
@@ -379,11 +374,13 @@ def _diagonal_zero(rng, i):
     return smap.phi1(x, X, Y).is_zero() and smap.phi2(x, X, Y).is_zero()
 
 
-@_check("smap-contraction", "tensor-is-isotope", per=10)
+@_check("smap-contraction", "tensor-is-isotope", per=10, least=2)
 def _tensor_isotope(rng, i):
     # all 378 unordered basis pairs against delta(x) circ_a_springer(a(x), b_i, b_j),
     # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
-    # neither the slot table nor the Hessian form of k_elem
+    # neither the slot table nor the Hessian form of k_elem. At least two
+    # trials, because k(w) = E/9 has 24 zero coordinates: a slot-table fault
+    # that touches only octonion coordinates of k passes at w
     x = w_point() if i == 0 else rand_semistable(rng)
     t = smap.structure_tensor(x)
     d = delta(x)

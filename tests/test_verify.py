@@ -50,6 +50,26 @@ def test_all_prefixes_names():
     assert len(names) == len(set(names))
 
 
+def test_trials_table_names_real_suites():
+    # a renamed suite would otherwise fall back to 5 trials unnoticed
+    assert set(TRIALS) <= set(SUITES)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_all_is_each_suite_in_order(seed):
+    """One rng per suite: "all" is the suites run one by one, names prefixed."""
+    expected = [
+        r._replace(name=suite + "/" + r.name) for suite in SUITES for r in run_suite(suite, seed, 3)
+    ]
+    assert run_suite("all", seed, 3) == expected
+
+
+def test_every_check_runs_at_one_trial():
+    """No check may report ok on zero runs."""
+    for r in run_suite("all", seed=0, trials=1):
+        assert r.passed + r.failed >= 1, r.name
+
+
 def test_check_result_shape():
     (first, *_) = run_suite("octonion", seed=0, trials=3)
     assert first.ok is (first.failed == 0)
