@@ -22,9 +22,9 @@ x1, x2, x3 in turn (27 in total); jbasis() enumerates the matching basis.
 
 Representation. An AlbertElem holds its 27 coordinates as Python ints
 over one common denominator, in canonical form: den > 0 and
-gcd(den, *nums) == 1. Equality and hashing compare those tuples, and
-+, -, scale and pair do integer work only. coords(), .s and .x are
-Fraction and Oct views made on demand.
+gcd(den, *nums) == 1; it shares octonion._IntCoords with Oct. Equality
+and hashing compare those tuples, and +, -, scale and pair do integer
+work only. coords(), .s and .x are Fraction and Oct views made on demand.
 
 Tables. cross, jordan_mul, det_j and trilinear_d contract integer
 coordinates against two sparse tables, each built once, on first use,
@@ -38,6 +38,11 @@ from the octonion formulas evaluated on the 8 Zorn basis octonions:
    (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
    polarization, over the denominator 6. It never reads the cross table.
 
+The basis octonions and their products have the denominator 1, so the
+builders read integer numerators (nums, _norm_num, _trace_num) and every
+constant is an int; a Fraction constant would put the kernels on
+Fraction arithmetic with the same results.
+
 Oracles. The literal routes the kernels are tested against live in
 reference.py; basis_crosses() below is built on its matrix route.
 """
@@ -45,61 +50,51 @@ reference.py; basis_crosses() below is built on its matrix route.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from operator import add, mul
-from typing import NamedTuple
+from functools import lru_cache, partial
+from math import lcm
+from operator import mul
 
 from .octonion import (
     OCT_ZERO,
     Oct,
     ZORN_BASIS,
-    _Frozen,
+    _canonical,
+    _fractions,
+    _IntCoords,
+    _norm_num,
     _rat,
+    _reduced,
+    _set_den,
+    _set_nums,
+    _trace_num,
     oct_conj,
     oct_mul,
-    oct_norm,
-    trace_prod,
 )
 
 
-def _canonical(coords) -> tuple:
-    """(nums, den) for reduced Fractions; their lcm denominator leaves gcd 1."""
-    den = lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (den // c.denominator) for c in coords), den
-
-
-def _fractions(nums, den: int) -> tuple:
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(n, den) for n in nums)
-
-
-class AlbertElem(_Frozen):
+class AlbertElem(_IntCoords):
     """An element of J: 27 int coordinates `nums` over the denominator `den`. Immutable.
 
     Built from a diagonal (s1, s2, s3) and octonion slots (x1, x2, x3), or
     from 27 rational coordinates; `.s` and `.x` read those back.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, diag, octs=(OCT_ZERO, OCT_ZERO, OCT_ZERO)):
         a, b, c = diag
         x1, x2, x3 = octs
-        coords = (_rat(a), _rat(b), _rat(c)) + x1.coords() + x2.coords() + x3.coords()
-        nums, den = _canonical(coords)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        # each part is canonical, so over the lcm of their denominators the gcd stays 1
+        parts = [_canonical((_rat(a), _rat(b), _rat(c)))] + [(x.nums, x.den) for x in (x1, x2, x3)]
+        den = lcm(*(d for _, d in parts))
+        _set_nums(self, tuple(n * (den // d) for nums, d in parts for n in nums))
+        _set_den(self, den)
 
     @staticmethod
     def from_coords(c) -> "AlbertElem":
         if len(c) != 27:
             raise ValueError("albert element needs 27 coordinates")
         return _elem(*_canonical([_rat(v) for v in c]))
-
-    def coords(self) -> tuple:
-        return _fractions(self.nums, self.den)
 
     @property
     def s(self) -> tuple:
@@ -109,63 +104,15 @@ class AlbertElem(_Frozen):
     @property
     def x(self) -> tuple:
         """The octonion slots (x1, x2, x3)."""
-        c = _fractions(self.nums[3:27], self.den)
-        return (Oct.from_coords(c[0:8]), Oct.from_coords(c[8:16]), Oct.from_coords(c[16:24]))
-
-    def __eq__(self, other):
-        if not isinstance(other, AlbertElem):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
+        n, d = self.nums, self.den
+        return (_reduced(Oct, n[3:11], d), _reduced(Oct, n[11:19], d), _reduced(Oct, n[19:27], d))
 
     def __repr__(self):
         return "AlbertElem(%r, %r)" % (self.s, self.x)
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
-    def __add__(self, other):
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _elem([a + b for a, b in zip(self.nums, other.nums)], d1)
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
-        return _elem([a * f1 + b * f2 for a, b in zip(self.nums, other.nums)], d1 * f1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _elem([-n for n in self.nums], self.den)
-
-    def scale(self, t) -> "AlbertElem":
-        t = _rat(t)
-        p = t.numerator
-        return _elem([p * n for n in self.nums], self.den * t.denominator)
-
-    def __rmul__(self, t):
-        if isinstance(t, (int, Fraction)):
-            return self.scale(t)
-        return NotImplemented
-
-
-def _elem(nums, den: int) -> AlbertElem:
-    """The element nums/den (den > 0), reduced to canonical form."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
-    X = object.__new__(AlbertElem)
-    _set_nums(X, tuple(nums))
-    _set_den(X, den)
-    return X
-
-
-# the slot setters object.__setattr__ would reach, without its name lookup: _elem is on every hot path
-_set_nums = AlbertElem.nums.__set__
-_set_den = AlbertElem.den.__set__
+# the element nums/den (den > 0), reduced to canonical form
+_elem = partial(_reduced, AlbertElem)
 
 
 def diag_elem(a, b, c) -> AlbertElem:
@@ -193,33 +140,6 @@ def jbasis() -> tuple:
 
 
 # -- the tables ------------------------------------------------------------------
-
-
-class _IntOct(NamedTuple):
-    """A Zorn octonion with int coordinates, for building the tables.
-
-    The octonion formulas read only alpha, v, w and beta, so oct_mul,
-    oct_conj, oct_norm and trace_prod evaluate on these in integer
-    arithmetic. oct_mul and oct_conj return an Oct, read back by _zorn.
-    """
-
-    alpha: int
-    v: tuple
-    w: tuple
-    beta: int
-
-    def coords(self) -> tuple:
-        return (self.alpha,) + self.v + self.w + (self.beta,)
-
-
-def _zorn(c) -> _IntOct:
-    """The octonion with the integer coordinates c, in Oct.coords() order."""
-    c = [int(t) for t in c]
-    return _IntOct(c[0], tuple(c[1:4]), tuple(c[4:7]), c[7])
-
-
-def _zorn_basis() -> list:
-    return [_zorn(b.coords()) for b in ZORN_BASIS]
 
 
 def _slot(i: int, a: int) -> int:
@@ -251,10 +171,9 @@ def cross_tables() -> tuple:
     basis octonions and the polar form 2 Q(e_a, e_b) = tr(e_a conj(e_b))
     (twice oct_q) on basis pairs.
     """
-    basis = _zorn_basis()
-    conj = [_zorn(oct_conj(e).coords()) for e in basis]
-    prods = [[[int(t) for t in oct_mul(p, q).coords()] for q in conj] for p in conj]
-    polar = [[trace_prod(p, q) for q in conj] for p in basis]
+    conj = [oct_conj(e) for e in ZORN_BASIS]
+    prods = [[oct_mul(p, q).nums for q in conj] for p in conj]
+    polar = [[_trace_num(p, q) for q in conj] for p in ZORN_BASIS]
     terms = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         terms += [((j, k, i), 1), ((k, j, i), 1)]
@@ -280,18 +199,18 @@ def det_table() -> tuple:
     """The monomials of det as (l, m, n, c), l <= m <= n: det(X) = sum c X_l X_m X_n.
 
     They come from det's formula s1 s2 s3 - sum_i s_i norm(x_i) +
-    tr((x1 x2) x3) on the basis: oct_norm on basis octonions and their
+    tr((x1 x2) x3) on the basis: the norm of basis octonions and their
     pairwise sums gives norm(x_i), and tr((e_a e_b) e_c), which is
     trace_prod3(e_a, e_b, e_c) with each of the 64 products e_a e_b made
     once, gives the trace term. D is the polarization: 6 D(X, Y, Z) is
     the sum over monomials of c times X_l Y_m Z_n summed over the 6
     orders of (l, m, n).
     """
-    basis = _zorn_basis()
-    norm = [oct_norm(e) for e in basis]
+    basis = ZORN_BASIS
+    norm = [_norm_num(e) for e in basis]
     # the coefficient of x_a x_b in norm(sum_a x_a e_a), for a <= b
     quad = {
-        (a, b): norm[a] if a == b else oct_norm(_zorn(map(add, p.coords(), q.coords()))) - norm[a] - norm[b]
+        (a, b): norm[a] if a == b else _norm_num(p + q) - norm[a] - norm[b]
         for a, p in enumerate(basis)
         for b, q in enumerate(basis)
         if a <= b
@@ -301,9 +220,9 @@ def det_table() -> tuple:
         terms += [((i, _slot(i, a), _slot(i, b)), -c) for (a, b), c in quad.items()]
     for a, p in enumerate(basis):
         for b, q in enumerate(basis):
-            pq = _zorn(oct_mul(p, q).coords())
+            pq = oct_mul(p, q)
             for c, r in enumerate(basis):
-                terms.append(((_slot(0, a), _slot(1, b), _slot(2, c)), trace_prod(pq, r)))
+                terms.append(((_slot(0, a), _slot(1, b), _slot(2, c)), _trace_num(pq, r)))
     return _collect(terms)
 
 

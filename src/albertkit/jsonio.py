@@ -71,7 +71,7 @@ def str_to_rat(s) -> Fraction:
 
 
 def encode_oct(x: Oct) -> list:
-    return [rat_to_str(c) for c in x.coords()]
+    return [_fmt(n, x.den) for n in x.nums]
 
 def decode_oct(obj) -> Oct:
     if not isinstance(obj, (list, tuple)) or len(obj) != 8:

@@ -36,7 +36,7 @@ def from_matrix(M) -> AlbertElem:
     """Read a Hermitian octonion matrix back into an AlbertElem (checked)."""
     for i in range(3):
         d = M[i][i]
-        if d.alpha != d.beta or any(d.v) or any(d.w):
+        if d.nums[0] != d.nums[7] or any(d.nums[1:7]):
             raise ValueError("diagonal entry %d is not scalar" % (i + 1))
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if M[j][i] != oct_conj(M[i][j]):

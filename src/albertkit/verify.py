@@ -696,11 +696,14 @@ SUITE_NAMES = tuple(_REGISTRY) + ("all",)
 def run_suite(name: str, seed: int = 0, trials: int = 20) -> list:
     """Run one suite (or "all") deterministically; returns CheckResults.
 
-    An unknown name is a ParseError that lists the valid ones. Under "all"
-    each check's name is prefixed with its suite's.
+    An unknown name is a ParseError that lists the valid ones, and trials
+    below 1 a ValueError: a check that runs no trial would report ok.
+    Under "all" each check's name is prefixed with its suite's.
     """
     if name != "all" and name not in _REGISTRY:
         raise ParseError("unknown suite %r; choices: %s" % (name, ", ".join(SUITE_NAMES)))
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
     results = []
     for suite in _REGISTRY if name == "all" else (name,):
         # string seeds hash stably (unlike tuples under PYTHONHASHSEED)

@@ -289,7 +289,9 @@ def test_value_types_are_immutable(value):
     # shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and held
     # by callers, so no slot may be reassigned, deleted or added
     h = hash(value)
-    for name in type(value).__slots__:
+    slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots
+    for name in slots:
         before = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, before)
@@ -329,6 +331,16 @@ def test_table_sizes():
     assert den == 2 and len(consts) == 270
     assert len(det_table()) == 45
     assert all(l <= m <= n for l, m, n, _ in det_table())
+
+
+def test_table_constants_are_ints():
+    # a Fraction constant leaves every output the same, but puts the
+    # kernels that contract against it on Fraction arithmetic
+    den, consts, pair_coords = cross_tables()
+    assert type(den) is int
+    assert all(type(c) is int for *_, c in consts)
+    assert all(type(c) is int for row in pair_coords for cell in row for _, c in cell)
+    assert all(type(c) is int for *_, c in det_table())
 
 
 def _assert_canonical(X):

@@ -68,6 +68,8 @@ def test_oct_round_trip(rng):
         x = rand_oct(rng)
         enc = encode_oct(x)
         assert len(enc) == 8 and all(isinstance(s, str) for s in enc)
+        # encode_oct formats x.nums over x.den: the same strings as rat_to_str of coords()
+        assert enc == [rat_to_str(c) for c in x.coords()]
         assert decode_oct(enc) == x
     with pytest.raises(ParseError):
         decode_oct([1, 2, 3])

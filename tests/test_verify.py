@@ -70,6 +70,14 @@ def test_every_check_runs_at_one_trial():
         assert r.passed + r.failed >= 1, r.name
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_is_an_error(trials):
+    """A check that runs no trial would report ok, so no suite runs with fewer than 1."""
+    for suite in ("all", "octonion"):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_suite(suite, seed=0, trials=trials)
+
+
 def test_check_result_shape():
     (first, *_) = run_suite("octonion", seed=0, trials=3)
     assert first.ok is (first.failed == 0)
