@@ -280,13 +280,17 @@ def pair(X: AlbertElem, Y: AlbertElem) -> Fraction:
     return Fraction(_pair_nums(X.nums, Y.nums), X.den * Y.den)
 
 
-def det_j(X: AlbertElem) -> Fraction:
-    """The cubic norm form s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3), via det_table()."""
-    x = X.nums
+def _det_num(x) -> int:
+    """det on integer coordinates: the numerator of det over den**3."""
     acc = 0
     for l, m, n, c in det_table():
         acc += c * x[l] * x[m] * x[n]
-    return Fraction(acc, X.den ** 3)
+    return acc
+
+
+def det_j(X: AlbertElem) -> Fraction:
+    """The cubic norm form s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3), via det_table()."""
+    return Fraction(_det_num(X.nums), X.den ** 3)
 
 
 def trilinear_d(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:

@@ -6,10 +6,11 @@ ParseError with a readable message. dumps() fixes key order and spacing
 so identical values serialize to identical bytes. Every rational is
 printed by _fmt from an int over a positive denominator, and read by
 str_to_rat straight from its decimal digits. encode_stensor formats the
-109 slot values of a tensor once each and lays them out by smap's slot
-table, into an immutable tuple of entry strings carrying the JSON text
-that dumps splices in; decode_stensor accepts only the entries of the
-tensor of their point.
+109 slot values of a tensor once each and joins each of its 378 distinct
+rows once, by smap's slot table, into the JSON text that dumps splices
+in; its "entries" hold only that text and parse it into strings when
+read. decode_stensor accepts only the entries of the tensor of their
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 from .albert import AlbertElem
@@ -26,7 +26,7 @@ from .errors import ParseError
 from .gaction import GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
 from .octonion import Oct, _Frozen
 from .pvs import BinaryCubic, VPoint
-from .smap import StructureTensor, lay_out, slot_values, structure_tensor
+from .smap import StructureTensor, _slot_table, slot_values, structure_tensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
 _STENSOR_KEYS = {"basis", "entries", "point"}
@@ -114,25 +114,48 @@ def cubic_to_str(f: BinaryCubic) -> str:
     return "[%s, %s, %s, %s]" % tuple(rat_to_str(c) for c in f.coeffs())
 
 
-class _StensorEntries(tuple, _Frozen):
-    """The entry strings of encode_stensor; text is their rendered JSON array."""
+class _StensorEntries(_Frozen):
+    """The entries of encode_stensor, held only as text, their rendered JSON array.
+
+    Indexing, slicing, len and iteration parse the strings from text on each call.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
+
+    def __getitem__(self, index):
+        return tuple(json.loads(self.text))[index]
+
+    def __len__(self):
+        return len(self[:])
+
+    def __iter__(self):
+        return iter(self[:])
 
 
 def encode_stensor(t: StructureTensor) -> dict:
     """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
 
-    The 109 slot values of t.kn are formatted once each over t.den and
-    laid out into the rows by the slot table; "entries" carries the JSON
-    text of the whole array for dumps.
+    The 109 slot values of t.kn are formatted once each over t.den as
+    JSON strings; each of the 378 distinct rows is read from them by the
+    slot table and joined once, for (i, j) and (j, i). "entries" holds
+    only the JSON text of the whole array, which dumps splices in.
     """
     den = t.den
-    rows = lay_out([_fmt(v, den) for v in slot_values(t.kn)])
-    entries = _StensorEntries(chain.from_iterable(rows))
-    object.__setattr__(entries, "text", '["' + '","'.join(entries) + '"]')
+    values = ['"%s"' % _fmt(v, den) for v in slot_values(t.kn)]
+    rows = [None] * 729
+    for ij, ji, take in _slot_table():
+        rows[ij] = rows[ji] = ",".join(take(values))
+    # the brackets ride on the unshared rows (0, 0) and (26, 26), so the
+    # text is made in one copy, not three
+    rows[0] = "[" + rows[0]
+    rows[-1] += "]"
     return {
         "basis": STENSOR_BASIS_TAG,
         "point": encode_vpoint(t.point),
-        "entries": entries,
+        "entries": _StensorEntries(",".join(rows)),
     }
 
 def decode_stensor(obj) -> StructureTensor:
@@ -142,6 +165,8 @@ def decode_stensor(obj) -> StructureTensor:
     if obj["basis"] != STENSOR_BASIS_TAG:
         raise ParseError("unknown basis tag %r" % (obj["basis"],))
     entries = obj["entries"]
+    if type(entries) is _StensorEntries:
+        entries = entries[:]
     if not isinstance(entries, (list, tuple)) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
     t = structure_tensor(decode_vpoint(obj["point"]))
@@ -205,16 +230,24 @@ def decode_group(obj) -> GroupElem:
         raise ParseError(str(exc)) from None
 
 
+def _plain(obj):
+    """json.dumps's default hook: encode_stensor's entries as their list; any other type stays a TypeError."""
+    if type(obj) is _StensorEntries:
+        return list(obj)
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def dumps(obj) -> str:
     """Canonical bytes: sorted keys, fixed separators, trailing newline.
 
     A dict of exactly the encode_stensor keys whose entries are that
-    encoder's tuple gets their rendered text spliced in between "basis"
-    and "point"; every other value goes through json.dumps.
+    encoder's gets their rendered text spliced in between "basis" and
+    "point"; every other value goes through json.dumps, which turns such
+    entries met anywhere else into their list.
     """
     if isinstance(obj, dict) and obj.keys() == _STENSOR_KEYS:
         entries = obj["entries"]

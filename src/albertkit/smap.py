@@ -34,22 +34,26 @@ is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_table()
 finds that pattern once, from the sparse cross-product constants of
 albert.cross_tables() and the Gram shuffle. So a StructureTensor stores
 just k, as 27 integers over one denominator, and lay_out reads its 378
-shared rows from the 109 values 0 and c k_l. jsonio.encode_stensor lays
-out the same 109 values, each formatted once, into the JSON text: no
-Fraction is made on the way from k_elem to the JSON bytes.
+shared rows from the 109 values 0 and c k_l only when rows is first
+read. jsonio.encode_stensor formats the same 109 values once each and
+joins each distinct row once into its JSON text: no Fraction is made on
+the way from the integers of the point through k_elem to the JSON bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
 from .albert import (
     _GRAM,
     AlbertElem,
+    _cross_nums,
+    _det_num,
+    _elem,
     cross,
     cross_tables,
     pair,
@@ -57,7 +61,7 @@ from .albert import (
 )
 from .errors import NotSemistable
 from .octonion import _Frozen
-from .pvs import VPoint, cubic_of, delta
+from .pvs import VPoint, delta
 
 
 class SignedTerm(NamedTuple):
@@ -128,17 +132,28 @@ def k_elem(x: VPoint) -> AlbertElem:
     D-arguments are b: with p = (det a, D(a,a,b), D(a,b,b), det b), the
     coefficients of cubic_of(x) without their binomial factors, the signed
     sum is the Hessian covariant of the binary cubic F_x contracted with
-    the three crosses a x a, a x b and b x b. Tests pin this to the
-    literal signed sum, and to phi1/phi2 through the s_map recombination.
+    the three crosses a x a, a x b and b x b:
+
+        k = 2(p1 p3 - p2^2) a x a + 2(p1 p2 - p0 p3) a x b + 2(p0 p2 - p1^2) b x b.
+
+    It is formed in integers: over a common denominator d of a and b, with
+    A = d a and B = d b, the four determinants of A, B and A +- B give
+    r = 3 d^3 p (as in cubic_of), and k is one integer combination of the
+    three cross numerators over 9 d^8, reduced once. No Fraction is made.
+    Tests pin this to the literal signed sum, and to phi1/phi2 through the
+    s_map recombination.
     """
     a, b = x.a, x.b
-    f = cubic_of(x)
-    p0, p1, p2, p3 = f.c30, f.c21 / 3, f.c12 / 3, f.c03
-    return (
-        cross(a, a).scale(2 * (p1 * p3 - p2 * p2))
-        + cross(a, b).scale(2 * (p1 * p2 - p0 * p3))
-        + cross(b, b).scale(2 * (p0 * p2 - p1 * p1))
-    )
+    d = lcm(a.den, b.den)
+    A = [v * (d // a.den) for v in a.nums]
+    B = [v * (d // b.den) for v in b.nums]
+    da, db = _det_num(A), _det_num(B)
+    dp = _det_num([u + v for u, v in zip(A, B)])
+    dm = _det_num([u - v for u, v in zip(A, B)])
+    r0, r1, r2, r3 = 3 * da, (dp - dm) // 2 - db, (dp + dm) // 2 - da, 3 * db
+    caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
+    crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
+    return _elem([caa * u + cab * v + cbb * w for u, v, w in crosses], 9 * d**8)
 
 
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -155,14 +170,15 @@ class StructureTensor(_Frozen):
 
     Stored as the k = k_elem(point) they are a fixed linear image of:
     kn, the 27 numerators of (9/2) k over one positive denominator den,
-    with gcd(den, *kn) = 1. Each k_l is some entry, up to sign, so ==
-    can compare (point, kn, den). rows[i * 27 + j] is the 27 numerators
-    of s_map(x, b_i, b_j) over den, laid out once, (i, j) and (j, i)
-    sharing one tuple. entry, product_coords and flat (row-major in
-    (i, j, k)) are Fraction views built on each call. Immutable.
+    with gcd(den, *kn) = 1. Each k_l is some entry, up to sign, so == and
+    hash compare (point, kn, den). rows[i * 27 + j] is the 27 numerators
+    of s_map(x, b_i, b_j) over den, (i, j) and (j, i) sharing one tuple;
+    it is laid out on first read and kept, since the JSON encoder never
+    reads it. entry, product_coords and flat (row-major in (i, j, k)) are
+    Fraction views of rows built on each call. Immutable.
     """
 
-    __slots__ = ("point", "kn", "den", "rows")
+    __slots__ = ("point", "kn", "den", "_rows")
 
     def __init__(self, point: VPoint, kn, den: int):
         kn = tuple(kn)
@@ -174,9 +190,16 @@ class StructureTensor(_Frozen):
         if g != 1:
             kn = tuple(v // g for v in kn)
             den //= g
-        rows = lay_out(slot_values(kn))
-        for name, value in (("point", point), ("kn", kn), ("den", den), ("rows", rows)):
+        for name, value in (("point", point), ("kn", kn), ("den", den), ("_rows", None)):
             object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            rows = lay_out(slot_values(self.kn))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def flat(self) -> tuple:
@@ -194,6 +217,9 @@ class StructureTensor(_Frozen):
         if not isinstance(other, StructureTensor):
             return NotImplemented
         return (self.point, self.kn, self.den) == (other.point, other.kn, other.den)
+
+    def __hash__(self):
+        return hash((self.point, self.kn, self.den))
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)

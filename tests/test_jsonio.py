@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from albertkit.albert import AlbertElem
+from albertkit.albert import E, AlbertElem
 from albertkit.errors import ParseError
 from albertkit.gaction import diag_conj, gl2_elem, perm_elem, scalar_elem
 from albertkit.jsonio import (
     STENSOR_BASIS_TAG,
+    _canonical,
     cubic_to_str,
     decode_albert,
     decode_group,
@@ -27,9 +28,16 @@ from albertkit.jsonio import (
     str_to_rat,
 )
 from albertkit.octonion import Oct
-from albertkit.pvs import VPoint, cubic_of, w_point
+from albertkit.pvs import VPoint, cubic_of, delta, w_point
 from albertkit.smap import structure_tensor
-from albertkit.verify import rand_albert, rand_group, rand_oct, rand_semistable, rand_vpoint
+from albertkit.verify import (
+    rand_albert,
+    rand_group,
+    rand_oct,
+    rand_rat_nonzero,
+    rand_semistable,
+    rand_vpoint,
+)
 
 
 def test_rational_strings():
@@ -134,15 +142,35 @@ def test_stensor_round_trip(rng, sparse_point):
     assert decode_stensor(json.loads(dumps(enc))) == t
 
 
+def _sparse_semistable(rng):
+    """A semistable point of small height with 6 nonzero coordinates per component."""
+    while True:
+        c = [[0] * 27, [0] * 27]
+        for part in c:
+            for n in rng.sample(range(27), 6):
+                part[n] = rand_rat_nonzero(rng)
+        x = VPoint(AlbertElem.from_coords(c[0]), AlbertElem.from_coords(c[1]))
+        if delta(x) != 0:
+            return x
+
+
 def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
-    # the int-keyed encoder against the per-entry Fraction reference
-    for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
+    # the row-text encoder against json.dumps of the plain dict of per-entry Fraction strings
+    points = (VPoint(E.scale(0), E), w_point(), rand_semistable(rng), _sparse_semistable(rng), sparse_point(rng))
+    for x in points:
         t = structure_tensor(x)
         flat = t.flat
-        assert list(encode_stensor(t)["entries"]) == [rat_to_str(v) for v in flat]
-        if x != w_point():
+        strings = [rat_to_str(v) for v in flat]
+        enc = encode_stensor(t)
+        assert dumps(enc) == _json_dumps({**enc, "entries": strings})
+        entries = enc["entries"]
+        assert len(entries) == 19683 and list(entries) == strings
+        assert entries[0] == strings[0] and entries[100] == strings[100] and entries[-1] == strings[-1]
+        assert entries[5:40:3] == tuple(strings[5:40:3]) and entries[:] == tuple(strings)
+        if x not in points[:2]:
             # entries reduce against t.den to several different denominators
             assert len({v.denominator for v in flat}) > 2
+    assert structure_tensor(points[0]).den == 1
 
 
 def test_group_full_round_trip(rng):
@@ -254,6 +282,17 @@ def test_dumps_stensor_after_mutation(rng, mutate):
     after = dumps(enc)
     assert after != before
     assert after == _json_dumps({**enc, "entries": list(enc["entries"])})
+
+
+def test_canonical_refuses_what_json_cannot_hold():
+    # the default hook converts only encode_stensor's entries; a set is still a TypeError
+    with pytest.raises(TypeError):
+        _canonical({"a": {1, 2}})
+    with pytest.raises(TypeError):
+        dumps({"a": (v for v in "12")})
+    enc = encode_stensor(structure_tensor(w_point()))
+    nested = {"t": enc}
+    assert dumps(nested) == _json_dumps({"t": {**enc, "entries": list(enc["entries"])}})
 
 
 def test_load_json(tmp_path):

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from albertkit import smap
 from albertkit.albert import (
     AlbertElem,
     E,
@@ -17,6 +18,7 @@ from albertkit.albert import (
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
 from albertkit.isotope import circ_a_springer
+from albertkit.jsonio import dumps, encode_stensor
 from albertkit.pvs import VPoint, delta, w_point
 from albertkit.reference import literal_k
 from albertkit.smap import (
@@ -26,6 +28,7 @@ from albertkit.smap import (
     _slot_table,
     circ_x,
     k_elem,
+    lay_out,
     phi1,
     phi2,
     s_map,
@@ -208,6 +211,7 @@ def test_structure_tensor_integer_form(rng):
     assert [Fraction(v, t.den) for v in t.kn] == list(k_elem(x).scale(Fraction(9, 2)).coords())
     scaled = StructureTensor(x, [6 * v for v in t.kn], 6 * t.den)
     assert scaled == t and (scaled.kn, scaled.den, scaled.rows) == (t.kn, t.den, t.rows)
+    assert hash(scaled) == hash(t) and len({t, scaled, structure_tensor(w_point())}) == 2
     # rows: one immutable tuple of tuples, shared across (i, j) and (j, i)
     assert type(t.rows) is tuple and len(t.rows) == 729 and all(type(r) is tuple for r in t.rows)
     assert all(t.rows[i * 27 + j] is t.rows[j * 27 + i] for i in range(27) for j in range(27))
@@ -218,6 +222,25 @@ def test_structure_tensor_integer_form(rng):
         StructureTensor(x, t.kn[:26], t.den)
     with pytest.raises(ValueError):
         StructureTensor(x, t.kn, 0)
+
+
+def test_rows_are_laid_out_only_when_read(monkeypatch, rng):
+    # the structure command reads no int rows: a refactor that lays them out
+    # again would keep every output byte, so count the calls
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return lay_out(values)
+
+    monkeypatch.setattr(smap, "lay_out", counted)
+    t = structure_tensor(rand_semistable(rng))
+    dumps(encode_stensor(t))
+    assert len(calls) == 0
+    rows = t.rows
+    assert len(calls) == 1
+    assert t.rows is rows and len(calls) == 1
+    assert t.flat and t.entry(1, 2, 3) == t.product_coords(1, 2)[3] and len(calls) == 1
 
 
 def test_structure_tensor_is_immutable(rng):
@@ -245,8 +268,28 @@ def test_s_equivariance_spot(rng):
 
 
 def test_k_elem_is_literal_signed_sum(rng, sparse_point):
-    # the Hessian closed form against the 16-term sum it replaced
-    points = (w_point(), rand_semistable(rng), rand_vpoint(rng), sparse_point(rng))
+    # the integer Hessian form against the 16-term sum it replaced
+    a, b = rand_albert(rng), rand_albert(rng)
+    # coprime denominators 3 and 2^40 + 1, so the common one is their product
+    a3 = AlbertElem.from_coords([Fraction(rng.randrange(-50, 50), 3) for _ in range(27)])
+    b40 = AlbertElem.from_coords([Fraction(rng.randrange(-(2**20), 2**20), 2**40 + 1) for _ in range(27)])
+    assert (a3.den, b40.den) == (3, 2**40 + 1)
+    negative = AlbertElem.from_coords([Fraction(-rng.randrange(1, 2**10), 7) for _ in range(27)])
+    zero = E.scale(0)
+    points = (
+        w_point(),
+        rand_semistable(rng),
+        rand_vpoint(rng),
+        sparse_point(rng),
+        VPoint(a3, b40),
+        VPoint(b40, a3),
+        VPoint(zero, b),
+        VPoint(a, zero),
+        VPoint(a, a),
+        VPoint(negative, b),
+        VPoint(negative, a3.scale(-1)),
+    )
+    assert min(negative.nums) < 0 and max(negative.nums) < 0
     for x in points:
         k = k_elem(x)
         assert k == literal_k(x)
