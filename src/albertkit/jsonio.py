@@ -1,16 +1,18 @@
 """JSON encoding for every domain type; exact rationals as "p/q" strings.
 
 No floating point crosses this boundary. Encoders return plain Python
-structures ready for json.dumps; decoders validate shape and raise
-ParseError with a readable message. dumps() fixes key order and spacing
-so identical values serialize to identical bytes. Every rational is
-printed by _fmt from an int over a positive denominator, and read by
-str_to_rat straight from its decimal digits. encode_stensor formats the
-109 slot values of a tensor once each and joins each of its 378 distinct
-rows once, by smap's slot table, into the JSON text that dumps splices
-in; its "entries" hold only that text and parse it into strings when
-read. decode_stensor accepts only the entries of the tensor of their
-point.
+structures ready for json.dumps, with one exception: encode_stensor
+returns its whole document already rendered, as an immutable value whose
+text dumps prints as it is and json.dumps refuses. Decoders take parsed
+JSON, validate shape and raise ParseError with a readable message.
+dumps() fixes key order and spacing so identical values serialize to
+identical bytes. Every rational is printed by _fmt from an int over a
+positive denominator, and read by _parse straight from its decimal
+digits into two ints; decode_oct and decode_albert bring those over one
+denominator with no Fraction in between. encode_stensor formats the 109
+slot values of a tensor once each and joins each of its 378 distinct
+rows once, by smap's slot table. decode_stensor accepts only the entries
+of the tensor of their point.
 """
 
 from __future__ import annotations
@@ -19,17 +21,16 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .albert import AlbertElem
 from .errors import ParseError
 from .gaction import GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
-from .octonion import Oct, _Frozen
+from .octonion import Oct, _Frozen, _reduced
 from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor, _slot_table, slot_values, structure_tensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
-_STENSOR_KEYS = {"basis", "entries", "point"}
 
 # integers and fractions only: no decimals or exponents, whose few bytes
 # can stand for an arbitrarily large integer
@@ -55,9 +56,10 @@ def rat_to_str(x: Fraction) -> str:
     return _fmt(x.numerator, x.denominator)
 
 
-def str_to_rat(s) -> Fraction:
+def _parse(s) -> tuple:
+    """(p, q), q > 0, for a JSON int or a "p" or "p/q" string of decimal digits; ParseError otherwise."""
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise ParseError("rational must be a string, got %r" % type(s).__name__)
     m = _RATIONAL.fullmatch(s.strip())
@@ -65,9 +67,22 @@ def str_to_rat(s) -> Fraction:
         raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
     p, q = m.groups()
     try:
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(p), int(q) if q else 1
+    except ValueError as exc:
         raise ParseError("bad rational %r: %s" % (s, exc)) from None
+    if not q:
+        raise ParseError("bad rational %r: the denominator is 0" % s)
+    return p, q
+
+
+def str_to_rat(s) -> Fraction:
+    return Fraction(*_parse(s))
+
+
+def _exact(cls, pairs):
+    """The cls value with coordinates p/q for the parsed (p, q), over their lcm."""
+    den = lcm(*(q for _, q in pairs))
+    return _reduced(cls, [p * (den // q) for p, q in pairs], den)
 
 
 def encode_oct(x: Oct) -> list:
@@ -76,7 +91,7 @@ def encode_oct(x: Oct) -> list:
 def decode_oct(obj) -> Oct:
     if not isinstance(obj, (list, tuple)) or len(obj) != 8:
         raise ParseError("octonion must be an array of 8 rationals")
-    return Oct.from_coords([str_to_rat(c) for c in obj])
+    return _exact(Oct, [_parse(c) for c in obj])
 
 
 def encode_albert(X: AlbertElem) -> dict:
@@ -93,12 +108,12 @@ def decode_albert(obj) -> AlbertElem:
         raise ParseError("diag must hold 3 rationals")
     if not isinstance(octs, list) or len(octs) != 3:
         raise ParseError("oct must hold 3 octonions")
-    coords = [str_to_rat(c) for c in diag]
+    pairs = [_parse(c) for c in diag]
     for o in octs:
         if not isinstance(o, (list, tuple)) or len(o) != 8:
             raise ParseError("octonion must be an array of 8 rationals")
-        coords += [str_to_rat(c) for c in o]
-    return AlbertElem.from_coords(coords)
+        pairs += [_parse(c) for c in o]
+    return _exact(AlbertElem, pairs)
 
 
 def encode_vpoint(x: VPoint) -> dict:
@@ -114,59 +129,40 @@ def cubic_to_str(f: BinaryCubic) -> str:
     return "[%s, %s, %s, %s]" % tuple(rat_to_str(c) for c in f.coeffs())
 
 
-class _StensorEntries(_Frozen):
-    """The entries of encode_stensor, held only as text, their rendered JSON array.
-
-    Indexing, slicing, len and iteration parse the strings from text on each call.
-    """
+class _Rendered(_Frozen):
+    """A JSON document already in canonical form, newline included: dumps returns its text."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str):
         object.__setattr__(self, "text", text)
 
-    def __getitem__(self, index):
-        return tuple(json.loads(self.text))[index]
 
-    def __len__(self):
-        return len(self[:])
-
-    def __iter__(self):
-        return iter(self[:])
-
-
-def encode_stensor(t: StructureTensor) -> dict:
-    """The tensor as {"basis", "point", "entries"}, entries row-major in (i, j, k).
+def encode_stensor(t: StructureTensor) -> _Rendered:
+    """The tensor as the rendered document {"basis", "entries", "point"}, entries row-major in (i, j, k).
 
     The 109 slot values of t.kn are formatted once each over t.den as
     JSON strings; each of the 378 distinct rows is read from them by the
-    slot table and joined once, for (i, j) and (j, i). "entries" holds
-    only the JSON text of the whole array, which dumps splices in.
+    slot table and joined once, for (i, j) and (j, i). The head and the
+    tail of the document ride on the unshared rows (0, 0) and (26, 26),
+    so the text is made in one copy.
     """
     den = t.den
     values = ['"%s"' % _fmt(v, den) for v in slot_values(t.kn)]
     rows = [None] * 729
     for ij, ji, take in _slot_table():
         rows[ij] = rows[ji] = ",".join(take(values))
-    # the brackets ride on the unshared rows (0, 0) and (26, 26), so the
-    # text is made in one copy, not three
-    rows[0] = "[" + rows[0]
-    rows[-1] += "]"
-    return {
-        "basis": STENSOR_BASIS_TAG,
-        "point": encode_vpoint(t.point),
-        "entries": _StensorEntries(",".join(rows)),
-    }
+    rows[0] = '{"basis":%s,"entries":[%s' % (_canonical(STENSOR_BASIS_TAG), rows[0])
+    rows[-1] = '%s],"point":%s}\n' % (rows[-1], _canonical(encode_vpoint(t.point)))
+    return _Rendered(",".join(rows))
 
 def decode_stensor(obj) -> StructureTensor:
     """The structure tensor of the point; ParseError unless the entries are exactly its 19683 constants."""
-    if not isinstance(obj, dict) or set(obj) != _STENSOR_KEYS:
+    if not isinstance(obj, dict) or set(obj) != {"basis", "entries", "point"}:
         raise ParseError('structure tensor must be {"basis", "point", "entries"}')
     if obj["basis"] != STENSOR_BASIS_TAG:
         raise ParseError("unknown basis tag %r" % (obj["basis"],))
     entries = obj["entries"]
-    if type(entries) is _StensorEntries:
-        entries = entries[:]
     if not isinstance(entries, (list, tuple)) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
     t = structure_tensor(decode_vpoint(obj["point"]))
@@ -230,33 +226,14 @@ def decode_group(obj) -> GroupElem:
         raise ParseError(str(exc)) from None
 
 
-def _plain(obj):
-    """json.dumps's default hook: encode_stensor's entries as their list; any other type stays a TypeError."""
-    if type(obj) is _StensorEntries:
-        return list(obj)
-    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
-
-
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj) -> str:
-    """Canonical bytes: sorted keys, fixed separators, trailing newline.
-
-    A dict of exactly the encode_stensor keys whose entries are that
-    encoder's gets their rendered text spliced in between "basis" and
-    "point"; every other value goes through json.dumps, which turns such
-    entries met anywhere else into their list.
-    """
-    if isinstance(obj, dict) and obj.keys() == _STENSOR_KEYS:
-        entries = obj["entries"]
-        if type(entries) is _StensorEntries:
-            return '{"basis":%s,"entries":%s,"point":%s}\n' % (
-                _canonical(obj["basis"]),
-                entries.text,
-                _canonical(obj["point"]),
-            )
+    """Canonical bytes: sorted keys, fixed separators, trailing newline; a rendered document as it is."""
+    if type(obj) is _Rendered:
+        return obj.text
     return _canonical(obj) + "\n"
 
 

@@ -16,8 +16,9 @@ and delta(w) = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .albert import AlbertElem, det_j, diag_elem
+from .albert import AlbertElem, _det_num, diag_elem
 from .octonion import _Frozen
 
 
@@ -98,19 +99,28 @@ class BinaryCubic(_Frozen):
         )
 
 
-def cubic_of(x: VPoint) -> BinaryCubic:
-    """The binary cubic v -> det(a v1 + b v2) of x = (a, b).
+def _cubic_nums(x: VPoint) -> tuple:
+    """(A, B, d, f): A = d a and B = d b in integers, d = lcm(a.den, b.den), and F_x as 4 ints f over d^3.
 
-    Four determinants fix it: det(a +- b) = c30 +- c21 + c12 +- c03, so
-    c21 = (det(a+b) - det(a-b))/2 - det(b) and
-    c12 = (det(a+b) + det(a-b))/2 - det(a).
+    Four determinants fix f: det(A +- B) = f0 +- f1 + f2 +- f3, so
+    f1 = (det(A+B) - det(A-B))/2 - det(B) and
+    f2 = (det(A+B) + det(A-B))/2 - det(A).
     """
     a, b = x.a, x.b
-    d0 = det_j(a)
-    d3 = det_j(b)
-    p = det_j(a + b)
-    m = det_j(a - b)
-    return BinaryCubic(d0, (p - m) / 2 - d3, (p + m) / 2 - d0, d3)
+    d = lcm(a.den, b.den)
+    A = [v * (d // a.den) for v in a.nums]
+    B = [v * (d // b.den) for v in b.nums]
+    f0, f3 = _det_num(A), _det_num(B)
+    p = _det_num([u + v for u, v in zip(A, B)])
+    m = _det_num([u - v for u, v in zip(A, B)])
+    return A, B, d, (f0, (p - m) // 2 - f3, (p + m) // 2 - f0, f3)
+
+
+def cubic_of(x: VPoint) -> BinaryCubic:
+    """The binary cubic v -> det(a v1 + b v2) of x = (a, b), from the integers of _cubic_nums."""
+    _, _, d, f = _cubic_nums(x)
+    d3 = d**3
+    return BinaryCubic(*(Fraction(c, d3) for c in f))
 
 
 def delta(x: VPoint) -> Fraction:

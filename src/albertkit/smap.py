@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -52,7 +52,6 @@ from .albert import (
     _GRAM,
     AlbertElem,
     _cross_nums,
-    _det_num,
     _elem,
     cross,
     cross_tables,
@@ -61,7 +60,7 @@ from .albert import (
 )
 from .errors import NotSemistable
 from .octonion import _Frozen
-from .pvs import VPoint, delta
+from .pvs import VPoint, _cubic_nums, delta
 
 
 class SignedTerm(NamedTuple):
@@ -136,21 +135,15 @@ def k_elem(x: VPoint) -> AlbertElem:
 
         k = 2(p1 p3 - p2^2) a x a + 2(p1 p2 - p0 p3) a x b + 2(p0 p2 - p1^2) b x b.
 
-    It is formed in integers: over a common denominator d of a and b, with
-    A = d a and B = d b, the four determinants of A, B and A +- B give
-    r = 3 d^3 p (as in cubic_of), and k is one integer combination of the
-    three cross numerators over 9 d^8, reduced once. No Fraction is made.
+    It is formed in integers: pvs._cubic_nums gives A = d a, B = d b and
+    F_x as 4 ints f over d^3, hence r = 3 d^3 p = (3 f0, f1, f2, 3 f3), and
+    k is one integer combination of the three cross numerators over 9 d^8,
+    reduced once. No Fraction is made.
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """
-    a, b = x.a, x.b
-    d = lcm(a.den, b.den)
-    A = [v * (d // a.den) for v in a.nums]
-    B = [v * (d // b.den) for v in b.nums]
-    da, db = _det_num(A), _det_num(B)
-    dp = _det_num([u + v for u, v in zip(A, B)])
-    dm = _det_num([u - v for u, v in zip(A, B)])
-    r0, r1, r2, r3 = 3 * da, (dp - dm) // 2 - db, (dp + dm) // 2 - da, 3 * db
+    A, B, d, (f0, f1, f2, f3) = _cubic_nums(x)
+    r0, r1, r2, r3 = 3 * f0, f1, f2, 3 * f3
     caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
     crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
     return _elem([caa * u + cab * v + cbb * w for u, v, w in crosses], 9 * d**8)

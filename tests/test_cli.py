@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from albertkit.albert import AlbertElem, diag_elem, jordan_mul
 from albertkit.cli import main
-from albertkit.jsonio import dumps, encode_albert, encode_vpoint
+from albertkit.errors import ParseError
+from albertkit.jsonio import decode_albert, decode_oct, dumps, encode_albert, encode_vpoint, str_to_rat
+from albertkit.octonion import Oct
 from albertkit.pvs import VPoint, w_point
 from albertkit.verify import rand_albert
 
@@ -294,6 +296,36 @@ _MISSHAPEN = st.one_of(
     st.lists(_SMALL, max_size=30).map(_as_elem),
     st.builds(_put, _COORDS, st.integers(0, 26), _JSON).map(_as_elem),
 )
+
+
+# decimals, exponents, zero denominators and JSON that is no rational
+_BAD = st.sampled_from(["1/0", "-0/0", "7/000", "1.5", "2e3", "1e999999999", True, False, 1.5, None, ["1"]])
+_VALUE = _SMALL | _BIG | _BAD | _JSON
+
+
+def _via_fractions(cls, coords):
+    """cls from one Fraction per coordinate, or the detail of the first ParseError."""
+    try:
+        return cls.from_coords([str_to_rat(c) for c in coords])
+    except ParseError as exc:
+        return str(exc)
+
+
+def _detail(decode, obj):
+    try:
+        return decode(obj)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(_put, st.builds(_put, _COORDS, st.integers(0, 26), _VALUE), st.integers(0, 26), _VALUE))
+def test_decoders_match_the_fraction_route(coords):
+    # decode_albert and decode_oct bring the parsed integers over one
+    # denominator: the same element as from_coords of str_to_rat, or the
+    # same first ParseError, up to two bad coordinates in one element
+    assert _detail(decode_albert, _as_elem(coords)) == _via_fractions(AlbertElem, coords)
+    assert _detail(decode_oct, coords[3:11]) == _via_fractions(Oct, coords[3:11])
 
 
 def _file(valid):

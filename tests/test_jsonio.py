@@ -114,32 +114,35 @@ def test_stensor_round_trip(rng, sparse_point):
     for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
         enc = encode_stensor(t)
-        assert enc["basis"] == STENSOR_BASIS_TAG
-        assert len(enc["entries"]) == 19683
-        back = decode_stensor(enc)
+        doc = json.loads(dumps(enc))
+        assert doc["basis"] == STENSOR_BASIS_TAG
+        assert len(doc["entries"]) == 19683
+        back = decode_stensor(doc)
         assert back == t
         assert back.rows == t.rows and back.den == t.den
-    bad = dict(enc)
+    bad = dict(doc)
     bad["basis"] = "other"
     with pytest.raises(ParseError):
         decode_stensor(bad)
-    short = dict(enc)
-    short["entries"] = enc["entries"][:5]
+    short = dict(doc)
+    short["entries"] = doc["entries"][:5]
     with pytest.raises(ParseError):
         decode_stensor(short)
+    # a decoder takes parsed JSON, not the rendered document
+    with pytest.raises(ParseError):
+        decode_stensor(enc)
     # a tensor holds only the image of k at its point: any other entries are refused
-    changed = list(enc["entries"])
+    changed = list(doc["entries"])
     changed[100] = rat_to_str(str_to_rat(changed[100]) + 1)
     with pytest.raises(ParseError):
-        decode_stensor({**enc, "entries": changed})
-    at_w = encode_stensor(structure_tensor(w_point()))
+        decode_stensor({**doc, "entries": changed})
+    at_w = json.loads(dumps(encode_stensor(structure_tensor(w_point()))))
     with pytest.raises(ParseError):
-        decode_stensor({**enc, "entries": at_w["entries"]})
+        decode_stensor({**doc, "entries": at_w["entries"]})
     # the right entries in another spelling still decode: "2/4", JSON ints
     respelled = ["2/4" if v == "1/2" else int(v) if "/" not in v else v for v in at_w["entries"]]
     assert "2/4" in respelled and 1 in respelled
     assert decode_stensor({**at_w, "entries": respelled}) == structure_tensor(w_point())
-    assert decode_stensor(json.loads(dumps(enc))) == t
 
 
 def _sparse_semistable(rng):
@@ -162,11 +165,12 @@ def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
         flat = t.flat
         strings = [rat_to_str(v) for v in flat]
         enc = encode_stensor(t)
-        assert dumps(enc) == _json_dumps({**enc, "entries": strings})
-        entries = enc["entries"]
-        assert len(entries) == 19683 and list(entries) == strings
-        assert entries[0] == strings[0] and entries[100] == strings[100] and entries[-1] == strings[-1]
-        assert entries[5:40:3] == tuple(strings[5:40:3]) and entries[:] == tuple(strings)
+        text = dumps(enc)
+        plain = {"basis": STENSOR_BASIS_TAG, "entries": strings, "point": encode_vpoint(x)}
+        assert text == _json_dumps(plain)
+        assert json.loads(text) == plain
+        # the rendered text is canonical: parsed and printed again, it is the same
+        assert dumps(json.loads(text)) == text
         if x not in points[:2]:
             # entries reduce against t.den to several different denominators
             assert len({v.denominator for v in flat}) > 2
@@ -231,11 +235,12 @@ def _json_dumps(obj):
 
 
 def test_dumps_stensor_matches_json_dumps(rng, sparse_point):
-    # the spliced text against json.dumps of the same dict with a plain list
+    # the rendered text against json.dumps of the same document parsed back
     for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
         enc = encode_stensor(structure_tensor(x))
-        plain = {**enc, "entries": list(enc["entries"])}
-        assert dumps(enc) == _json_dumps(plain)
+        doc = json.loads(dumps(enc))
+        assert set(doc) == {"basis", "entries", "point"} and doc["point"] == encode_vpoint(x)
+        assert dumps(enc) == _json_dumps(doc) == dumps(doc)
 
 
 def _append(enc):
@@ -255,7 +260,7 @@ def _sort(enc):
 
 
 def _retext(enc):
-    enc["entries"].text = "[]"
+    enc.text = "[]"
 
 
 def _repoint(enc):
@@ -269,30 +274,46 @@ def _replace(enc):
 
 @pytest.mark.parametrize("mutate", [_set, _append, _delete, _sort, _retext, _repoint, _replace])
 def test_dumps_stensor_after_mutation(rng, mutate):
-    # the entries cannot change in place, so their rendered text never goes
-    # stale; a replaced point or a plain-list entries goes through json.dumps
+    # the rendered document is immutable, so its text never goes stale
     enc = encode_stensor(structure_tensor(rand_semistable(rng)))
     before = dumps(enc)
-    if mutate in (_set, _append, _delete, _sort, _retext):
-        with pytest.raises((TypeError, AttributeError)):
-            mutate(enc)
-        assert dumps(enc) == before
-        return
-    mutate(enc)
-    after = dumps(enc)
-    assert after != before
-    assert after == _json_dumps({**enc, "entries": list(enc["entries"])})
+    with pytest.raises((TypeError, AttributeError)):
+        mutate(enc)
+    assert dumps(enc) == before
 
 
 def test_canonical_refuses_what_json_cannot_hold():
-    # the default hook converts only encode_stensor's entries; a set is still a TypeError
     with pytest.raises(TypeError):
         _canonical({"a": {1, 2}})
     with pytest.raises(TypeError):
         dumps({"a": (v for v in "12")})
+    # the rendered document is no JSON value: nested in one, it is refused, not converted
     enc = encode_stensor(structure_tensor(w_point()))
-    nested = {"t": enc}
-    assert dumps(nested) == _json_dumps({"t": {**enc, "entries": list(enc["entries"])}})
+    with pytest.raises(TypeError):
+        json.dumps({"t": enc})
+    with pytest.raises(TypeError):
+        dumps({"t": enc})
+    with pytest.raises(AttributeError):
+        enc.text = dumps({})
+
+
+def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):
+    # decode_vpoint -> structure_tensor -> encode_stensor -> dumps runs on integers only
+    docs = [json.loads(dumps(encode_vpoint(x))) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
+    made.clear()
+    texts = [dumps(encode_stensor(structure_tensor(decode_vpoint(doc)))) for doc in docs]
+    assert made == []
+    monkeypatch.undo()
+    assert all(json.loads(t)["point"] == doc for t, doc in zip(texts, docs))
 
 
 def test_load_json(tmp_path):

@@ -1,5 +1,6 @@
 """Pairs of algebra elements, their binary cubic, and the discriminant."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -38,15 +39,16 @@ def test_cubic_evaluates_det(x, a, b):
 
 
 @settings(max_examples=25, deadline=None)
-@given(points)
-def test_cubic_coefficients_are_d_values(x):
-    f = cubic_of(x)
-    assert f.coeffs() == (
-        det_j(x.a),
-        3 * trilinear_d(x.a, x.a, x.b),
-        3 * trilinear_d(x.a, x.b, x.b),
-        det_j(x.b),
-    )
+@given(points, st.integers(0, 2**32))
+def test_cubic_coefficients_are_d_values(sparse_point, x, seed):
+    # small halves, and a sparse point of large height (20-bit over 8-bit coordinates)
+    for y in (x, sparse_point(random.Random(seed))):
+        assert cubic_of(y).coeffs() == (
+            det_j(y.a),
+            3 * trilinear_d(y.a, y.a, y.b),
+            3 * trilinear_d(y.a, y.b, y.b),
+            det_j(y.b),
+        )
 
 
 def test_discriminant_values():
