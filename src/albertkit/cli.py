@@ -99,7 +99,8 @@ def _parser() -> argparse.ArgumentParser:
         "--method",
         choices=("tform", "springer"),
         default="tform",
-        help="solve against the trilinear form, or evaluate the closed formula",
+        help="tform (default): the V with q_a(V, Z) = T_a(X, Y, Z) / det(a) for every Z, "
+        "in closed form; springer: evaluate det(a)^-4 phi_a(X, Y), the quadratic-map formula",
     )
     sp = cmd("qa", "bilinear form Q_a", ("a", "index element"))
     sp.add_argument("x", nargs="?", help="first argument (omit with --gram)")

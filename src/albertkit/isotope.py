@@ -12,8 +12,8 @@ and the bilinear form
  * circ_a_springer: det(a)^{-4} phi_a(X, Y), where
        phi_a = 4 det(a)^3 (X x a) x (Y x a)
                + (det(a)^2 q_a(X, Y) - q_a(X, a) q_a(Y, a)) / 2 * a
- * circ_a_tform: the unique U with
-       q_a(U, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z.
+ * circ_a_tform: the unique V with
+       q_a(V, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z.
 
 With a# = a x a and the U-operator of the cubic norm structure,
 
@@ -21,8 +21,22 @@ With a# = a x a and the U-operator of the cubic norm structure,
 
 q_a(X, Y) = pair(U_{a#} X, Y), and U_{a#} has the inverse
 det(a)^{-2} U_a (McCrimmon, A Taste of Jordan Algebras, on isotopes
-J^(u)). So circ_a_tform needs no linear solve: it applies det(a)^{-2} U_a
-to the R with pair(R, Z) = det(a)^{-1} t_form(a; X, Y, Z).
+J^(u)). By duality, pair(V x W, Z) = 3 D(V, W, Z), the right side is
+pair(R, Z) with R = s a# - 8 (a x u), where u = (a x X) x (a x Y) and
+s = pair(a#, X) pair(a#, Y) / det(a). So V = det(a)^{-2} U_a R. Expand
+it with a## = det(a) a, pair(a, a#) = 3 det(a), pair(a, a x u) =
+pair(a#, u) = t and the adjoint identity of the cubic norm (in the
+same book, with x half of McCrimmon's cross)
+
+    a# x (a x u) = (det(a) u + pair(a#, u) a) / 4:
+
+pair(a, R) = 3 s det(a) - 8 t and a# x R = (s det(a) - 2 t) a - 2 det(a) u,
+hence
+
+    V = (4/det(a)) u + ((s det(a) - 4 t) / det(a)^2) a.
+
+circ_a_tform evaluates this in integers; no linear solve, and neither
+a x u nor a# x R is formed.
 
 Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
@@ -35,10 +49,13 @@ from fractions import Fraction
 
 from .albert import (
     AlbertElem,
+    _cross_nums,
+    _det_num,
+    _elem,
+    _pair_nums,
     cross,
     det_j,
     jbasis,
-    pair,
     pair_vec,
     trilinear_d,
 )
@@ -87,8 +104,8 @@ def phi_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return head + a.scale(corr / 2)
 
 
-def _require_invertible(a: AlbertElem) -> Fraction:
-    d = det_j(a)
+def _require_invertible(d):
+    """d, which is det(a) or its numerator; SingularPoint when it is 0."""
     if d == 0:
         raise SingularPoint("det(a) = 0: the isotope at a is undefined")
     return d
@@ -96,32 +113,37 @@ def _require_invertible(a: AlbertElem) -> Fraction:
 
 def circ_a_springer(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """det(a)^{-4} phi_a(X, Y); the isotope product in closed form."""
-    d = _require_invertible(a)
+    d = _require_invertible(det_j(a))
     return phi_a(a, X, Y).scale(1 / d**4)
 
 
 def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
     """det(a)^{-2} q_a(X, Y); the isotope's trace form."""
-    d = _require_invertible(a)
+    d = _require_invertible(det_j(a))
     return q_a(a, X, Y) / d**2
 
 
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The product defined implicitly by q_a(X circ Y, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
-    The right side collapses through duality, pair(V x W, Z) = 3 D(V, W, Z):
-    with P = a x X, Q = a x Y and U = P x Q,
+    With d = det(a), P = a x X, Q = a x Y, u = P x Q, s = pair(a#, X)
+    pair(a#, Y) / d and t = pair(a#, u) it is
 
-        D(a, a, Z) = (1/3) pair(a#, Z),
-        D(P, Q, a x Z) = (1/3) pair(U, a x Z) = D(a, Z, U) = (1/3) pair(a x U, Z),
+        V = (4/d) u + ((s d - 4 t) / d^2) a.
 
-    so det(a)^{-1} t_form(a; X, Y, Z) = pair(R, Z) for the element
-    R = det(a)^{-1} pair(a#, X) pair(a#, Y) a# - 8 (a x U). The product V
-    has pair(U_{a#} V, Z) = pair(R, Z) for every Z, so U_{a#} V = R and
-    V = det(a)^{-2} U_a R.
+    It is formed in integers: with A = a.nums over da, dn = d da^3, S, P, Q
+    and U the cross numerators of a#, a x X, a x Y and u, and sx, sy, t the
+    pair numerators of S against X, Y and U,
+
+        V = (2 dn da U + (sx sy - t) da A) / (4 den(X) den(Y) dn^2),
+
+    reduced once: four cross products and no Fraction. The derivation is
+    in the module docstring.
     """
-    d = _require_invertible(a)
-    a_sharp = cross(a, a)
-    u = cross(cross(a, X), cross(a, Y))
-    r = a_sharp.scale(pair(a_sharp, X) * pair(a_sharp, Y) / d) - cross(a, u).scale(8)
-    return (a.scale(pair(a, r)) - cross(a_sharp, r).scale(2)).scale(1 / d**2)
+    A, da = a.nums, a.den
+    dn = _require_invertible(_det_num(A))
+    S = _cross_nums(A, A)
+    U = _cross_nums(_cross_nums(A, X.nums), _cross_nums(A, Y.nums))
+    sx, sy, t = _pair_nums(S, X.nums), _pair_nums(S, Y.nums), _pair_nums(S, U)
+    cu, ca = 2 * dn * da, (sx * sy - t) * da
+    return _elem([cu * u + ca * v for u, v in zip(U, A)], 4 * X.den * Y.den * dn * dn)

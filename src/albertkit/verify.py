@@ -88,6 +88,18 @@ def rand_invertible(rng: random.Random) -> AlbertElem:
             return a
 
 
+def rand_singular(rng: random.Random) -> AlbertElem:
+    """A random a with det(a) = 0: det is affine in the first diagonal coordinate, which is solved for."""
+    e1 = diag_elem(1, 0, 0)
+    while True:
+        a = rand_albert(rng)
+        a = a - e1.scale(a.s[0])
+        r = det_j(a)
+        c = det_j(a + e1) - r
+        if c != 0:
+            return a - e1.scale(r / c)
+
+
 def rand_vpoint(rng: random.Random) -> VPoint:
     return VPoint(rand_albert(rng), rand_albert(rng))
 
@@ -551,6 +563,18 @@ def _pairing_tform_link(rng, i):
     X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
     u = isotope.circ_a_tform(a, X, Y)
     return isotope.q_a(a, u, Z) == isotope.t_form(a, X, Y, Z) / det_j(a)
+
+
+@_check("isotope-defs", "adjoint-identity")
+def _adjoint_identity(rng, i):
+    # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4, which circ_a_tform's closed form rests on
+    u = rand_albert(rng)
+    for a in (rand_invertible(rng), rand_singular(rng)):
+        a_sharp = cross(a, a)
+        rhs = (u.scale(det_j(a)) + a.scale(pair(a_sharp, u))).scale(Fraction(1, 4))
+        if cross(a_sharp, cross(a, u)) != rhs:
+            return False
+    return True
 
 
 @_check("jordan-axioms", "circ-x-jordan", per=2)

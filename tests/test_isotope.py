@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from albertkit.albert import (
+    ALBERT_ZERO,
     AlbertElem,
     E,
+    cross,
     det_j,
     diag_elem,
     jbasis,
@@ -30,7 +32,7 @@ from albertkit.isotope import (
 from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
 from albertkit.reference import te_expansion
-from albertkit.verify import rand_albert, rand_invertible
+from albertkit.verify import rand_albert, rand_invertible, rand_singular
 
 # the 9 halves in [-2, 2], 0 first so that shrinking still goes towards 0
 rats = st.sampled_from([Fraction(0)] + [Fraction(s * n, 2) for n in range(1, 5) for s in (1, -1)])
@@ -109,11 +111,57 @@ def test_two_constructions_agree(rng):
 def _solve_route(a, X, Y):
     """The product as one exact solve: q_a(U, b) = t_form(a; X, Y, b) / det(a) over jbasis.
 
-    The reference for circ_a_tform, which inverts q_a as det(a)^{-2} U_a.
+    The reference for circ_a_tform, which evaluates the closed form
+    (4/det(a)) u + ((s det(a) - 4 t) / det(a)^2) a and solves nothing.
     """
     d = det_j(a)
     rhs = [t_form(a, X, Y, b) / d for b in jbasis()]
     return AlbertElem.from_coords(solve_exact(gram_qa(a), rhs))
+
+
+def _big(rng, bits=63):
+    """The benchmark's d-large class: 27 integer numerators of up to `bits` bits."""
+    return AlbertElem.from_coords([rng.randrange(-(2**bits), 2**bits) for _ in range(27)])
+
+
+def _sparse(rng):
+    """6 nonzero coordinates: 20-bit numerators over 8-bit denominators."""
+    c = [0] * 27
+    for n in rng.sample(range(27), 6):
+        c[n] = Fraction(rng.randrange(-(2**20), 2**20), rng.randrange(1, 2**8))
+    return AlbertElem.from_coords(c)
+
+
+def _two_dens(rng):
+    """Coordinates over the denominators 3 and 2^40 + 1, alternately."""
+    return AlbertElem.from_coords(
+        [Fraction(rng.randrange(-50, 51), (3, 2**40 + 1)[n % 2]) for n in range(27)]
+    )
+
+
+def _invertible(draw, rng):
+    while True:
+        a = draw(rng)
+        if det_j(a) != 0:
+            return a
+
+
+def _differential_cases(rng):
+    """(a, X, Y) at large, sparse and two-denominator heights, det(a) < 0, and X in {0, a, a#}."""
+    big = _invertible(_big, rng)
+    sparse = _invertible(_sparse, rng)
+    assert sum(1 for n in sparse.nums if n) == 6
+    two = _invertible(_two_dens, rng)
+    assert two.den == 3 * (2**40 + 1)
+    neg = rand_invertible(rng)
+    neg = -neg if det_j(neg) > 0 else neg
+    assert det_j(neg) < 0
+    cases = [(big, _big(rng), _big(rng))]
+    for a in (sparse, two, neg):
+        cases.append((a, rand_albert(rng), rand_albert(rng)))
+    for a in (big, sparse, two, neg):
+        cases += [(a, ALBERT_ZERO, rand_albert(rng)), (a, a, a), (a, cross(a, a), rand_albert(rng))]
+    return cases
 
 
 def test_tform_matches_solve_route(rng):
@@ -128,6 +176,51 @@ def test_tform_matches_solve_route(rng):
     for a in [rand_invertible(rng) for _ in range(4)] + [large]:
         X, Y = rand_albert(rng), rand_albert(rng)
         assert circ_a_tform(a, X, Y) == _solve_route(a, X, Y)
+    # against both independent routes: large, sparse, two-denominator and
+    # det(a) < 0 index elements, and X in {0, a, a#}
+    for a, X, Y in _differential_cases(rng):
+        got = circ_a_tform(a, X, Y)
+        assert got == circ_a_springer(a, X, Y)
+        assert got == _solve_route(a, X, Y)
+
+
+def test_adjoint_identity_of_the_cubic_norm(rng):
+    # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4 for every a, invertible or not;
+    # the closed form of circ_a_tform rests on it (verify: isotope-defs/adjoint-identity)
+    index = [rand_albert(rng), _big(rng), _sparse(rng), _two_dens(rng)]
+    index += [rand_singular(rng), rand_singular(rng), diag_elem(0, 1, 1), ALBERT_ZERO]
+    for a in index:
+        a_sharp = cross(a, a)
+        for u in (rand_albert(rng), _big(rng), E):
+            rhs = (u.scale(det_j(a)) + a.scale(pair(a_sharp, u))).scale(Fraction(1, 4))
+            assert cross(a_sharp, cross(a, u)) == rhs
+    assert det_j(index[4]) == 0 and det_j(index[5]) == 0
+
+
+def test_tform_makes_no_fraction(rng, monkeypatch):
+    # circ_a_tform runs on integers only, and a singular a keeps its documented error
+    args = [(rand_invertible(rng), rand_albert(rng), rand_albert(rng))]
+    args.append((_invertible(_big, rng), _big(rng), _big(rng)))
+    args.append((_invertible(_two_dens, rng), _sparse(rng), rand_albert(rng)))
+    want = [circ_a_springer(*t) for t in args]
+    singular = diag_elem(0, 1, 1)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *a, **k):
+        made.append(a)
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
+    made.clear()
+    got = [circ_a_tform(*t) for t in args]
+    with pytest.raises(SingularPoint) as err:
+        circ_a_tform(singular, E, E)
+    assert made == []
+    monkeypatch.undo()
+    assert got == want
+    assert str(err.value) == "det(a) = 0: the isotope at a is undefined"
 
 
 @settings(max_examples=5, deadline=None)
