@@ -10,7 +10,13 @@ Generators: scalar multiples of the identity, conjugation by diagonal
 matrices, conjugation by permutation matrices, and pure GL(2) factors.
 Compositions of these exercise every equivariance law in the package
 with nontrivial characters. All of them act on coordinates by monomial
-matrices, L b_j = scales[j] b_{perm[j]}, which is how L is stored.
+matrices, L b_j = scales[j] b_{perm[j]}.
+
+How L is stored: as perm and the 27 scale numerators `nums`, Python ints
+over one positive denominator `den` in canonical form, gcd(den, *nums) = 1,
+as octonion._IntCoords stores coordinates. apply_j, compose, tilde, mu and
+act_v work on those ints with one reduction per result; `scales` and the
+dense `L` are Fraction views made on demand. c and g2 stay Fractions.
 
 The character of the V-action is chi(g) = c^4 det(g2)^6; the adjoint
 involution tilde(g) is the unique map with pair(gX, tilde(g)Y) = pair(X, Y);
@@ -22,16 +28,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .albert import _GRAM, AlbertElem, _elem, det_table
 from .errors import SingularMatrix, ZeroScalar
-from .linalg import mat_mul
-from .octonion import _Frozen, _rat
+from .octonion import _canonical, _Frozen, _fractions, _rat
 from .pvs import VPoint
 
 _ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 _ID_PERM = tuple(range(27))
+_ONES = (1,) * 27
+_NONZERO_SCALES = "L needs 27 nonzero scales"
 
 # the Gram matrix of pair is a signed involution: M b_j = _M_SIGN[j] b_{_M_PERM[j]}
 _M_PERM = tuple(j for _, j, _ in _GRAM)
@@ -42,27 +49,38 @@ def det2(m) -> Fraction:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-class GroupElem(_Frozen):
-    """L b_j = scales[j] b_{perm[j]} on J; c: its det multiplier; g2: GL(2) factor. Immutable.
+def _mul2(m, n) -> tuple:
+    """The 2x2 product m n of two GL(2) factors."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
-    A dense matrix comes in only through from_dense; .L is a read-only dense view.
+
+class GroupElem(_Frozen):
+    """L b_j = (nums[j] / den) b_{perm[j]} on J; c: its det multiplier; g2: GL(2) factor. Immutable.
+
+    The scales are int numerators `nums` over one `den` > 0 with gcd(den, *nums) == 1,
+    so == and hash compare exact values. `scales` and the dense `L` are read-only
+    Fraction views; a dense matrix comes in only through from_dense.
     """
 
-    __slots__ = ("perm", "scales", "c", "g2")
+    __slots__ = ("perm", "nums", "den", "c", "g2")
 
     def __init__(self, perm, scales, c, g2=_ID2):
-        object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "scales", tuple(_rat(s) for s in scales))
-        object.__setattr__(self, "c", _rat(c))
-        object.__setattr__(self, "g2", tuple(tuple(_rat(v) for v in row) for row in g2))
-        if sorted(self.perm) != list(_ID_PERM):
+        perm = tuple(perm)
+        if any(type(i) is not int for i in perm) or sorted(perm) != list(_ID_PERM):
             raise ValueError("L must be monomial and invertible: perm is not a permutation of range(27)")
-        if len(self.scales) != 27 or not all(self.scales):
-            raise ZeroScalar("L needs 27 nonzero scales")
-        if self.c == 0:
+        # an int scale needs no Fraction: _canonical reads only numerator and denominator
+        nums, den = _canonical([s if type(s) is int else _rat(s) for s in scales])
+        if len(nums) != 27 or not all(nums):
+            raise ZeroScalar(_NONZERO_SCALES)
+        c = _rat(c)
+        if c == 0:
             raise ZeroScalar("group element must scale det by a nonzero factor")
-        if det2(self.g2) == 0:
+        g2 = tuple(tuple(_rat(v) for v in row) for row in g2)
+        if det2(g2) == 0:
             raise SingularMatrix("GL(2) factor must be invertible")
+        _put(self, perm, nums, den, c, g2)
 
     @classmethod
     def from_dense(cls, L, c, g2=_ID2) -> "GroupElem":
@@ -87,38 +105,46 @@ class GroupElem(_Frozen):
         return g
 
     @property
+    def scales(self) -> tuple:
+        """The 27 scales nums[j] / den as Fractions, a read-only view."""
+        return _fractions(self.nums, self.den)
+
+    @property
     def L(self) -> tuple:
         """The dense 27x27 matrix, a read-only view: L[perm[j]][j] = scales[j]."""
         p, s, zero = self.perm, self.scales, Fraction(0)
         return tuple(tuple(s[j] if p[j] == i else zero for j in range(27)) for i in range(27))
 
+    def _key(self) -> tuple:
+        return (self.perm, self.nums, self.den, self.c, self.g2)
+
     def __eq__(self, other):
         if not isinstance(other, GroupElem):
             return NotImplemented
-        return (self.perm, self.scales, self.c, self.g2) == (other.perm, other.scales, other.c, other.g2)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.perm, self.scales, self.c, self.g2))
+        return hash(self._key())
 
     def __repr__(self):
         return "GroupElem(c=%s, g2=%r, L=<monomial 27x27>)" % (self.c, self.g2)
 
     def apply_j(self, X: AlbertElem) -> AlbertElem:
-        """Scatter X's integer coordinates, scaled over the scales' common denominator."""
-        d = lcm(*(s.denominator for s in self.scales))
+        """Scatter X's integer coordinates times the scale numerators, over X.den * den."""
         out = [0] * 27
-        for i, s, x in zip(self.perm, self.scales, X.nums):
-            out[i] = s.numerator * (d // s.denominator) * x
-        return _elem(out, X.den * d)
+        for i, n, x in zip(self.perm, self.nums, X.nums):
+            out[i] = n * x
+        return _elem(out, X.den * self.den)
 
     def compose(self, other: "GroupElem") -> "GroupElem":
         """self after other: (g.compose(h)) acts as X -> g(h(X)) on J and on V."""
-        p, s = self.perm, self.scales
-        return GroupElem(
-            [p[k] for k in other.perm],
-            [t * s[k] for k, t in zip(other.perm, other.scales)],
+        p, s, q = self.perm, self.nums, other.perm
+        return _group(
+            [p[k] for k in q],
+            [t * s[k] for k, t in zip(q, other.nums)],
+            self.den * other.den,
             self.c * other.c,
-            mat_mul(self.g2, other.g2),
+            _mul2(self.g2, other.g2),
         )
 
     def __mul__(self, other):
@@ -127,21 +153,48 @@ class GroupElem(_Frozen):
         return self.compose(other)
 
 
+# the slot setters object.__setattr__ would reach, without its name lookup (as octonion._set_nums)
+_SETTERS = tuple(getattr(GroupElem, name).__set__ for name in GroupElem.__slots__)
+
+
+def _put(g: GroupElem, *values) -> None:
+    for put, v in zip(_SETTERS, values):
+        put(g, v)
+
+
+def _group(perm, nums, den: int, c: Fraction, g2) -> GroupElem:
+    """The element with scales nums/den (den > 0), reduced to canonical form; nothing is checked."""
+    f = gcd(den, *nums)
+    if f != 1:
+        nums = [n // f for n in nums]
+        den //= f
+    g = object.__new__(GroupElem)
+    _put(g, tuple(perm), tuple(nums), den, c, g2)
+    return g
+
+
 def identity_elem() -> GroupElem:
-    return GroupElem(_ID_PERM, (1,) * 27, 1)
+    return GroupElem(_ID_PERM, _ONES, 1)
 
 
 def scalar_elem(t) -> GroupElem:
     """X -> tX; scales det by t^3."""
-    return GroupElem(_ID_PERM, (t,) * 27, _rat(t) ** 3)
+    t = _rat(t)
+    if t == 0:
+        raise ZeroScalar(_NONZERO_SCALES)
+    return _group(_ID_PERM, (t.numerator,) * 27, t.denominator, t**3, _ID2)
 
 
 def diag_conj(l1, l2, l3) -> GroupElem:
     """X -> DXD for D = diag(l1, l2, l3): s_i -> l_i^2 s_i, x_1 -> l2 l3 x_1 cyclically."""
     ls = (_rat(l1), _rat(l2), _rat(l3))
-    # a diagonal matrix in coordinates: 3 diagonal entries, then 8 per slot
-    factors = [l * l for l in ls] + [ls[(i + 1) % 3] * ls[(i + 2) % 3] for i in range(3) for _ in range(8)]
-    return GroupElem(_ID_PERM, factors, (ls[0] * ls[1] * ls[2]) ** 2)
+    q = lcm(*(l.denominator for l in ls))
+    m = [l.numerator * (q // l.denominator) for l in ls]  # l_i = m_i / q
+    if not all(m):
+        raise ZeroScalar(_NONZERO_SCALES)
+    # a diagonal matrix in coordinates, over q^2: 3 diagonal entries, then 8 per slot
+    nums = [n * n for n in m] + [m[(i + 1) % 3] * m[(i + 2) % 3] for i in range(3) for _ in range(8)]
+    return _group(_ID_PERM, nums, q * q, Fraction((m[0] * m[1] * m[2]) ** 2, q**6), _ID2)
 
 
 def perm_elem(sigma) -> GroupElem:
@@ -179,15 +232,24 @@ def _perm_elem(sig: tuple) -> GroupElem:
 
 def gl2_elem(m) -> GroupElem:
     """Identity on J; m twists the two J summands of V."""
-    return GroupElem(_ID_PERM, (1,) * 27, 1, m)
+    return GroupElem(_ID_PERM, _ONES, 1, m)
 
 
 def act_v(g: GroupElem, x: VPoint) -> VPoint:
-    a, b = g.g2[0]
-    c, d = g.g2[1]
-    la = g.apply_j(x.a)
-    lb = g.apply_j(x.b)
-    return VPoint(a * la + b * lb, c * la + d * lb)
+    """(a LA + b LB, c LA + d LB) for x = (A, B): one integer pass per output element."""
+    (a, b), (c, d) = g.g2
+    return VPoint(_combine(g, a, b, x), _combine(g, c, d, x))
+
+
+def _combine(g: GroupElem, p: Fraction, q: Fraction, x: VPoint) -> AlbertElem:
+    """p LA + q LB = L(p A + q B), on the integer numerators, with one reduction."""
+    A, B = x.a, x.b
+    u = p.numerator * q.denominator * B.den
+    v = q.numerator * p.denominator * A.den
+    out = [0] * 27
+    for i, n, s, t in zip(g.perm, g.nums, A.nums, B.nums):
+        out[i] = n * (u * s + v * t)
+    return _elem(out, p.denominator * q.denominator * A.den * B.den * g.den)
 
 
 def chi(g: GroupElem) -> Fraction:
@@ -199,15 +261,18 @@ def tilde(g: GroupElem) -> GroupElem:
     """The pairing adjoint inverse: pair(gX, tilde(g)Y) = pair(X, Y).
 
     With M the Gram matrix of pair this is M (L^T)^{-1} M, and
-    (L^T)^{-1} b_k = b_{perm[k]} / scales[k]: no inverse is computed. It
-    scales det by 1/c. The GL(2) factor is untouched.
+    (L^T)^{-1} b_k = b_{perm[k]} / scales[k]: no inverse is computed. Over
+    l = lcm(*nums), 1 / scales[k] = den (l // nums[k]) / l. It scales det by
+    1/c. The GL(2) factor is untouched.
     """
-    m, sign, p, s = _M_PERM, _M_SIGN, g.perm, g.scales
-    scales = [sign[j] * sign[p[k]] / s[k] for j, k in enumerate(m)]
-    return GroupElem([m[p[k]] for k in m], scales, 1 / g.c, g.g2)
+    m, sign, p, s, d = _M_PERM, _M_SIGN, g.perm, g.nums, g.den
+    l = lcm(*s)
+    nums = [sign[j] * sign[p[k]] * d * (l // s[k]) for j, k in enumerate(m)]
+    return _group([m[p[k]] for k in m], nums, l, 1 / g.c, g.g2)
 
 
 def mu(g: GroupElem) -> GroupElem:
-    """c det(g2)^2 L, as a map on J; scales det by chi(g)."""
+    """c det(g2)^2 L, as a map on J; scales det by chi(g) = c (c det(g2)^2)^3."""
     factor = g.c * det2(g.g2) ** 2
-    return GroupElem(g.perm, [factor * s for s in g.scales], chi(g))
+    f = factor.numerator
+    return _group(g.perm, [f * n for n in g.nums], g.den * factor.denominator, g.c * factor**3, _ID2)

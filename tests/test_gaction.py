@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -117,11 +118,70 @@ def test_group_elem_validation():
         GroupElem(range(26), ident.scales, 1)
     with pytest.raises(ZeroScalar):
         GroupElem(ident.perm, (0,) + ident.scales[1:], 1)
+    # permutation entries must be ints: floats and bools compare equal to them but index nothing
+    with pytest.raises(ValueError):
+        GroupElem([float(i) for i in range(27)], (1,) * 27, 1)
+    with pytest.raises(ValueError):
+        GroupElem([False, True] + list(range(2, 27)), (1,) * 27, 1)
     # the dense entry point checks the claimed det multiplier exactly
     g = diag_conj(2, 3, 5) * perm_elem((2, 3, 1))
     assert GroupElem.from_dense(g.L, g.c, g.g2) == g
     with pytest.raises(ValueError):
         GroupElem.from_dense(g.L, 2 * g.c, g.g2)
+
+
+def test_group_elem_canonical_form(rng):
+    # 27 int numerators over one den > 0 with gcd 1, so equal maps compare and hash equal
+    half = scalar_elem(Fraction(2, 4))
+    assert half == scalar_elem(Fraction(1, 2)) and hash(half) == hash(scalar_elem(Fraction(1, 2)))
+    assert half.nums == (1,) * 27 and half.den == 2
+    assert GroupElem(half.perm, [Fraction(3, 6)] * 27, Fraction(1, 8)) == half
+    one = scalar_elem(2) * scalar_elem(Fraction(1, 2))
+    assert one == identity_elem() and hash(one) == hash(identity_elem()) and one.den == 1
+    elems = [rand_group(rng) for _ in range(6)] + [rand_special(rng) for _ in range(2)]
+    elems += [f(g) for g in elems for f in (tilde, mu)] + [g * h for g, h in zip(elems, elems[1:])]
+    for g in elems:
+        assert type(g.nums) is tuple and len(g.nums) == 27 and all(type(n) is int for n in g.nums)
+        assert type(g.den) is int and g.den > 0 and gcd(g.den, *g.nums) == 1
+        assert g.scales == tuple(Fraction(n, g.den) for n in g.nums)
+        assert GroupElem(g.perm, g.scales, g.c, g.g2) == g
+    assert any(g.den > 1 for g in elems)
+    g = elems[0]
+    for name in ("nums", "den", "perm"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+
+
+def test_group_ops_make_few_fractions(rng, monkeypatch):
+    # the scales stay integers: apply_j and act_v make no Fraction, and compose,
+    # tilde and mu make only the few their c and g2 need, whatever the 27 scales
+    # are (compose: 1 for c and 3 for each entry of the 2x2 product of g2)
+    elems = [rand_group(rng) for _ in range(8)] + [rand_special(rng)] + _wide_elems()
+    X, x = rand_albert(rng), rand_vpoint(rng)
+    calls = []
+    for g, h in zip(elems, elems[1:]):
+        calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 13)]
+        calls += [(tilde, (g,), 12), (mu, (g,), 12)]
+    want = [f(*args) for f, args, _ in calls]
+    made, counts = [], []
+    new = Fraction.__new__
+
+    def counted(cls, *a, **k):
+        made.append(a)
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
+    got = []
+    for f, args, _ in calls:
+        made.clear()
+        got.append(f(*args))
+        counts.append(len(made))
+    monkeypatch.undo()
+    assert got == want
+    assert all(n <= most for n, (_, _, most) in zip(counts, calls))
 
 
 def test_character_soundness(rng):
@@ -225,10 +285,26 @@ def _dense_reference_elems(rng):
     ] + words
 
 
+def _wide_elems():
+    """Words whose scales have negative and 63-bit numerators over many distinct denominators."""
+    big = 2**62 + 135
+    d1 = diag_conj(Fraction(-big, 3), Fraction(big - 2, 5), Fraction(-7, 2**61 - 1))
+    d2 = diag_conj(Fraction(11, 13), Fraction(-(2**63 - 25), 17), Fraction(19, 23))
+    return [
+        d1,
+        d1 * perm_elem((2, 3, 1)) * d2,
+        scalar_elem(Fraction(-big, 29)) * d2 * gl2_elem([[1, -2], [3, 7]]) * perm_elem((3, 2, 1)),
+    ]
+
+
 def test_monomial_form_matches_dense_reference(rng):
     # the dense 27x27 algebra, kept here as the oracle of the monomial form
     M = pair_gram()
-    elems = _dense_reference_elems(rng)
+    wide = _wide_elems()
+    scales = [s for g in wide for s in g.scales]
+    assert any(s < 0 for s in scales) and max(abs(s.numerator) for s in scales).bit_length() >= 63
+    assert all(len({s.denominator for s in g.scales}) >= 4 for g in wide)
+    elems = _dense_reference_elems(rng) + wide
     for g, h in zip(elems, elems[1:] + elems[:1]):
         L = g.L
         X = rand_albert(rng)
