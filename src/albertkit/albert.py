@@ -26,9 +26,16 @@ gcd(den, *nums) == 1; it shares octonion._IntCoords with Oct. Equality
 and hashing compare those tuples, and +, -, scale and pair do integer
 work only. coords(), .s and .x are Fraction and Oct views made on demand.
 
-Tables. cross, jordan_mul, det_j and trilinear_d contract integer
-coordinates against two sparse tables, each built once, on first use,
-from the octonion formulas evaluated on the 8 Zorn basis octonions:
+Kernels. cross, jordan_mul, det_j and pair run on three integer kernels
+written out as straight-line code, one sum per output with no table
+read at run time: _cross_nums (the 270 constants of cross_tables(), 10
+per coordinate), _det_num (the 45 monomials of det_table()) and
+_pair_nums (the 27 signed terms of the Gram shuffle _GRAM). A test
+checks each kernel against its table on the whole basis.
+
+Tables. The constants come from two sparse tables, each built once, on
+first use, from the octonion formulas evaluated on the 8 Zorn basis
+octonions:
 
  * cross_tables(): the 270 nonzero constants of cross on basis pairs,
    over the denominator 2, from the entrywise formula of the cross
@@ -38,9 +45,13 @@ from the octonion formulas evaluated on the 8 Zorn basis octonions:
    (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
    polarization, over the denominator 6. It never reads the cross table.
 
+They stay the one source of the constants: trilinear_d contracts
+against det_table(), smap._slot_table and gaction.GroupElem.from_dense
+read them; circ_a_tform, k_elem and delta build neither.
+
 The basis octonions and their products have the denominator 1, so the
 builders read integer numerators (nums, _norm_num, _trace_num) and every
-constant is an int; a Fraction constant would put the kernels on
+constant is an int; a Fraction constant would put trilinear_d on
 Fraction arithmetic with the same results.
 
 Oracles. The literal routes the kernels are tested against live in
@@ -52,7 +63,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
-from operator import mul
 
 from .octonion import (
     OCT_ZERO,
@@ -230,15 +240,48 @@ def det_table() -> tuple:
 
 
 def _cross_nums(x, y) -> list:
-    """Numerators of cross on integer coordinates, over the table's denominator 2."""
-    out = [0] * 27
-    for l, m, n, c in cross_tables()[1]:
-        out[n] += c * x[l] * y[m]
-    return out
+    """Numerators of cross on integer coordinates, over the denominator 2.
+
+    cross_tables() written out: coordinate n is the sum of c x_l y_m over
+    its 10 constants (l, m, n, c), each c = +-1.
+    """
+    (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
+     x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
+    (y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13,
+     y14, y15, y16, y17, y18, y19, y20, y21, y22, y23, y24, y25, y26) = y
+    return [
+        x1*y2 + x2*y1 - x3*y10 + x4*y7 + x5*y8 + x6*y9 + x7*y4 + x8*y5 + x9*y6 - x10*y3,
+        x0*y2 + x2*y0 - x11*y18 + x12*y15 + x13*y16 + x14*y17 + x15*y12 + x16*y13 + x17*y14 - x18*y11,
+        x0*y1 + x1*y0 - x19*y26 + x20*y23 + x21*y24 + x22*y25 + x23*y20 + x24*y21 + x25*y22 - x26*y19,
+        -x0*y3 - x3*y0 + x15*y20 + x16*y21 + x17*y22 + x18*y26 + x20*y15 + x21*y16 + x22*y17 + x26*y18,
+        -x0*y4 - x4*y0 - x11*y20 - x12*y26 + x16*y25 - x17*y24 - x20*y11 - x24*y17 + x25*y16 - x26*y12,
+        -x0*y5 - x5*y0 - x11*y21 - x13*y26 - x15*y25 + x17*y23 - x21*y11 + x23*y17 - x25*y15 - x26*y13,
+        -x0*y6 - x6*y0 - x11*y22 - x14*y26 + x15*y24 - x16*y23 - x22*y11 - x23*y16 + x24*y15 - x26*y14,
+        -x0*y7 - x7*y0 - x13*y22 + x14*y21 - x15*y19 - x18*y23 - x19*y15 + x21*y14 - x22*y13 - x23*y18,
+        -x0*y8 - x8*y0 + x12*y22 - x14*y20 - x16*y19 - x18*y24 - x19*y16 - x20*y14 + x22*y12 - x24*y18,
+        -x0*y9 - x9*y0 - x12*y21 + x13*y20 - x17*y19 - x18*y25 - x19*y17 + x20*y13 - x21*y12 - x25*y18,
+        -x0*y10 - x10*y0 + x11*y19 + x12*y23 + x13*y24 + x14*y25 + x19*y11 + x23*y12 + x24*y13 + x25*y14,
+        -x1*y11 + x4*y23 + x5*y24 + x6*y25 + x10*y26 - x11*y1 + x23*y4 + x24*y5 + x25*y6 + x26*y10,
+        -x1*y12 - x4*y19 - x8*y25 + x9*y24 - x10*y20 - x12*y1 - x19*y4 - x20*y10 + x24*y9 - x25*y8,
+        -x1*y13 - x5*y19 + x7*y25 - x9*y23 - x10*y21 - x13*y1 - x19*y5 - x21*y10 - x23*y9 + x25*y7,
+        -x1*y14 - x6*y19 - x7*y24 + x8*y23 - x10*y22 - x14*y1 - x19*y6 - x22*y10 + x23*y8 - x24*y7,
+        -x1*y15 - x3*y23 + x5*y22 - x6*y21 - x7*y26 - x15*y1 - x21*y6 + x22*y5 - x23*y3 - x26*y7,
+        -x1*y16 - x3*y24 - x4*y22 + x6*y20 - x8*y26 - x16*y1 + x20*y6 - x22*y4 - x24*y3 - x26*y8,
+        -x1*y17 - x3*y25 + x4*y21 - x5*y20 - x9*y26 - x17*y1 - x20*y5 + x21*y4 - x25*y3 - x26*y9,
+        -x1*y18 + x3*y19 + x7*y20 + x8*y21 + x9*y22 - x18*y1 + x19*y3 + x20*y7 + x21*y8 + x22*y9,
+        -x2*y19 + x7*y12 + x8*y13 + x9*y14 + x10*y18 + x12*y7 + x13*y8 + x14*y9 + x18*y10 - x19*y2,
+        -x2*y20 - x3*y12 - x4*y18 + x8*y17 - x9*y16 - x12*y3 - x16*y9 + x17*y8 - x18*y4 - x20*y2,
+        -x2*y21 - x3*y13 - x5*y18 - x7*y17 + x9*y15 - x13*y3 + x15*y9 - x17*y7 - x18*y5 - x21*y2,
+        -x2*y22 - x3*y14 - x6*y18 + x7*y16 - x8*y15 - x14*y3 - x15*y8 + x16*y7 - x18*y6 - x22*y2,
+        -x2*y23 - x5*y14 + x6*y13 - x7*y11 - x10*y15 - x11*y7 + x13*y6 - x14*y5 - x15*y10 - x23*y2,
+        -x2*y24 + x4*y14 - x6*y12 - x8*y11 - x10*y16 - x11*y8 - x12*y6 + x14*y4 - x16*y10 - x24*y2,
+        -x2*y25 - x4*y13 + x5*y12 - x9*y11 - x10*y17 - x11*y9 + x12*y5 - x13*y4 - x17*y10 - x25*y2,
+        -x2*y26 + x3*y11 + x4*y15 + x5*y16 + x6*y17 + x11*y3 + x15*y4 + x16*y5 + x17*y6 - x26*y2,
+    ]
 
 
 def cross(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """Freudenthal cross product, contracted against cross_tables().
+    """Freudenthal cross product, from the written-out kernel _cross_nums.
 
     It equals the closed form
 
@@ -252,7 +295,8 @@ def cross(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 def jordan_mul(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """(XY + YX)/2 = X x Y + Tr(X)/2 Y + Tr(Y)/2 X + (pair(X,Y) - Tr(X)Tr(Y))/2 e.
 
-    All terms on the denominator 2 den(X) den(Y); the matrix route
+    All terms on the denominator 2 den(X) den(Y), from the kernels
+    _cross_nums and _pair_nums; the matrix route
     (reference.jordan_via_matrix) is the reference.
     """
     x, y = X.nums, Y.nums
@@ -272,24 +316,49 @@ def trace_j(X: AlbertElem) -> Fraction:
 
 
 def _pair_nums(x, y) -> int:
-    return sum(map(mul, x, gram_apply(y)))
+    """pair on integer coordinates: x . gram_apply(y), the 27 signed terms of _GRAM written out."""
+    (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
+     x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
+    (y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13,
+     y14, y15, y16, y17, y18, y19, y20, y21, y22, y23, y24, y25, y26) = y
+    return (
+        x0*y0 + x1*y1 + x2*y2
+        + x3*y10 - x4*y7 - x5*y8 - x6*y9 - x7*y4 - x8*y5 - x9*y6 + x10*y3
+        + x11*y18 - x12*y15 - x13*y16 - x14*y17 - x15*y12 - x16*y13 - x17*y14 + x18*y11
+        + x19*y26 - x20*y23 - x21*y24 - x22*y25 - x23*y20 - x24*y21 - x25*y22 + x26*y19
+    )
 
 
 def pair(X: AlbertElem, Y: AlbertElem) -> Fraction:
-    """Trace(X o Y) = sum_i s_i t_i + 2 sum_i Q(x_i, y_i)."""
+    """Trace(X o Y) = sum_i s_i t_i + 2 sum_i Q(x_i, y_i), from the kernel _pair_nums."""
     return Fraction(_pair_nums(X.nums, Y.nums), X.den * Y.den)
 
 
 def _det_num(x) -> int:
-    """det on integer coordinates: the numerator of det over den**3."""
-    acc = 0
-    for l, m, n, c in det_table():
-        acc += c * x[l] * x[m] * x[n]
-    return acc
+    """det on integer coordinates: the numerator of det over den**3.
+
+    det_table() written out: its 45 monomials c x_l x_m x_n, each c = +-1,
+    grouped by their first index l.
+    """
+    (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
+     x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
+    return (
+        x0 * (x1*x2 - x3*x10 + x4*x7 + x5*x8 + x6*x9)
+        + x1 * (-x11*x18 + x12*x15 + x13*x16 + x14*x17)
+        + x2 * (-x19*x26 + x20*x23 + x21*x24 + x22*x25)
+        + x3 * (x11*x19 + x12*x23 + x13*x24 + x14*x25)
+        + x4 * (x13*x22 - x14*x21 + x15*x19 + x18*x23)
+        + x5 * (-x12*x22 + x14*x20 + x16*x19 + x18*x24)
+        + x6 * (x12*x21 - x13*x20 + x17*x19 + x18*x25)
+        + x7 * (x11*x20 + x12*x26 - x16*x25 + x17*x24)
+        + x8 * (x11*x21 + x13*x26 + x15*x25 - x17*x23)
+        + x9 * (x11*x22 + x14*x26 - x15*x24 + x16*x23)
+        + x10 * (x15*x20 + x16*x21 + x17*x22 + x18*x26)
+    )
 
 
 def det_j(X: AlbertElem) -> Fraction:
-    """The cubic norm form s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3), via det_table()."""
+    """The cubic norm form s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3), via the kernel _det_num."""
     return Fraction(_det_num(X.nums), X.den ** 3)
 
 

@@ -71,13 +71,18 @@ class GroupElem(_Frozen):
         if any(type(i) is not int for i in perm) or sorted(perm) != list(_ID_PERM):
             raise ValueError("L must be monomial and invertible: perm is not a permutation of range(27)")
         # an int scale needs no Fraction: _canonical reads only numerator and denominator
-        nums, den = _canonical([s if type(s) is int else _rat(s) for s in scales])
-        if len(nums) != 27 or not all(nums):
+        scales = [s if type(s) is int else _rat(s) for s in scales]
+        if len(scales) != 27:
+            raise ValueError("L needs 27 scales, got %d" % len(scales))
+        nums, den = _canonical(scales)
+        if not all(nums):
             raise ZeroScalar(_NONZERO_SCALES)
         c = _rat(c)
         if c == 0:
             raise ZeroScalar("group element must scale det by a nonzero factor")
         g2 = tuple(tuple(_rat(v) for v in row) for row in g2)
+        if [len(row) for row in g2] != [2, 2]:
+            raise ValueError("GL(2) factor must be 2x2")
         if det2(g2) == 0:
             raise SingularMatrix("GL(2) factor must be invertible")
         _put(self, perm, nums, den, c, g2)

@@ -137,8 +137,9 @@ def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 
         V = (2 dn da U + (sx sy - t) da A) / (4 den(X) den(Y) dn^2),
 
-    reduced once: four cross products and no Fraction. The derivation is
-    in the module docstring.
+    reduced once: four cross products, one det and three pairings on the
+    written-out kernels of albert, with no table built or read and no
+    Fraction. The derivation is in the module docstring.
     """
     A, da = a.nums, a.den
     dn = _require_invertible(_det_num(A))

@@ -138,7 +138,9 @@ def k_elem(x: VPoint) -> AlbertElem:
     It is formed in integers: pvs._cubic_nums gives A = d a, B = d b and
     F_x as 4 ints f over d^3, hence r = 3 d^3 p = (3 f0, f1, f2, 3 f3), and
     k is one integer combination of the three cross numerators over 9 d^8,
-    reduced once. No Fraction is made.
+    reduced once. The numerators come from the written-out kernels
+    albert._det_num and albert._cross_nums, so no table is built or read,
+    and no Fraction is made.
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """

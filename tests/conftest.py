@@ -17,7 +17,7 @@ def basis():
 def jordan_tensor(basis):
     """coords of b_i o b_j for every basis pair, filled symmetrically.
 
-    Built through the octonion matrix product, not the table kernels, so
+    Built through the octonion matrix product, not the integer kernels, so
     the tests that read it compare two independent routes.
     """
     table = [[None] * 27 for _ in range(27)]

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albertkit.albert import (
+    _GRAM,
     ALBERT_ZERO,
     AlbertElem,
     E,
+    _cross_nums,
+    _det_num,
+    _pair_nums,
     basis_crosses,
     cross,
     cross_tables,
@@ -324,6 +328,102 @@ def test_kernels_match_references_63_bit(X, Y, Z):
     assert jordan_mul(X, Y) == jordan_via_matrix(X, Y)
     assert det_j(X) == d_expanded(X, X, X)
     assert trilinear_d(X, Y, Z) == d_expanded(X, Y, Z)
+
+
+# -- the written-out kernels against the table contractions they replace -----
+
+
+def _table_cross(x, y):
+    out = [0] * 27
+    for l, m, n, c in cross_tables()[1]:
+        out[n] += c * x[l] * y[m]
+    return out
+
+
+def _table_det(x):
+    return sum(c * x[l] * x[m] * x[n] for l, m, n, c in det_table())
+
+
+def _gram_pair(x, y):
+    return sum(a * b for a, b in zip(x, gram_apply(y)))
+
+
+def _signed(terms):
+    """Signed products as the kernels spell them: 'x1*y2 + x2*y1 - x3*y10 ...'."""
+    text = " ".join(("+ " if c > 0 else "- ") + p for p, c in terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _cross_line(n):
+    """The line of _cross_nums that holds output coordinate n."""
+    return _signed(("x%d*y%d" % (l, m), c) for l, m, k, c in cross_tables()[1] if k == n) + ","
+
+
+def _det_line(l):
+    """The line of _det_num that holds the monomials with first index l."""
+    return "x%d * (%s)" % (l, _signed(("x%d*x%d" % (m, n), c) for k, m, n, c in det_table() if k == l))
+
+
+def _unit(*ks):
+    return [sum(i == k for k in ks) for i in range(27)]
+
+
+def test_cross_kernel_matches_table_on_basis():
+    # cross is bilinear, so agreeing on all 729 basis pairs makes the two maps equal
+    for l in range(27):
+        for m in range(27):
+            x, y = _unit(l), _unit(m)
+            got, want = _cross_nums(x, y), _table_cross(x, y)
+            for n in range(27):
+                assert got[n] == want[n], (
+                    "_cross_nums coordinate %d at (b_%d, b_%d) is %d, cross_tables() gives %d; "
+                    "that coordinate's line should read\n        %s" % (n, l, m, got[n], want[n], _cross_line(n))
+                )
+
+
+def test_pair_kernel_matches_gram_on_basis():
+    for l in range(27):
+        for m in range(27):
+            got, want = _pair_nums(_unit(l), _unit(m)), _gram_pair(_unit(l), _unit(m))
+            _, j, sign = _GRAM[l]
+            assert got == want, (
+                "_pair_nums at (b_%d, b_%d) is %d, _GRAM gives %d; "
+                "it should hold the term %s" % (l, m, got, want, _signed([("x%d*y%d" % (l, j), sign)]))
+            )
+
+
+def test_det_kernel_matches_table_monomials():
+    # 6 D(b_l, b_m, b_n) by polarization is k c_lmn, k = 6, 2, 1 for 1, 2, 3 distinct
+    # indices: so each monomial coefficient of the cubic _det_num is read off exactly
+    table = {(l, m, n): c for l, m, n, c in det_table()}
+    found = 0
+    for l in range(27):
+        for m in range(l, 27):
+            for n in range(m, 27):
+                six_d = (
+                    _det_num(_unit(l, m, n)) - _det_num(_unit(l, m)) - _det_num(_unit(m, n)) - _det_num(_unit(n, l))
+                    + _det_num(_unit(l)) + _det_num(_unit(m)) + _det_num(_unit(n))
+                )
+                got, want = six_d // (6, 2, 1)[len({l, m, n}) - 1], table.get((l, m, n), 0)
+                found += got != 0
+                assert got == want, (
+                    "_det_num has %d x%d*x%d*x%d, det_table() has %d; "
+                    "the line for x%d should read\n        %s" % (got, l, m, n, want, l, _det_line(l))
+                )
+    assert found == len(table) == 45
+
+
+@pytest.mark.parametrize("bits", [4, 20, 63, 200])
+def test_kernels_match_tables_random(bits, rng):
+    def vec():
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(27)]
+
+    for _ in range(20):
+        x, y = vec(), vec()
+        assert _cross_nums(x, y) == _table_cross(x, y)
+        assert _cross_nums(tuple(x), tuple(y)) == _table_cross(x, y)
+        assert _det_num(x) == _table_det(x)
+        assert _pair_nums(x, y) == _gram_pair(x, y)
 
 
 def test_table_sizes():

@@ -118,6 +118,14 @@ def test_group_elem_validation():
         GroupElem(range(26), ident.scales, 1)
     with pytest.raises(ZeroScalar):
         GroupElem(ident.perm, (0,) + ident.scales[1:], 1)
+    # a wrong count of scales is a shape error naming the count, not a zero scale
+    for n in (26, 28):
+        with pytest.raises(ValueError, match="L needs 27 scales, got %d" % n):
+            GroupElem(ident.perm, (1,) * n, 1)
+    # g2 must be 2x2: a ragged or short factor is rejected before chi or act_v reads it
+    for g2 in ([[1, 0, 7], [0, 1], [5, 5]], [[1, 2]], [[1, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="GL\\(2\\) factor must be 2x2"):
+            GroupElem(range(27), (1,) * 27, 1, g2)
     # permutation entries must be ints: floats and bools compare equal to them but index nothing
     with pytest.raises(ValueError):
         GroupElem([float(i) for i in range(27)], (1,) * 27, 1)

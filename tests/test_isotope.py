@@ -11,7 +11,9 @@ from albertkit.albert import (
     AlbertElem,
     E,
     cross,
+    cross_tables,
     det_j,
+    det_table,
     diag_elem,
     jbasis,
     jordan_mul,
@@ -31,6 +33,7 @@ from albertkit.isotope import (
 )
 from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
+from albertkit.pvs import delta
 from albertkit.reference import te_expansion
 from albertkit.verify import rand_albert, rand_invertible, rand_singular
 
@@ -221,6 +224,19 @@ def test_tform_makes_no_fraction(rng, monkeypatch):
     monkeypatch.undo()
     assert got == want
     assert str(err.value) == "det(a) = 0: the isotope at a is undefined"
+
+
+def test_tform_and_delta_build_no_table(rng, sparse_point):
+    # the written-out kernels read no table, so a fresh process pays for neither on this path
+    a, X, Y, x = rand_invertible(rng), rand_albert(rng), rand_albert(rng), sparse_point(rng)
+    want = circ_a_springer(a, X, Y)
+    cross_tables.cache_clear()
+    det_table.cache_clear()
+    got = circ_a_tform(a, X, Y)
+    d = delta(x)
+    assert cross_tables.cache_info().currsize == 0
+    assert det_table.cache_info().currsize == 0
+    assert got == want and d != 0
 
 
 # no shrink phase: each shrink candidate would run _solve_route (27 t_forms and a
