@@ -163,6 +163,8 @@ def _dispatch(args):
         fn = isotope.circ_a_tform if args.method == "tform" else isotope.circ_a_springer
         return {"product": encode_albert(fn(a, x, y))}, 0
     if cmd == "qa":
+        if args.gram and (args.x, args.y) != (None, None):
+            raise ParseError("qa --gram takes only the index element")
         a = decode_albert(load_json(args.a))
         if args.gram:
             gram = isotope.gram_qa(a)

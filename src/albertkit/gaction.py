@@ -211,7 +211,7 @@ def perm_elem(sigma) -> GroupElem:
     per sigma is built, in closed form, and shared.
     """
     sig = tuple(sigma)
-    if sorted(sig) != [1, 2, 3]:
+    if any(type(s) is not int for s in sig) or sorted(sig) != [1, 2, 3]:
         raise ValueError("sigma must be a permutation of (1, 2, 3)")
     return _perm_elem(sig)
 

@@ -1,18 +1,22 @@
 """Seeded, exact verification suites for every identity the package relies on.
 
-A check is one function `body(rng, i) -> bool`, registered by `_check` with
-its suite, its name and its trial count. The count derives from `--trials`:
-`trials` itself, `max(least, trials // per)` (optionally capped), or a fixed
-enumeration. `run_suite` walks the registry with one seeded rng per suite
-and counts exact successes. Nothing is approximate: a single failed
-comparison fails the check. Suites are deterministic functions of
-(seed, trials).
+A check is a draw and a predicate, registered by `_check` with its suite,
+its name and its trial count. `draw(rng, i)` returns trial i's inputs and
+`body(*inputs) -> bool` tests them: the body sees neither the rng nor the
+trial index, so `predicate("suite/check")` hands the same identity to any
+caller with inputs of its own. The count derives from `--trials`: `trials`
+itself, `max(least, trials // per)` (optionally capped), or a fixed
+enumeration. `run_suite` walks the registry with one seeded rng per suite,
+the only caller of a draw, and counts exact successes. Nothing is
+approximate: a single failed comparison fails the check. Suites are
+deterministic functions of (seed, trials).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import gaction, isotope, smap
@@ -151,18 +155,48 @@ def rand_special(rng: random.Random) -> gaction.GroupElem:
     return g
 
 
+def _cells(n: int):
+    """A sampler of n random (row, column) cells of the 27 x 27 basis table."""
+    return lambda rng: [(rng.randrange(27), rng.randrange(27)) for _ in range(n)]
+
+
+def _w_or_semistable(rng: random.Random, at_w: bool) -> VPoint:
+    """The base point w when at_w, else a random semistable point (drawing nothing at w)."""
+    return w_point() if at_w else rand_semistable(rng)
+
+
+def _zorn_pair(rng: random.Random, i: int) -> tuple:
+    """The draw of the 64 ordered pairs of Zorn basis octonions, one per trial."""
+    return ZORN_BASIS[i // 8], ZORN_BASIS[i % 8]
+
+
+# words of generators without a gl2 factor, which act on J alone
+_rand_j_group = partial(rand_group, with_gl2=False)
+
+
 # -- the registry ------------------------------------------------------------
 
-# suite -> [(check name, trial count as a function of trials, body)]; both the
-# suites and their checks keep registration order, which fixes each suite's
+# suite -> [(check name, trial count as a function of trials, draw, body)]; both
+# the suites and their checks keep registration order, which fixes each suite's
 # rng stream and so every result
 _REGISTRY: dict = {}
 
 
+def _of(*samplers):
+    """The draw that calls each sampler once on the rng, in order, at every trial."""
+    return lambda rng, i: tuple(s(rng) for s in samplers)
+
+
 def _check(
-    suite: str, name: str, per: int = 1, cap: int | None = None, least: int = 1, fixed: int | None = None
+    suite: str,
+    name: str,
+    draw: Callable[[random.Random, int], tuple],
+    per: int = 1,
+    cap: int | None = None,
+    least: int = 1,
+    fixed: int | None = None,
 ):
-    """Register `body(rng, i) -> bool` as check `name` of `suite`.
+    """Register `body(*draw(rng, i)) -> bool` as check `name` of `suite`.
 
     It runs `fixed` trials when given, else `trials` itself when `per` is 1,
     else `max(least, trials // per)`, capped at `cap` when given.
@@ -176,93 +210,97 @@ def _check(
         n = trials // per
         return max(least, n if cap is None else min(n, cap))
 
-    def register(body: Callable[[random.Random, int], bool]):
-        _REGISTRY.setdefault(suite, []).append((name, count, body))
+    def register(body: Callable[..., bool]):
+        _REGISTRY.setdefault(suite, []).append((name, count, draw, body))
         return body
 
     return register
 
 
-@_check("octonion", "norm-multiplicative-basis", fixed=64)
-def _norm_basis(rng, i):
-    x = ZORN_BASIS[i // 8]
-    y = ZORN_BASIS[i % 8]
+def predicate(name: str) -> Callable[..., bool]:
+    """The body registered as "suite/check": a pure predicate of that check's inputs."""
+    suite, _, check = name.partition("/")
+    for entry in _REGISTRY.get(suite, ()):
+        if entry[0] == check:
+            return entry[3]
+    raise ValueError("unknown check %r" % (name,))
+
+
+def _same(f, g):
+    """The predicate f(*inputs) == g(*inputs): two routes to one value."""
+    return lambda *inputs: f(*inputs) == g(*inputs)
+
+
+def _raises(error, f, *args) -> bool:
+    """f(*args) raises `error`; any other exception propagates."""
+    try:
+        f(*args)
+    except error:
+        return True
+    return False
+
+
+@_check("octonion", "norm-multiplicative-basis", _zorn_pair, fixed=64)
+def _norm_mul(x, y):
     return oct_norm(oct_mul(x, y)) == oct_norm(x) * oct_norm(y)
 
 
-@_check("octonion", "norm-multiplicative-random")
-def _norm_rand(rng, i):
-    x, y = rand_oct(rng), rand_oct(rng)
-    return oct_norm(oct_mul(x, y)) == oct_norm(x) * oct_norm(y)
+_check("octonion", "norm-multiplicative-random", _of(rand_oct, rand_oct))(_norm_mul)
 
 
-@_check("octonion", "conjugation")
-def _conj_rand(rng, i):
-    x = rand_oct(rng)
+@_check("octonion", "conjugation", _of(rand_oct))
+def _conj(x):
     return (
         oct_mul(x, oct_conj(x)) == OCT_UNIT.scale(oct_norm(x))
         and x + oct_conj(x) == OCT_UNIT.scale(oct_trace(x))
     )
 
 
-@_check("octonion", "quadratic-relation")
-def _quad_rand(rng, i):
-    x = rand_oct(rng)
+@_check("octonion", "quadratic-relation", _of(rand_oct))
+def _quad(x):
     lhs = oct_mul(x, x) - x.scale(oct_trace(x)) + OCT_UNIT.scale(oct_norm(x))
     return lhs.is_zero()
 
 
-@_check("octonion", "q-form")
-def _q_rand(rng, i):
-    x, y = rand_oct(rng), rand_oct(rng)
+@_check("octonion", "q-form", _of(rand_oct, rand_oct))
+def _q(x, y):
     return 2 * oct_q(x, y) == oct_trace(oct_mul(x, oct_conj(y))) and oct_q(x, x) == oct_norm(x)
 
 
-@_check("albert", "commutative")
-def _comm(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("albert", "commutative", _of(rand_albert, rand_albert))
+def _comm(X, Y):
     return jordan_mul(X, Y) == jordan_mul(Y, X)
 
 
-@_check("albert", "unit")
-def _unit(rng, i):
-    X = rand_albert(rng)
+@_check("albert", "unit", _of(rand_albert))
+def _unit(X):
     return jordan_mul(E, X) == X
 
 
-@_check("albert", "jordan-identity")
-def _jid(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("albert", "jordan-identity", _of(rand_albert, rand_albert))
+def _jid(X, Y):
     x2 = jordan_mul(X, X)
     return jordan_mul(x2, jordan_mul(X, Y)) == jordan_mul(X, jordan_mul(x2, Y))
 
 
-@_check("albert", "trace-associative")
-def _trace_assoc(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+@_check("albert", "trace-associative", _of(*[rand_albert] * 3))
+def _trace_assoc(X, Y, Z):
     return pair(jordan_mul(X, Y), Z) == pair(X, jordan_mul(Y, Z))
 
 
-@_check("albert", "matrix-product-path")
-def _matrix_path(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return jordan_via_matrix(X, Y) == jordan_mul(X, Y)
+_check("albert", "matrix-product-path", _of(rand_albert, rand_albert))(_same(jordan_via_matrix, jordan_mul))
 
 
-@_check("cubic-form", "det-anchors", fixed=1)
-def _det_anchors(rng, i):
+@_check("cubic-form", "det-anchors", _of(), fixed=1)
+def _det_anchors():
     return det_j(E) == 1 and trilinear_d(E, E, E) == 1 and det_j(diag_elem(1, 1, 0)) == 0
 
 
-@_check("cubic-form", "polarization-match")
-def _polar(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
-    return trilinear_d(X, Y, Z) == d_expanded(X, Y, Z)
+_check("cubic-form", "polarization-match", _of(*[rand_albert] * 3))(_same(trilinear_d, d_expanded))
 
 
-@_check("cubic-form", "d-symmetric")
-def _symm(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+@_check("cubic-form", "d-symmetric", _of(*[rand_albert] * 3))
+def _symm(X, Y, Z):
     d = trilinear_d(X, Y, Z)
     return (
         d == trilinear_d(Y, X, Z)
@@ -271,39 +309,35 @@ def _symm(rng, i):
     )
 
 
-@_check("cubic-form", "det-of-sum")
-def _det_sum(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("cubic-form", "det-of-sum", _of(rand_albert, rand_albert))
+def _det_sum(X, Y):
     return det_j(X + Y) == det_j(X) + 3 * trilinear_d(X, X, Y) + 3 * trilinear_d(
         X, Y, Y
     ) + det_j(Y)
 
 
-@_check("cross-duality", "pair-cross-duality")
-def _duality(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+@_check("cross-duality", "pair-cross-duality", _of(*[rand_albert] * 3))
+def _duality(X, Y, Z):
     return pair(cross(X, Y), Z) == 3 * trilinear_d(X, Y, Z)
 
 
-@_check("cross-duality", "adjoint-identity")
-def _adjoint(rng, i):
-    X = rand_albert(rng)
+@_check("cross-duality", "adjoint-identity", _of(rand_albert))
+def _adjoint(X):
     return jordan_mul(X, cross(X, X)) == E.scale(det_j(X))
 
 
-@_check("cross-duality", "unit-cross", fixed=1)
-def _unit_cross(rng, i):
+@_check("cross-duality", "unit-cross", _of(), fixed=1)
+def _unit_cross():
     return cross(E, E) == E
 
 
-@_check("cross-duality", "trace-of-cross")
-def _trace_cross(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("cross-duality", "trace-of-cross", _of(rand_albert, rand_albert))
+def _trace_cross(X, Y):
     return trace_j(cross(X, Y)) == (trace_j(X) * trace_j(Y) - pair(X, Y)) / 2
 
 
-@_check("binary-cubic", "w-anchors", fixed=1)
-def _w_anchors(rng, i):
+@_check("binary-cubic", "w-anchors", _of(), fixed=1)
+def _w_anchors():
     w = w_point()
     f = cubic_of(w)
     return (
@@ -314,15 +348,13 @@ def _w_anchors(rng, i):
     )
 
 
-@_check("binary-cubic", "degenerate-points", per=4)
-def _degenerate(rng, i):
-    a = rand_albert(rng)
+@_check("binary-cubic", "degenerate-points", _of(rand_albert), per=4)
+def _degenerate(a):
     return delta(VPoint(a, a)) == 0 and not is_semistable(VPoint(E, E.scale(0)))
 
 
-@_check("smap-base-point", "phi1-at-w")
-def _phi1_w(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("smap-base-point", "phi1-at-w", _of(rand_albert, rand_albert))
+def _phi1_w(X, Y):
     lhs = smap.phi1(w_point(), X, Y).scale(-18)
     rhs = (
         jordan_mul(X, Y)
@@ -332,68 +364,56 @@ def _phi1_w(rng, i):
     return lhs == rhs
 
 
-@_check("smap-base-point", "phi2-at-w")
-def _phi2_w(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("smap-base-point", "phi2-at-w", _of(rand_albert, rand_albert))
+def _phi2_w(X, Y):
     return smap.phi2(w_point(), X, Y).scale(3) == X.scale(trace_j(Y)) + Y.scale(trace_j(X))
 
 
-@_check("smap-base-point", "s-at-w")
-def _s_w(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return smap.s_map(w_point(), X, Y) == jordan_mul(X, Y)
+_check("smap-base-point", "s-at-w", _of(rand_albert, rand_albert))(
+    _same(partial(smap.s_map, w_point()), jordan_mul)
+)
+_check("smap-base-point", "circ-at-w", _of(rand_albert, rand_albert))(
+    _same(partial(smap.circ_x, w_point()), jordan_mul)
+)
 
 
-@_check("smap-base-point", "circ-at-w")
-def _circ_w(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return smap.circ_x(w_point(), X, Y) == jordan_mul(X, Y)
-
-
-@_check("smap-contraction", "literal-vs-contracted", per=2)
-def _recombine(rng, i):
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("smap-contraction", "literal-vs-contracted", _of(rand_vpoint, rand_albert, rand_albert), per=2)
+def _recombine(x, X, Y):
     direct = smap.phi1(x, X, Y).scale(-18) + smap.phi2(x, X, Y).scale(Fraction(3, 2))
     return smap.s_map(x, X, Y) == direct
 
 
-@_check("smap-contraction", "tensor-matches-smap", per=6, cap=4)
-def _tensor_rows(rng, i):
-    x = rand_vpoint(rng)
+@_check("smap-contraction", "tensor-matches-smap", _of(rand_vpoint, _cells(6)), per=6, cap=4)
+def _tensor_rows(x, cells):
     t = smap.structure_tensor(x)
     basis = jbasis()
-    for _ in range(6):
-        r = rng.randrange(27)
-        c = rng.randrange(27)
-        if t.product_coords(r, c) != smap.s_map(x, basis[r], basis[c]).coords():
-            return False
-    return True
+    return all(t.product_coords(r, c) == smap.s_map(x, basis[r], basis[c]).coords() for r, c in cells)
 
 
-@_check("smap-contraction", "argument-swap", per=2)
-def _swap(rng, i):
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("smap-contraction", "argument-swap", _of(rand_vpoint, rand_albert, rand_albert), per=2)
+def _swap(x, X, Y):
     return smap.s_map(VPoint(x.b, x.a), X, Y) == smap.s_map(x, X, Y)
 
 
-@_check("smap-contraction", "repeated-point-vanishes", per=2)
-def _diagonal_zero(rng, i):
-    a = rand_albert(rng)
+@_check("smap-contraction", "repeated-point-vanishes", _of(*[rand_albert] * 3), per=2)
+def _diagonal_zero(a, X, Y):
     x = VPoint(a, a)
-    X, Y = rand_albert(rng), rand_albert(rng)
     return smap.phi1(x, X, Y).is_zero() and smap.phi2(x, X, Y).is_zero()
 
 
-@_check("smap-contraction", "tensor-is-isotope", per=10, least=2)
-def _tensor_isotope(rng, i):
+# at least two trials, because k(w) = E/9 has 24 zero coordinates: a slot-table
+# fault that touches only octonion coordinates of k passes at w
+@_check(
+    "smap-contraction",
+    "tensor-is-isotope",
+    lambda rng, i: (_w_or_semistable(rng, i == 0),),
+    per=10,
+    least=2,
+)
+def _tensor_isotope(x):
     # all 378 unordered basis pairs against delta(x) circ_a_springer(a(x), b_i, b_j),
     # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
-    # neither the slot table nor the Hessian form of k_elem. At least two
-    # trials, because k(w) = E/9 has 24 zero coordinates: a slot-table fault
-    # that touches only octonion coordinates of k passes at w
-    x = w_point() if i == 0 else rand_semistable(rng)
+    # neither the slot table nor the Hessian form of k_elem
     t = smap.structure_tensor(x)
     d = delta(x)
     k = literal_k(x)
@@ -406,45 +426,43 @@ def _tensor_isotope(rng, i):
     )
 
 
-@_check("smap-equivariance", "phi-equivariance", per=2)
-def _phi_law(rng, i):
-    g = rand_group(rng)
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    gx = gaction.act_v(g, x)
+_group_point_pair = _of(rand_group, rand_vpoint, rand_albert, rand_albert)
+
+
+def _equivariant(f, g, x, X, Y) -> bool:
+    """f(g x; g X, g Y) == c^3 det(g2)^4 g f(x; X, Y), the law of S, phi1 and phi2."""
     factor = g.c**3 * gaction.det2(g.g2) ** 4
-    for phi in (smap.phi1, smap.phi2):
-        lhs = phi(gx, g.apply_j(X), g.apply_j(Y))
-        if lhs != g.apply_j(phi(x, X, Y)).scale(factor):
-            return False
-    return True
+    return f(gaction.act_v(g, x), g.apply_j(X), g.apply_j(Y)) == g.apply_j(f(x, X, Y)).scale(factor)
 
 
-@_check("smap-equivariance", "s-equivariance")
-def _s_law(rng, i):
-    g = rand_group(rng)
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    gx = gaction.act_v(g, x)
-    factor = g.c**3 * gaction.det2(g.g2) ** 4
-    lhs = smap.s_map(gx, g.apply_j(X), g.apply_j(Y))
-    return lhs == g.apply_j(smap.s_map(x, X, Y)).scale(factor)
+@_check("smap-equivariance", "phi-equivariance", _group_point_pair, per=2)
+def _phi_law(g, x, X, Y):
+    return all(_equivariant(phi, g, x, X, Y) for phi in (smap.phi1, smap.phi2))
 
 
-@_check("smap-equivariance", "gl2-factor-degree-4", per=2)
-def _gl2_only(rng, i):
-    g = gaction.gl2_elem(_rand_gl2(rng))
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check("smap-equivariance", "s-equivariance", _group_point_pair)
+def _s_law(g, x, X, Y):
+    return _equivariant(smap.s_map, g, x, X, Y)
+
+
+@_check(
+    "smap-equivariance",
+    "gl2-factor-degree-4",
+    _of(lambda rng: gaction.gl2_elem(_rand_gl2(rng)), rand_vpoint, rand_albert, rand_albert),
+    per=2,
+)
+def _gl2_only(g, x, X, Y):
     lhs = smap.s_map(gaction.act_v(g, x), X, Y)
     return lhs == smap.s_map(x, X, Y).scale(gaction.det2(g.g2) ** 4)
 
 
-@_check("smap-equivariance", "normalized-isomorphism", per=2)
-def _mu_law(rng, i):
-    g = rand_group(rng)
-    x = w_point() if i % 3 == 0 else rand_semistable(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
+@_check(
+    "smap-equivariance",
+    "normalized-isomorphism",
+    lambda rng, i: (rand_group(rng), _w_or_semistable(rng, i % 3 == 0), rand_albert(rng), rand_albert(rng)),
+    per=2,
+)
+def _mu_law(g, x, X, Y):
     gx = gaction.act_v(g, x)
     if not is_semistable(gx):
         return False
@@ -453,40 +471,30 @@ def _mu_law(rng, i):
     return lhs == m.apply_j(smap.circ_x(x, X, Y))
 
 
-@_check("group-character", "character-soundness")
-def _soundness(rng, i):
-    g = rand_group(rng)
-    X = rand_albert(rng)
+@_check("group-character", "character-soundness", _of(rand_group, rand_albert))
+def _soundness(g, X):
     return det_j(g.apply_j(X)) == g.c * det_j(X)
 
 
-@_check("group-character", "chi-law")
-def _chi_law(rng, i):
-    g = rand_group(rng)
-    x = rand_vpoint(rng)
+@_check("group-character", "chi-law", _of(rand_group, rand_vpoint))
+def _chi_law(g, x):
     return delta(gaction.act_v(g, x)) == gaction.chi(g) * delta(x)
 
 
-@_check("group-character", "tilde-adjoint-involution", per=4)
-def _tilde_adjoint(rng, i):
-    g = rand_group(rng)
+@_check("group-character", "tilde-adjoint-involution", _of(rand_group, rand_albert, rand_albert), per=4)
+def _tilde_adjoint(g, X, Y):
     gt = gaction.tilde(g)
-    X, Y = rand_albert(rng), rand_albert(rng)
     return pair(g.apply_j(X), gt.apply_j(Y)) == pair(X, Y) and gaction.tilde(gt) == g
 
 
-@_check("group-character", "tilde-cross-compat", per=4)
-def _tilde_cross(rng, i):
-    g = rand_special(rng)
+@_check("group-character", "tilde-cross-compat", _of(rand_special, rand_albert, rand_albert), per=4)
+def _tilde_cross(g, X, Y):
     gt = gaction.tilde(g)
-    X, Y = rand_albert(rng), rand_albert(rng)
     return g.apply_j(cross(X, Y)) == cross(gt.apply_j(X), gt.apply_j(Y))
 
 
-@_check("group-character", "double-cross-scaling", per=2)
-def _double_cross(rng, i):
-    g = rand_group(rng, with_gl2=False)
-    X, Y, Z, W = (rand_albert(rng) for _ in range(4))
+@_check("group-character", "double-cross-scaling", _of(_rand_j_group, *[rand_albert] * 4), per=2)
+def _double_cross(g, X, Y, Z, W):
     lhs = g.apply_j(cross(cross(X, Y), cross(Z, W)))
     rhs = cross(
         cross(g.apply_j(X), g.apply_j(Y)), cross(g.apply_j(Z), g.apply_j(W))
@@ -494,9 +502,8 @@ def _double_cross(rng, i):
     return lhs == rhs
 
 
-@_check("group-character", "mu-chi-multiplicative", per=2)
-def _mu_hom(rng, i):
-    g, h = rand_group(rng), rand_group(rng)
+@_check("group-character", "mu-chi-multiplicative", _of(rand_group, rand_group), per=2)
+def _mu_hom(g, h):
     gh = g.compose(h)
     return (
         gaction.mu(gh) == gaction.mu(g).compose(gaction.mu(h))
@@ -504,72 +511,49 @@ def _mu_hom(rng, i):
     )
 
 
-@_check("group-character", "scalar-character", per=4)
-def _scalar_chi(rng, i):
-    t = rand_rat_nonzero(rng)
+@_check("group-character", "scalar-character", _of(rand_rat_nonzero), per=4)
+def _scalar_chi(t):
     return gaction.chi(gaction.scalar_elem(t)) == t**12
 
 
-@_check("isotope-defs", "tform-at-unit")
-def _tform_e(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+@_check("isotope-defs", "tform-at-unit", _of(*[rand_albert] * 3))
+def _tform_e(X, Y, Z):
     t = isotope.t_form(E, X, Y, Z)
     return t == trace_j(jordan_mul(jordan_mul(X, Y), Z)) and t == trace_j(
         jordan_mul(X, jordan_mul(Y, Z))
     )
 
 
-@_check("isotope-defs", "te-expansion-match")
-def _te_transcribed(rng, i):
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
-    return isotope.t_form(E, X, Y, Z) == te_expansion(X, Y, Z)
+_check("isotope-defs", "te-expansion-match", _of(*[rand_albert] * 3))(
+    _same(partial(isotope.t_form, E), te_expansion)
+)
+_check("isotope-defs", "qa-at-unit", _of(rand_albert, rand_albert))(_same(partial(isotope.q_a, E), pair))
+_check("isotope-defs", "springer-at-unit", _of(rand_albert, rand_albert))(
+    _same(partial(isotope.circ_a_springer, E), jordan_mul)
+)
+_check("isotope-defs", "two-definitions-agree", _of(rand_invertible, rand_albert, rand_albert), per=4)(
+    _same(isotope.circ_a_tform, isotope.circ_a_springer)
+)
 
 
-@_check("isotope-defs", "qa-at-unit")
-def _qa_e(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return isotope.q_a(E, X, Y) == pair(X, Y)
-
-
-@_check("isotope-defs", "springer-at-unit")
-def _springer_e(rng, i):
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return isotope.circ_a_springer(E, X, Y) == jordan_mul(X, Y)
-
-
-@_check("isotope-defs", "two-definitions-agree", per=4)
-def _two_defs(rng, i):
-    a = rand_invertible(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    return isotope.circ_a_tform(a, X, Y) == isotope.circ_a_springer(a, X, Y)
-
-
-@_check("isotope-defs", "gram-fast-path", per=6, cap=4)
-def _gram_path(rng, i):
-    a = rand_invertible(rng)
+@_check("isotope-defs", "gram-fast-path", _of(rand_invertible, _cells(8)), per=6, cap=4)
+def _gram_path(a, cells):
     gram = isotope.gram_qa(a)
     basis = jbasis()
-    for _ in range(8):
-        r = rng.randrange(27)
-        c = rng.randrange(27)
-        if gram[r][c] != isotope.q_a(a, basis[r], basis[c]):
-            return False
-    return True
+    return all(gram[r][c] == isotope.q_a(a, basis[r], basis[c]) for r, c in cells)
 
 
-@_check("isotope-defs", "defining-equation", per=6)
-def _pairing_tform_link(rng, i):
-    a = rand_invertible(rng)
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+@_check("isotope-defs", "defining-equation", _of(rand_invertible, *[rand_albert] * 3), per=6)
+def _pairing_tform_link(a, X, Y, Z):
     u = isotope.circ_a_tform(a, X, Y)
     return isotope.q_a(a, u, Z) == isotope.t_form(a, X, Y, Z) / det_j(a)
 
 
-@_check("isotope-defs", "adjoint-identity")
-def _adjoint_identity(rng, i):
-    # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4, which circ_a_tform's closed form rests on
-    u = rand_albert(rng)
-    for a in (rand_invertible(rng), rand_singular(rng)):
+@_check("isotope-defs", "adjoint-identity", _of(rand_albert, rand_invertible, rand_singular))
+def _adjoint_identity(u, *index):
+    # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4 at each a of index, invertible
+    # or not: circ_a_tform's closed form rests on it
+    for a in index:
         a_sharp = cross(a, a)
         rhs = (u.scale(det_j(a)) + a.scale(pair(a_sharp, u))).scale(Fraction(1, 4))
         if cross(a_sharp, cross(a, u)) != rhs:
@@ -577,85 +561,46 @@ def _adjoint_identity(rng, i):
     return True
 
 
-@_check("jordan-axioms", "circ-x-jordan", per=2)
-def _circ_x_axioms(rng, i):
-    x = rand_semistable(rng)
-    U, W = rand_albert(rng), rand_albert(rng)
-    if smap.circ_x(x, U, W) != smap.circ_x(x, W, U):
+def _is_jordan(mul, U, W) -> bool:
+    """mul is commutative at (U, W) and satisfies the Jordan identity there."""
+    if mul(U, W) != mul(W, U):
         return False
-    u2 = smap.circ_x(x, U, U)
-    return smap.circ_x(x, u2, smap.circ_x(x, U, W)) == smap.circ_x(
-        x, U, smap.circ_x(x, u2, W)
-    )
+    u2 = mul(U, U)
+    return mul(u2, mul(U, W)) == mul(U, mul(u2, W))
 
 
-@_check("jordan-axioms", "circ-a-jordan", per=4)
-def _circ_a_axioms(rng, i):
-    a = rand_invertible(rng)
-    U, W = rand_albert(rng), rand_albert(rng)
-    if isotope.circ_a_springer(a, U, W) != isotope.circ_a_springer(a, W, U):
-        return False
-    u2 = isotope.circ_a_springer(a, U, U)
-    return isotope.circ_a_springer(
-        a, u2, isotope.circ_a_springer(a, U, W)
-    ) == isotope.circ_a_springer(a, U, isotope.circ_a_springer(a, u2, W))
+@_check("jordan-axioms", "circ-x-jordan", _of(rand_semistable, rand_albert, rand_albert), per=2)
+def _circ_x_axioms(x, U, W):
+    return _is_jordan(partial(smap.circ_x, x), U, W)
 
 
-@_check("homogeneity", "s-degree-8", per=4)
-def _s_deg(rng, i):
-    x = rand_vpoint(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    base = smap.s_map(x, X, Y)
-    return all(
-        smap.s_map(x.scale(t), X, Y) == base.scale(Fraction(t) ** 8) for t in (2, 3)
-    )
+@_check("jordan-axioms", "circ-a-jordan", _of(rand_invertible, rand_albert, rand_albert), per=4)
+def _circ_a_axioms(a, U, W):
+    return _is_jordan(partial(isotope.circ_a_springer, a), U, W)
 
 
-@_check("homogeneity", "t-degree-6", per=4)
-def _t_deg(rng, i):
-    a = rand_albert(rng)
-    X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
-    base = isotope.t_form(a, X, Y, Z)
-    return all(
-        isotope.t_form(a.scale(t), X, Y, Z) == Fraction(t) ** 6 * base for t in (2, 3)
-    )
+def _degree(k: int, f):
+    """The predicate f(t a, *rest) == t^k f(a, *rest) at t = 2 and 3."""
+
+    def body(a, *rest):
+        base = f(a, *rest)
+        return all(f(a.scale(t), *rest) == Fraction(t) ** k * base for t in (2, 3))
+
+    return body
 
 
-@_check("homogeneity", "q-degree-4", per=4)
-def _q_deg(rng, i):
-    a = rand_albert(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    base = isotope.q_a(a, X, Y)
-    return all(
-        isotope.q_a(a.scale(t), X, Y) == Fraction(t) ** 4 * base for t in (2, 3)
-    )
+_check("homogeneity", "s-degree-8", _of(rand_vpoint, rand_albert, rand_albert), per=4)(_degree(8, smap.s_map))
+_check("homogeneity", "t-degree-6", _of(*[rand_albert] * 4), per=4)(_degree(6, isotope.t_form))
+_check("homogeneity", "q-degree-4", _of(*[rand_albert] * 3), per=4)(_degree(4, isotope.q_a))
+_check("homogeneity", "phi-a-degree-11", _of(*[rand_albert] * 3), per=4)(_degree(11, isotope.phi_a))
+_check("homogeneity", "delta-degree-12", _of(rand_vpoint), per=4)(_degree(12, delta))
 
 
-@_check("homogeneity", "phi-a-degree-11", per=4)
-def _phi_deg(rng, i):
-    a = rand_albert(rng)
-    X, Y = rand_albert(rng), rand_albert(rng)
-    base = isotope.phi_a(a, X, Y)
-    return all(
-        isotope.phi_a(a.scale(t), X, Y) == base.scale(Fraction(t) ** 11)
-        for t in (2, 3)
-    )
-
-
-@_check("homogeneity", "delta-degree-12", per=4)
-def _delta_deg(rng, i):
-    x = rand_vpoint(rng)
-    base = delta(x)
-    return all(delta(x.scale(t)) == Fraction(t) ** 12 * base for t in (2, 3))
-
-
-@_check("isomorphism", "product-transport", per=4)
-def _unit_image(rng, i):
-    g = rand_group(rng, with_gl2=False)
+@_check("isomorphism", "product-transport", _of(_rand_j_group, rand_albert, rand_albert), per=4)
+def _unit_image(g, X, Y):
     a = g.apply_j(E)
     if det_j(a) == 0:
         return False
-    X, Y = rand_albert(rng), rand_albert(rng)
     expected = g.apply_j(jordan_mul(X, Y))
     gx, gy = g.apply_j(X), g.apply_j(Y)
     return (
@@ -664,52 +609,38 @@ def _unit_image(rng, i):
     )
 
 
-@_check("isomorphism", "x-to-a-link", per=4)
-def _x_to_a(rng, i):
+@_check(
+    "isomorphism",
+    "x-to-a-link",
+    lambda rng, i: (_w_or_semistable(rng, i == 0), rand_albert(rng), rand_albert(rng)),
+    per=4,
+)
+def _x_to_a(x, X, Y):
     # circ_x is the isotope product at a(x) = 81 (k x k) / delta(x); a(w) = e
-    x = w_point() if i == 0 else rand_semistable(rng)
     k = smap.k_elem(x)
     d = delta(x)
     a = cross(k, k).scale(81 / d)
-    if det_j(k) != d * d / 729 or (i == 0 and a != E):
+    if det_j(k) != d * d / 729 or (x == w_point() and a != E):
         return False
-    X, Y = rand_albert(rng), rand_albert(rng)
     return smap.circ_x(x, X, Y) == isotope.circ_a_springer(a, X, Y)
 
 
-@_check("errors", "circ-x-rejects-unstable", fixed=1)
-def _not_semistable(rng, i):
-    try:
-        smap.circ_x(VPoint(E, E.scale(0)), E, E)
-    except NotSemistable:
-        return True
-    return False
+@_check("errors", "circ-x-rejects-unstable", _of(), fixed=1)
+def _not_semistable():
+    return _raises(NotSemistable, smap.circ_x, VPoint(E, E.scale(0)), E, E)
 
 
-@_check("errors", "isotope-rejects-singular", fixed=1)
-def _singular_point(rng, i):
+@_check("errors", "isotope-rejects-singular", _of(), fixed=1)
+def _singular_point():
     a = diag_elem(0, 1, 1)
-    for fn in (isotope.circ_a_springer, isotope.circ_a_tform):
-        try:
-            fn(a, E, E)
-            return False
-        except SingularPoint:
-            pass
-    try:
-        isotope.pairing_a(a, E, E)
-        return False
-    except SingularPoint:
-        return True
+    fns = (isotope.circ_a_springer, isotope.circ_a_tform, isotope.pairing_a)
+    return all(_raises(SingularPoint, fn, a, E, E) for fn in fns)
 
 
-@_check("errors", "solver-rejects-singular", fixed=1)
-def _singular_matrix(rng, i):
+@_check("errors", "solver-rejects-singular", _of(), fixed=1)
+def _singular_matrix():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    try:
-        solve_exact(m, [Fraction(1), Fraction(0)])
-    except SingularMatrix:
-        return True
-    return False
+    return _raises(SingularMatrix, solve_exact, m, [Fraction(1), Fraction(0)])
 
 
 # -- the runner --------------------------------------------------------------
@@ -733,8 +664,8 @@ def run_suite(name: str, seed: int = 0, trials: int = 20) -> list:
         # string seeds hash stably (unlike tuples under PYTHONHASHSEED)
         rng = random.Random("%d:%s" % (seed, suite))
         prefix = suite + "/" if name == "all" else ""
-        for check, count, body in _REGISTRY[suite]:
+        for check, count, draw, body in _REGISTRY[suite]:
             runs = range(count(trials))
-            passed = sum(1 for i in runs if body(rng, i))
+            passed = sum(1 for i in runs if body(*draw(rng, i)))
             results.append(CheckResult(prefix + check, passed, len(runs) - passed))
     return results

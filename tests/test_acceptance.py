@@ -26,12 +26,10 @@ from albertkit.albert import (
 )
 from albertkit.errors import NotSemistable, SingularMatrix, SingularPoint
 from albertkit.gaction import (
-    act_v,
     chi,
     det2,
     diag_conj,
     gl2_elem,
-    mu,
     perm_elem,
     scalar_elem,
 )
@@ -44,11 +42,12 @@ from albertkit.isotope import (
     t_form,
 )
 from albertkit.linalg import solve_exact
-from albertkit.octonion import ZORN_BASIS, oct_mul, oct_norm
+from albertkit.octonion import ZORN_BASIS
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
 from albertkit.reference import te_expansion
 from albertkit.smap import circ_x, s_map, structure_tensor
 from albertkit.verify import (
+    predicate,
     rand_albert,
     rand_group,
     rand_oct,
@@ -66,13 +65,13 @@ def _report(line):
 
 
 def test_c01_octonion_norm_composition():
+    norm_multiplicative = predicate("octonion/norm-multiplicative-random")
     for x in ZORN_BASIS:
         for y in ZORN_BASIS:
-            assert oct_norm(oct_mul(x, y)) == oct_norm(x) * oct_norm(y)
+            assert norm_multiplicative(x, y)
     r = _rng("c01")
     for _ in range(1000):
-        x, y = rand_oct(r), rand_oct(r)
-        assert oct_norm(oct_mul(x, y)) == oct_norm(x) * oct_norm(y)
+        assert norm_multiplicative(rand_oct(r), rand_oct(r))
     _report("c01 octonion norm is multiplicative (64 basis + 1000 random pairs)")
 
 
@@ -104,10 +103,10 @@ def test_c03_cross_duality_exhaustive(basis):
                     assert gram_apply(crosses[j][i].coords())[k] == d3
                     checks += 1
     assert checks == 19683
+    adjoint_identity = predicate("cross-duality/adjoint-identity")
     r = _rng("c03")
     for _ in range(500):
-        X = rand_albert(r)
-        assert jordan_mul(X, cross(X, X)) == E.scale(det_j(X))
+        assert adjoint_identity(rand_albert(r))
     assert cross(E, E) == E
     _report("c03 pairing-cross duality on 19683 triples; adjoint identity on 500")
 
@@ -155,6 +154,7 @@ def test_c06_structure_tensor_at_base_point(jordan_tensor):
 
 
 def test_c07_equivariance_of_s():
+    s_equivariance = predicate("smap-equivariance/s-equivariance")
     r = _rng("c07")
     triples = [
         (rand_vpoint(r), rand_albert(r), rand_albert(r)) for _ in range(20)
@@ -162,26 +162,20 @@ def test_c07_equivariance_of_s():
     count = 0
     for k in range(50):
         g = rand_group(r, max_factors=3)
-        x, X, Y = triples[k % 20]
-        lhs = s_map(act_v(g, x), g.apply_j(X), g.apply_j(Y))
-        factor = g.c ** 3 * det2(g.g2) ** 4
-        assert lhs == g.apply_j(s_map(x, X, Y)).scale(factor)
+        assert s_equivariance(g, *triples[k % 20])
         count += 1
     assert count == 50
     _report("c07 S is equivariant with factor c^3 det^4 (50 elements, 20 triples)")
 
 
 def test_c08_rescaled_action_is_isomorphism():
+    normalized_isomorphism = predicate("smap-equivariance/normalized-isomorphism")
     r = _rng("c08")
     w = w_point()
     for k in range(16):
         g = rand_group(r, max_factors=3)
         x = w if k < 8 else rand_semistable(r)
-        gx = act_v(g, x)
-        m = mu(g)
-        X, Y = rand_albert(r), rand_albert(r)
-        lhs = circ_x(gx, m.apply_j(X), m.apply_j(Y))
-        assert lhs == m.apply_j(circ_x(x, X, Y))
+        assert normalized_isomorphism(g, x, rand_albert(r), rand_albert(r))
     _report("c08 the rescaled action intertwines the normalized products")
 
 
@@ -239,10 +233,9 @@ def test_c10_both_isotope_constructions_agree():
             if det_j(a) != 0:
                 return a
 
+    two_definitions_agree = predicate("isotope-defs/two-definitions-agree")
     for _ in range(200):
-        a = small(r)
-        X, Y = small(r), small(r)
-        assert circ_a_tform(a, X, Y) == circ_a_springer(a, X, Y)
+        assert two_definitions_agree(small(r), small(r), small(r))
     # transported unit: for a = g(e), g carries the base product to circ_a
     for _ in range(10):
         g = rand_group(r, max_factors=3)
@@ -280,35 +273,26 @@ def test_c12_character_law():
         gl2_elem([[2, 1], [1, 1]]),
         gl2_elem([[0, 1], [1, 0]]),
     ] + [perm_elem(p) for p in ((1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (1, 3, 2), (3, 2, 1))]
+    chi_law = predicate("group-character/chi-law")
     for g in gens:
-        x = rand_vpoint(r)
-        assert delta(act_v(g, x)) == chi(g) * delta(x)
+        assert chi_law(g, rand_vpoint(r))
         assert chi(g) == g.c ** 4 * det2(g.g2) ** 6
     for _ in range(50):
-        g = rand_group(r, max_factors=3)
-        x = rand_vpoint(r)
-        assert delta(act_v(g, x)) == chi(g) * delta(x)
+        assert chi_law(rand_group(r, max_factors=3), rand_vpoint(r))
     _report("c12 the degree-12 invariant transforms by c^4 det^6 (generators + 50)")
 
 
 def test_c13_isotopes_are_jordan_algebras():
+    circ_x_jordan = predicate("jordan-axioms/circ-x-jordan")
+    circ_a_jordan = predicate("jordan-axioms/circ-a-jordan")
     r = _rng("c13")
     for _ in range(50):
-        x = rand_semistable(r)
-        X, Y = rand_albert(r), rand_albert(r)
-        assert circ_x(x, X, Y) == circ_x(x, Y, X)
-        X2 = circ_x(x, X, X)
-        assert circ_x(x, X2, circ_x(x, X, Y)) == circ_x(x, X, circ_x(x, X2, Y))
+        assert circ_x_jordan(rand_semistable(r), rand_albert(r), rand_albert(r))
     for _ in range(50):
         a = rand_albert(r)
         while det_j(a) == 0:
             a = rand_albert(r)
-        X, Y = rand_albert(r), rand_albert(r)
-        assert circ_a_springer(a, X, Y) == circ_a_springer(a, Y, X)
-        X2 = circ_a_springer(a, X, X)
-        lhs = circ_a_springer(a, X2, circ_a_springer(a, X, Y))
-        rhs = circ_a_springer(a, X, circ_a_springer(a, X2, Y))
-        assert lhs == rhs
+        assert circ_a_jordan(a, rand_albert(r), rand_albert(r))
     _report("c13 both product families are commutative Jordan products (50 + 50)")
 
 

@@ -141,6 +141,14 @@ def test_qa_missing_args(files, capsys):
     assert code == 1 and payload["error"] == "ParseError"
 
 
+def test_qa_gram_rejects_argument_files(files, capsys):
+    # refused before any file is read: a missing or malformed one makes no other error
+    for extra in ([files["e"]], [files["e"], files["e"]], ["no-such-file.json", "not-json"]):
+        code, payload, _ = run_cli(capsys, "qa", "--gram", files["e"], *extra)
+        assert code == 1
+        assert payload == {"error": "ParseError", "detail": "qa --gram takes only the index element"}
+
+
 def test_isotope_methods_identical_bytes(files, capsys):
     code, _, raw1 = run_cli(
         capsys, "isotope-mul", "--method", "tform", files["e"], files["x"], files["y"]

@@ -7,11 +7,8 @@ from math import gcd
 import pytest
 
 from albertkit.albert import (
-    cross,
-    det_j,
     diag_elem,
     jbasis,
-    pair,
     pair_gram,
     slot_elem,
 )
@@ -31,9 +28,14 @@ from albertkit.gaction import (
 )
 from albertkit.linalg import inv_exact, mat_mul, mat_vec
 from albertkit.octonion import Oct, oct_conj
-from albertkit.pvs import cubic_of, delta, w_point
+from albertkit.pvs import cubic_of, w_point
 from albertkit.reference import from_matrix, to_matrix
-from albertkit.verify import rand_albert, rand_group, rand_special, rand_vpoint
+from albertkit.verify import predicate, rand_albert, rand_group, rand_special, rand_vpoint
+
+character_soundness = predicate("group-character/character-soundness")
+chi_law = predicate("group-character/chi-law")
+tilde_adjoint = predicate("group-character/tilde-adjoint-involution")
+tilde_cross = predicate("group-character/tilde-cross-compat")
 
 
 def test_identity_generators():
@@ -76,8 +78,10 @@ def test_perm_elem():
     assert cyc.apply_j(diag_elem(1, 2, 3)) == diag_elem(2, 3, 1)
     assert cyc.apply_j(slot_elem(1, c)) == slot_elem(3, c)
     assert g.c == 1 and cyc.c == 1
-    with pytest.raises(ValueError):
-        perm_elem((1, 1, 3))
+    # entries of any type but int are refused, equal values included
+    for sigma in ((1, 1, 3), (1.0, 2.0, 3.0), [2, 3, 1.0], (True, 2, 3), (1, 2, Fraction(3))):
+        with pytest.raises(ValueError, match="permutation of"):
+            perm_elem(sigma)
 
 
 def test_perm_elem_matches_matrix_route():
@@ -193,11 +197,12 @@ def test_group_ops_make_few_fractions(rng, monkeypatch):
 
 
 def test_character_soundness(rng):
-    # the stored scalar is the factor det picks up under the linear part
+    # the stored scalar is the factor det picks up under the linear part,
+    # also for the 63-bit words
     for _ in range(12):
-        g = rand_group(rng)
-        X = rand_albert(rng)
-        assert det_j(g.apply_j(X)) == g.c * det_j(X)
+        assert character_soundness(rand_group(rng), rand_albert(rng))
+    for g in _wide_elems():
+        assert character_soundness(g, rand_albert(rng))
 
 
 def test_compose_matches_function_composition(rng):
@@ -231,19 +236,15 @@ def test_cubic_transport(rng):
 
 def test_delta_transport(rng):
     for _ in range(8):
-        g = rand_group(rng)
-        x = rand_vpoint(rng)
-        assert delta(act_v(g, x)) == chi(g) * delta(x)
+        assert chi_law(rand_group(rng), rand_vpoint(rng))
+    for g in _wide_elems():
+        assert chi_law(g, rand_vpoint(rng))
 
 
 def test_tilde_is_pairing_adjoint(rng):
+    # pair(g X, tilde(g) Y) == pair(X, Y), and tilde(tilde(g)) == g
     for _ in range(8):
-        g = rand_group(rng)
-        gt = tilde(g)
-        X, Y = rand_albert(rng), rand_albert(rng)
-        assert pair(g.apply_j(X), gt.apply_j(Y)) == pair(X, Y)
-        back = tilde(gt)
-        assert back.L == g.L and back.c == g.c and back.g2 == g.g2
+        assert tilde_adjoint(rand_group(rng), rand_albert(rng), rand_albert(rng))
 
 
 def test_tilde_cross_compatibility(rng):
@@ -252,9 +253,7 @@ def test_tilde_cross_compatibility(rng):
     for _ in range(8):
         g = rand_special(rng)
         assert g.c == 1
-        gt = tilde(g)
-        X, Y = rand_albert(rng), rand_albert(rng)
-        assert g.apply_j(cross(X, Y)) == cross(gt.apply_j(X), gt.apply_j(Y))
+        assert tilde_cross(g, rand_albert(rng), rand_albert(rng))
 
 
 def test_mu_properties(rng):

@@ -17,7 +17,6 @@ from albertkit.albert import (
     diag_elem,
     jbasis,
     jordan_mul,
-    pair,
     pair_gram,
     trace_j,
 )
@@ -35,7 +34,12 @@ from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
 from albertkit.pvs import delta
 from albertkit.reference import te_expansion
-from albertkit.verify import rand_albert, rand_invertible, rand_singular
+from albertkit.verify import predicate, rand_albert, rand_invertible, rand_singular
+
+two_definitions_agree = predicate("isotope-defs/two-definitions-agree")
+defining_equation = predicate("isotope-defs/defining-equation")
+adjoint_identity = predicate("isotope-defs/adjoint-identity")
+qa_at_unit = predicate("isotope-defs/qa-at-unit")
 
 # the 9 halves in [-2, 2], 0 first so that shrinking still goes towards 0
 rats = st.sampled_from([Fraction(0)] + [Fraction(s * n, 2) for n in range(1, 5) for s in (1, -1)])
@@ -70,8 +74,7 @@ def test_t_form_symmetric(rng):
 def test_q_a_at_unit(rng):
     assert q_a(E, E, E) == 3
     for _ in range(6):
-        X, Y = rand_albert(rng), rand_albert(rng)
-        assert q_a(E, X, Y) == pair(X, Y)
+        assert qa_at_unit(rand_albert(rng), rand_albert(rng))
 
 
 def test_gram_qa(rng):
@@ -106,9 +109,7 @@ def test_degrees_in_a(rng):
 
 def test_two_constructions_agree(rng):
     for _ in range(8):
-        a = rand_invertible(rng)
-        X, Y = rand_albert(rng), rand_albert(rng)
-        assert circ_a_tform(a, X, Y) == circ_a_springer(a, X, Y)
+        assert two_definitions_agree(rand_invertible(rng), rand_albert(rng), rand_albert(rng))
 
 
 def _solve_route(a, X, Y):
@@ -182,21 +183,18 @@ def test_tform_matches_solve_route(rng):
     # against both independent routes: large, sparse, two-denominator and
     # det(a) < 0 index elements, and X in {0, a, a#}
     for a, X, Y in _differential_cases(rng):
-        got = circ_a_tform(a, X, Y)
-        assert got == circ_a_springer(a, X, Y)
-        assert got == _solve_route(a, X, Y)
+        assert two_definitions_agree(a, X, Y)
+        assert circ_a_tform(a, X, Y) == _solve_route(a, X, Y)
 
 
 def test_adjoint_identity_of_the_cubic_norm(rng):
     # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4 for every a, invertible or not;
-    # the closed form of circ_a_tform rests on it (verify: isotope-defs/adjoint-identity)
+    # the closed form of circ_a_tform rests on it
     index = [rand_albert(rng), _big(rng), _sparse(rng), _two_dens(rng)]
     index += [rand_singular(rng), rand_singular(rng), diag_elem(0, 1, 1), ALBERT_ZERO]
     for a in index:
-        a_sharp = cross(a, a)
         for u in (rand_albert(rng), _big(rng), E):
-            rhs = (u.scale(det_j(a)) + a.scale(pair(a_sharp, u))).scale(Fraction(1, 4))
-            assert cross(a_sharp, cross(a, u)) == rhs
+            assert adjoint_identity(u, a)
     assert det_j(index[4]) == 0 and det_j(index[5]) == 0
 
 
@@ -252,9 +250,7 @@ def test_defining_equation(rng):
     # Q_a(X circ_a Y, Z) recovers the cubic form T_a(X, Y, Z) / det(a)
     for _ in range(6):
         a = rand_invertible(rng)
-        X, Y, Z = rand_albert(rng), rand_albert(rng), rand_albert(rng)
-        prod = circ_a_tform(a, X, Y)
-        assert q_a(a, prod, Z) == t_form(a, X, Y, Z) / det_j(a)
+        assert defining_equation(a, rand_albert(rng), rand_albert(rng), rand_albert(rng))
 
 
 def test_pairing_a(rng):

@@ -10,16 +10,14 @@ from albertkit.albert import (
     AlbertElem,
     E,
     cross,
-    det_j,
     jbasis,
     jordan_mul,
     trace_j,
 )
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
-from albertkit.isotope import circ_a_springer
 from albertkit.jsonio import dumps, encode_stensor
-from albertkit.pvs import VPoint, delta, w_point
+from albertkit.pvs import VPoint, w_point
 from albertkit.reference import literal_k
 from albertkit.smap import (
     SIGNED_TERMS,
@@ -34,7 +32,7 @@ from albertkit.smap import (
     s_map,
     structure_tensor,
 )
-from albertkit.verify import rand_albert, rand_semistable, rand_vpoint
+from albertkit.verify import predicate, rand_albert, rand_semistable, rand_vpoint
 
 # all sign patterns for replacing each of the four (first, second) component
 # pairs by its swap; the sign is the parity of the number of swaps
@@ -96,13 +94,11 @@ def test_s_symmetric_and_bilinear(rng):
 
 
 def test_kernels_vanish_on_repeated_point(rng):
+    repeated_point_vanishes = predicate("smap-contraction/repeated-point-vanishes")
     for _ in range(4):
-        a = rand_albert(rng)
-        x = VPoint(a, a)
-        X, Y = rand_albert(rng), rand_albert(rng)
-        assert phi1(x, X, Y).is_zero()
-        assert phi2(x, X, Y).is_zero()
-        assert s_map(x, X, Y).is_zero()
+        a, X, Y = rand_albert(rng), rand_albert(rng), rand_albert(rng)
+        assert repeated_point_vanishes(a, X, Y)
+        assert s_map(VPoint(a, a), X, Y).is_zero()
 
 
 def test_argument_swap_symmetry(rng):
@@ -174,18 +170,11 @@ def test_slot_table_pinned():
 
 
 def test_structure_tensor_is_isotope(rng, sparse_point):
-    # all 378 unordered basis pairs against delta(x) circ_a_springer(a, b_i, b_j),
-    # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
-    # neither the slot table nor the Hessian form of k_elem
-    basis = jbasis()
+    # all 378 unordered basis pairs against the isotope product at a(x), by a
+    # route that shares neither the slot table nor the Hessian form of k_elem
+    tensor_is_isotope = predicate("smap-contraction/tensor-is-isotope")
     for x in (w_point(), rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
-        t = structure_tensor(x)
-        d = delta(x)
-        k = literal_k(x)
-        a = cross(k, k).scale(81 / d)
-        for i in range(27):
-            for j in range(i, 27):
-                assert t.product_coords(i, j) == circ_a_springer(a, basis[i], basis[j]).scale(d).coords()
+        assert tensor_is_isotope(x)
 
 
 def test_structure_tensor_at_base_point_is_jordan(jordan_tensor):
@@ -299,14 +288,8 @@ def test_k_elem_is_literal_signed_sum(rng, sparse_point):
 
 def test_circ_x_is_isotope_at_a_of_x(rng, sparse_point):
     # the x -> a link: circ_x is the isotope product of J at a(x) = 81 k#/delta(x)
-    w = w_point()
-    for x in (w, rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
-        k = k_elem(x)
-        d = delta(x)
-        assert det_j(k) == d * d / 729
-        a = cross(k, k).scale(81 / d)
-        if x == w:
-            assert a == E
+    x_to_a_link = predicate("isomorphism/x-to-a-link")
+    for x in (w_point(), rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
         for _ in range(2):
             X, Y = rand_albert(rng), rand_albert(rng)
-            assert circ_x(x, X, Y) == circ_a_springer(a, X, Y)
+            assert x_to_a_link(x, X, Y)

@@ -1,10 +1,42 @@
 """The verification suites themselves: all green, deterministic, well-named."""
 
+import hashlib
+import inspect
+import random
+import re
+
 import pytest
 
-from albertkit.verify import SUITE_NAMES, run_suite
+from albertkit import verify
+from albertkit.verify import SUITE_NAMES, predicate, run_suite
 
 SUITES = [n for n in SUITE_NAMES if n != "all"]
+
+# sha256(repr(rng.getstate())), first 12 hex digits, of each suite's rng once each
+# check has run, in registry order, at seed 0 with 3 trials. They pin every
+# sampler and every draw: a change to either moves them, and is re-recorded on purpose.
+STATE_AFTER_CHECK = (
+    "8ddf60622c96 e7a295f23abb 31beb6cb26c3 660e9252b3a5 af90213166f8 f3ac86304498 "
+    "afb0084afdec 2c3f7dbf8b3f f9e81d3973dd 37a3b4bcb09b 32e196ab8636 cacb599193be "
+    "e9847ebe3124 79cc249972b8 c98595a37e84 e1b7dfc48c90 e1b7dfc48c90 220c700f97df "
+    "35030ef5ade2 2f9e036dc6ac 2f0e29f6c8f0 46e77fed46c2 727380d4a7fe 006f069501ae "
+    "63aa62060364 30fba8974030 6a6b2fc43f31 41f5fc91ea8d 3b6eb1bdb799 267c65d4494b "
+    "31e63eecc2b1 92a0a0d20d7b 140a1fa38a10 19aee824c1c0 1b74c8bf2c5f cf2fe17219e7 "
+    "6b55092ea2f6 6786e132a39f 53e70bf852e6 5d8fb93d61bd 8c29d4991894 1df2660049aa "
+    "e9be866834cd 3c228fefb683 0fd38f1f9102 841ee4e7fcd6 b6b4e4e729d1 099e7aa7639d "
+    "90fce26c64a1 474ea9313ac7 82fe26c6d027 df19c26c618d acf29d15dde8 dd14d20e2ab5 "
+    "a6eda5c3eeb7 7e74f3979044 03af3374ec2e 525497382179 525497382179 525497382179 "
+).split()
+
+# for each (seed, trials): sha256 of the 60 concatenated per-check digests, first 12 hex digits
+STATE_AFTER_ALL = {
+    (0, 1): "0246304f7c08",
+    (0, 3): "ee0dfdd5162f",
+    (0, 20): "4da67a48ec9e",
+    (11, 1): "58cc39859e7c",
+    (11, 3): "4d4ab324d04a",
+    (11, 20): "83458c09cbee",
+}
 
 # cheap suites get more trials; the heavyweight ones make their point with few
 TRIALS = {
@@ -82,3 +114,55 @@ def test_check_result_shape():
     (first, *_) = run_suite("octonion", seed=0, trials=3)
     assert first.ok is (first.failed == 0)
     assert isinstance(first.name, str)
+
+
+def _state_after_each_check(monkeypatch, seed, trials):
+    """[(suite/check, digest of its suite's rng once it has run)] from run_suite("all")."""
+    after = {}
+
+    def spy(name, draw):
+        def spied(rng, i):
+            inputs = draw(rng, i)
+            after[name] = rng.getstate()
+            return inputs
+
+        return spied
+
+    registry = {
+        suite: [(check, count, spy(suite + "/" + check, draw), body) for check, count, draw, body in checks]
+        for suite, checks in verify._REGISTRY.items()
+    }
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    run_suite("all", seed, trials)
+    return [(name, hashlib.sha256(repr(state).encode()).hexdigest()[:12]) for name, state in after.items()]
+
+
+def test_draw_stream_is_pinned(monkeypatch):
+    got = _state_after_each_check(monkeypatch, 0, 3)
+    assert len(got) == len(STATE_AFTER_CHECK) == 60
+    for (name, digest), want in zip(got, STATE_AFTER_CHECK):
+        assert digest == want, "the rng stream drifted first at %s" % name
+
+
+@pytest.mark.parametrize("seed, trials", sorted(STATE_AFTER_ALL))
+def test_draw_stream_is_pinned_at_each_setting(monkeypatch, seed, trials):
+    got = _state_after_each_check(monkeypatch, seed, trials)
+    total = hashlib.sha256("".join(d for _, d in got).encode()).hexdigest()[:12]
+    assert total == STATE_AFTER_ALL[seed, trials], "the rng stream drifted at seed %d, trials %d" % (seed, trials)
+
+
+def test_every_body_is_a_predicate_of_its_draw():
+    for suite, checks in verify._REGISTRY.items():
+        for check, _, draw, body in checks:
+            signature = inspect.signature(body)
+            assert not {"rng", "i"} & set(signature.parameters), suite + "/" + check
+            signature.bind(*draw(random.Random(0), 0))
+
+
+def test_predicate_returns_the_registered_body():
+    for suite, checks in verify._REGISTRY.items():
+        for check, _, _, body in checks:
+            assert predicate(suite + "/" + check) is body
+    for name in ("no-such-suite/unit", "albert/no-such-check", "albert", "unit"):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            predicate(name)
