@@ -74,8 +74,6 @@ from .octonion import (
     _norm_num,
     _rat,
     _reduced,
-    _set_den,
-    _set_nums,
     _trace_num,
     oct_conj,
     oct_mul,
@@ -97,8 +95,7 @@ class AlbertElem(_IntCoords):
         # each part is canonical, so over the lcm of their denominators the gcd stays 1
         parts = [_canonical((_rat(a), _rat(b), _rat(c)))] + [(x.nums, x.den) for x in (x1, x2, x3)]
         den = lcm(*(d for _, d in parts))
-        _set_nums(self, tuple(n * (den // d) for nums, d in parts for n in nums))
-        _set_den(self, den)
+        self._init(tuple(n * (den // d) for nums, d in parts for n in nums), den)
 
     @staticmethod
     def from_coords(c) -> "AlbertElem":

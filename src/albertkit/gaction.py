@@ -15,8 +15,9 @@ matrices, L b_j = scales[j] b_{perm[j]}.
 How L is stored: as perm and the 27 scale numerators `nums`, Python ints
 over one positive denominator `den` in canonical form, gcd(den, *nums) = 1,
 as octonion._IntCoords stores coordinates. apply_j, compose, tilde, mu and
-act_v work on those ints with one reduction per result; `scales` and the
-dense `L` are Fraction views made on demand. c and g2 stay Fractions.
+act_v work on those ints with one octonion._lowest per result; `scales`
+and the dense `L` are Fraction views made on demand. c and g2 stay
+Fractions. octonion._Frozen sets, compares and hashes the slots.
 
 The character of the V-action is chi(g) = c^4 det(g2)^6; the adjoint
 involution tilde(g) is the unique map with pair(gX, tilde(g)Y) = pair(X, Y);
@@ -28,11 +29,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .albert import _GRAM, AlbertElem, _elem, det_table
 from .errors import SingularMatrix, ZeroScalar
-from .octonion import _canonical, _Frozen, _fractions, _rat
+from .octonion import _canonical, _Frozen, _fractions, _lowest, _rat
 from .pvs import VPoint
 
 _ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -85,7 +86,7 @@ class GroupElem(_Frozen):
             raise ValueError("GL(2) factor must be 2x2")
         if det2(g2) == 0:
             raise SingularMatrix("GL(2) factor must be invertible")
-        _put(self, perm, nums, den, c, g2)
+        self._init(perm, nums, den, c, g2)
 
     @classmethod
     def from_dense(cls, L, c, g2=_ID2) -> "GroupElem":
@@ -95,6 +96,8 @@ class GroupElem(_Frozen):
         each monomial of det_table() to one monomial, distinct ones to distinct ones, and
         the image must be c times det_table().
         """
+        if len(L) != 27 or any(len(row) != 27 for row in L):
+            raise ValueError("L must be a 27x27 matrix")
         cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*L)]
         if any(len(col) != 1 for col in cols):
             raise ValueError("L must be monomial: one nonzero entry in each column")
@@ -119,17 +122,6 @@ class GroupElem(_Frozen):
         """The dense 27x27 matrix, a read-only view: L[perm[j]][j] = scales[j]."""
         p, s, zero = self.perm, self.scales, Fraction(0)
         return tuple(tuple(s[j] if p[j] == i else zero for j in range(27)) for i in range(27))
-
-    def _key(self) -> tuple:
-        return (self.perm, self.nums, self.den, self.c, self.g2)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return "GroupElem(c=%s, g2=%r, L=<monomial 27x27>)" % (self.c, self.g2)
@@ -158,23 +150,10 @@ class GroupElem(_Frozen):
         return self.compose(other)
 
 
-# the slot setters object.__setattr__ would reach, without its name lookup (as octonion._set_nums)
-_SETTERS = tuple(getattr(GroupElem, name).__set__ for name in GroupElem.__slots__)
-
-
-def _put(g: GroupElem, *values) -> None:
-    for put, v in zip(_SETTERS, values):
-        put(g, v)
-
-
 def _group(perm, nums, den: int, c: Fraction, g2) -> GroupElem:
     """The element with scales nums/den (den > 0), reduced to canonical form; nothing is checked."""
-    f = gcd(den, *nums)
-    if f != 1:
-        nums = [n // f for n in nums]
-        den //= f
     g = object.__new__(GroupElem)
-    _put(g, tuple(perm), tuple(nums), den, c, g2)
+    g._init(tuple(perm), *_lowest(nums, den), c, g2)
     return g
 
 
@@ -192,9 +171,7 @@ def scalar_elem(t) -> GroupElem:
 
 def diag_conj(l1, l2, l3) -> GroupElem:
     """X -> DXD for D = diag(l1, l2, l3): s_i -> l_i^2 s_i, x_1 -> l2 l3 x_1 cyclically."""
-    ls = (_rat(l1), _rat(l2), _rat(l3))
-    q = lcm(*(l.denominator for l in ls))
-    m = [l.numerator * (q // l.denominator) for l in ls]  # l_i = m_i / q
+    m, q = _canonical((_rat(l1), _rat(l2), _rat(l3)))  # l_i = m_i / q
     if not all(m):
         raise ZeroScalar(_NONZERO_SCALES)
     # a diagonal matrix in coordinates, over q^2: 3 diagonal entries, then 8 per slot

@@ -130,12 +130,12 @@ def cubic_to_str(f: BinaryCubic) -> str:
 
 
 class _Rendered(_Frozen):
-    """A JSON document already in canonical form, newline included: dumps returns its text."""
+    """A JSON document already in canonical form, newline included: dumps returns its text; == compares texts."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
+        self._init(text)
 
 
 def encode_stensor(t: StructureTensor) -> _Rendered:

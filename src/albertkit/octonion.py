@@ -27,11 +27,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 
 def _rat(x) -> Fraction:
+    """x as an exact Fraction; TypeError for a float, whose binary value is seldom the one meant."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError("exact values only: got the float %r; pass an int, a Fraction or a string" % x)
     return Fraction(x)
 
 
@@ -41,6 +45,14 @@ def _canonical(coords) -> tuple:
     return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
+def _lowest(nums, den: int) -> tuple:
+    """nums/den (den > 0) in lowest terms: (a tuple of ints, den) with gcd(den, *nums) == 1."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return tuple([n // g for n in nums]), den // g
+    return tuple(nums), den
+
+
 def _fractions(nums, den: int) -> tuple:
     if den == 1:
         return tuple(map(Fraction, nums))
@@ -48,13 +60,37 @@ def _fractions(nums, den: int) -> tuple:
 
 
 class _Frozen:
-    """A value type whose slots, once set through object.__setattr__, cannot change.
+    """A value type: slots set at construction (_init), then compared and hashed by one rule.
+
+    Each subclass records `_setters`, its slot setters, and `_key`, an
+    attrgetter over its slots not named "_...", both in declaration order,
+    base classes first. Values of one type are == when their keys are,
+    and hash by the key; a "_" slot is a cache (StructureTensor._rows).
 
     Values are hashed and shared (E, OCT_UNIT, the bases, cached group
     elements), so an assignment would corrupt every holder.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())]
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        cls._key = attrgetter(*[name for name in names if not name.startswith("_")])
+
+    def _init(self, *values):
+        for put, v in zip(self._setters, values):
+            put(self, v)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -66,23 +102,15 @@ class _Frozen:
 class _IntCoords(_Frozen):
     """Rational coordinates as Python ints `nums` over one denominator `den`.
 
-    The form is canonical: den > 0 and gcd(den, *nums) == 1. So equality
-    and hashing compare those tuples, and +, -, and scale do integer work
-    only. Values of different subclasses never mix.
+    The form is canonical: den > 0 and gcd(den, *nums) == 1, so the
+    _Frozen key (nums, den) compares exact values, and +, -, and scale do
+    integer work only. Values of different subclasses never mix.
     """
 
     __slots__ = ("nums", "den")
 
     def coords(self) -> tuple:
         return _fractions(self.nums, self.den)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -116,19 +144,15 @@ class _IntCoords(_Frozen):
 
 def _reduced(cls, nums, den: int):
     """The cls value nums/den (den > 0), reduced to canonical form."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
+    nums, den = _lowest(nums, den)
     X = object.__new__(cls)
-    _set_nums(X, tuple(nums))
+    _set_nums(X, nums)
     _set_den(X, den)
     return X
 
 
-# the slot setters object.__setattr__ would reach, without its name lookup: _reduced is on every hot path
-_set_nums = _IntCoords.nums.__set__
-_set_den = _IntCoords.den.__set__
+# the two setters directly, without _init's loop: _reduced is on every hot path
+_set_nums, _set_den = _IntCoords._setters
 
 
 class Oct(_IntCoords):
@@ -139,9 +163,7 @@ class Oct(_IntCoords):
     def __init__(self, alpha, v=(0, 0, 0), w=(0, 0, 0), beta=0):
         v1, v2, v3 = v
         w1, w2, w3 = w
-        nums, den = _canonical([_rat(c) for c in (alpha, v1, v2, v3, w1, w2, w3, beta)])
-        _set_nums(self, nums)
-        _set_den(self, den)
+        self._init(*_canonical([_rat(c) for c in (alpha, v1, v2, v3, w1, w2, w3, beta)]))
 
     # -- value semantics ----------------------------------------------------
 

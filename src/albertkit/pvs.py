@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .albert import AlbertElem, _det_num, diag_elem
-from .octonion import _Frozen
+from .octonion import _Frozen, _rat
 
 
 class VPoint(_Frozen):
@@ -28,16 +28,7 @@ class VPoint(_Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a: AlbertElem, b: AlbertElem):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if not isinstance(other, VPoint):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        self._init(a, b)
 
     def __repr__(self):
         return "VPoint(%r, %r)" % (self.a, self.b)
@@ -52,19 +43,10 @@ class BinaryCubic(_Frozen):
     __slots__ = ("c30", "c21", "c12", "c03")
 
     def __init__(self, c30, c21, c12, c03):
-        for name, value in (("c30", c30), ("c21", c21), ("c12", c12), ("c03", c03)):
-            object.__setattr__(self, name, Fraction(value))
+        self._init(_rat(c30), _rat(c21), _rat(c12), _rat(c03))
 
     def coeffs(self) -> tuple:
         return (self.c30, self.c21, self.c12, self.c03)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryCubic):
-            return NotImplemented
-        return self.coeffs() == other.coeffs()
-
-    def __hash__(self):
-        return hash(self.coeffs())
 
     def __repr__(self):
         return "BinaryCubic(%s, %s, %s, %s)" % self.coeffs()
@@ -73,8 +55,8 @@ class BinaryCubic(_Frozen):
         return "[%s, %s, %s, %s]" % self.coeffs()
 
     def evaluate(self, v1, v2) -> Fraction:
-        v1 = Fraction(v1)
-        v2 = Fraction(v2)
+        v1 = _rat(v1)
+        v2 = _rat(v2)
         return (
             self.c30 * v1**3
             + self.c21 * v1**2 * v2

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -59,7 +58,7 @@ from .albert import (
     trilinear_d,
 )
 from .errors import NotSemistable
-from .octonion import _Frozen
+from .octonion import _Frozen, _lowest
 from .pvs import VPoint, _cubic_nums, delta
 
 
@@ -165,12 +164,13 @@ class StructureTensor(_Frozen):
 
     Stored as the k = k_elem(point) they are a fixed linear image of:
     kn, the 27 numerators of (9/2) k over one positive denominator den,
-    with gcd(den, *kn) = 1. Each k_l is some entry, up to sign, so == and
-    hash compare (point, kn, den). rows[i * 27 + j] is the 27 numerators
-    of s_map(x, b_i, b_j) over den, (i, j) and (j, i) sharing one tuple;
-    it is laid out on first read and kept, since the JSON encoder never
-    reads it. entry, product_coords and flat (row-major in (i, j, k)) are
-    Fraction views of rows built on each call. Immutable.
+    with gcd(den, *kn) = 1 (octonion._lowest). Each k_l is some entry, up
+    to sign, so == and hash (octonion._Frozen) compare (point, kn, den).
+    rows[i * 27 + j] is the 27 numerators of s_map(x, b_i, b_j) over den,
+    (i, j) and (j, i) sharing one tuple; it is laid out on first read and
+    kept in the cache slot _rows, since the JSON encoder never reads it.
+    entry, product_coords and flat (row-major in (i, j, k)) are Fraction
+    views of rows built on each call. Immutable.
     """
 
     __slots__ = ("point", "kn", "den", "_rows")
@@ -181,12 +181,7 @@ class StructureTensor(_Frozen):
             raise ValueError("structure tensor needs the 27 numerators of k")
         if den <= 0:
             raise ValueError("structure tensor needs a positive denominator")
-        g = gcd(den, *kn)
-        if g != 1:
-            kn = tuple(v // g for v in kn)
-            den //= g
-        for name, value in (("point", point), ("kn", kn), ("den", den), ("_rows", None)):
-            object.__setattr__(self, name, value)
+        self._init(point, *_lowest(kn, den), None)
 
     @property
     def rows(self) -> tuple:
@@ -207,14 +202,6 @@ class StructureTensor(_Frozen):
     def product_coords(self, i: int, j: int) -> tuple:
         d = self.den
         return tuple(Fraction(v, d) for v in self.rows[i * 27 + j])
-
-    def __eq__(self, other):
-        if not isinstance(other, StructureTensor):
-            return NotImplemented
-        return (self.point, self.kn, self.den) == (other.point, other.kn, other.den)
-
-    def __hash__(self):
-        return hash((self.point, self.kn, self.den))
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)

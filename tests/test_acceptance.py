@@ -18,9 +18,7 @@ from albertkit.albert import (
     det_j,
     diag_elem,
     gram_apply,
-    jbasis,
     jordan_mul,
-    pair,
     trace_j,
     trilinear_d,
 )

@@ -31,9 +31,10 @@ from albertkit.albert import (
     trace_j,
     trilinear_d,
 )
-from albertkit.gaction import perm_elem
-from albertkit.octonion import OCT_UNIT, Oct, oct_conj, oct_mul, oct_norm, oct_trace
-from albertkit.pvs import cubic_of, w_point
+from albertkit.gaction import GroupElem, act_v, identity_elem, perm_elem
+from albertkit.jsonio import dumps, encode_stensor
+from albertkit.octonion import OCT_UNIT, Oct, _Frozen, oct_conj, oct_mul, oct_norm, oct_trace
+from albertkit.pvs import BinaryCubic, cubic_of, w_point
 from albertkit.reference import (
     cross_via_matrix,
     d_expanded,
@@ -42,6 +43,7 @@ from albertkit.reference import (
     mat3_mul,
     to_matrix,
 )
+from albertkit.smap import StructureTensor, structure_tensor
 from albertkit.verify import predicate
 
 # the 9 halves in [-2, 2], 0 first so that shrinking still goes towards 0
@@ -289,14 +291,55 @@ def test_value_semantics():
     assert (a - a).is_zero()
 
 
-@pytest.mark.parametrize(
-    "value",
-    [OCT_UNIT, E, w_point(), cubic_of(w_point()), perm_elem((2, 1, 3))],
-    ids=["Oct", "AlbertElem", "VPoint", "BinaryCubic", "GroupElem"],
-)
-def test_value_types_are_immutable(value):
-    # shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and held
-    # by callers, so no slot may be reassigned, deleted or added
+def _leaves(cls) -> set:
+    subs = cls.__subclasses__()
+    return set().union(*map(_leaves, subs)) if subs else {cls}
+
+
+_T = structure_tensor(w_point())
+assert _T.rows  # read: the other StructureTensor route below never is, so _rows differs
+_G = perm_elem((2, 1, 3))  # the shared cached element
+_HALF = Fraction(1, 2)
+
+# (value, the same value by another route, its public slots in order): the key
+# each type but _Rendered, which compared by identity before, has always hashed
+VALUES = {
+    "Oct": (OCT_UNIT, Oct.from_coords([1, 0, 0, 0, 0, 0, 0, 1]), (OCT_UNIT.nums, OCT_UNIT.den)),
+    "AlbertElem": (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(_HALF), (E.nums, E.den)),
+    "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
+    "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), (0, 1, -1, 0)),
+    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, _G.c, _G.g2)),
+    "StructureTensor": (
+        _T,
+        StructureTensor(w_point(), [6 * v for v in _T.kn], 6 * _T.den),
+        (_T.point, _T.kn, _T.den),
+    ),
+    "_Rendered": (
+        encode_stensor(_T),
+        encode_stensor(structure_tensor(act_v(identity_elem(), w_point()))),
+        dumps(encode_stensor(_T)),
+    ),
+}
+
+
+@pytest.mark.parametrize("value, other, key", VALUES.values(), ids=VALUES.keys())
+def test_value_types_are_immutable(value, other, key):
+    """The one rule of octonion._Frozen, on every value type.
+
+    Equal values built by two routes are == and hash equal, by their
+    public slots, so hashes are those of the old per-type keys; a value
+    of another type is not compared; a slot whose name starts with "_"
+    is a cache that takes no part; and no slot can be set or deleted.
+    Shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and
+    held by callers, so an assignment would corrupt every holder.
+    """
+    assert {type(v) for v, _, _ in VALUES.values()} == _leaves(_Frozen)
+    if type(value) is StructureTensor:
+        assert value._rows is not None and other._rows is None
+    assert value == other and value is not other and not value != other
+    assert hash(value) == hash(other) == hash(key)
+    strangers = [key] + [v for v, _, _ in VALUES.values() if type(v) is not type(value)]
+    assert all(value.__eq__(v) is NotImplemented and value != v for v in strangers)
     h = hash(value)
     slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
     assert slots

@@ -293,8 +293,6 @@ def test_canonical_refuses_what_json_cannot_hold():
         json.dumps({"t": enc})
     with pytest.raises(TypeError):
         dumps({"t": enc})
-    with pytest.raises(AttributeError):
-        enc.text = dumps({})
 
 
 def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):

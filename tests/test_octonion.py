@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from albertkit.albert import AlbertElem, E, diag_elem
+from albertkit.gaction import diag_conj, scalar_elem
 from albertkit.octonion import (
     OCT_UNIT,
     OCT_ZERO,
@@ -20,6 +22,7 @@ from albertkit.octonion import (
     trace_prod,
     trace_prod3,
 )
+from albertkit.pvs import BinaryCubic
 
 # +-n/d for n = 1..6 over the denominators 2, 3, 7 and 2**40 + 1, 0 first so
 # that shrinking still goes towards 0: the coordinates of one octonion, and
@@ -223,3 +226,26 @@ def test_zero_and_scaling():
     assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
     assert OCT_ZERO.is_zero()
     assert 2 * x == x + x
+
+
+def test_floats_are_refused():
+    # a float's binary value is seldom the rational meant: 0.1 would be 3602879701896397/2**55
+    w = BinaryCubic(0, 1, -1, 0)
+    for build in (
+        lambda: Oct(0.5),
+        lambda: Oct.from_coords([0.5] + [0] * 7),
+        lambda: OCT_UNIT.scale(0.25),
+        lambda: diag_elem(0.1, 0, 0),
+        lambda: AlbertElem.from_coords([0.5] + [0] * 26),
+        lambda: E.scale(0.25),
+        lambda: 0.25 * E,
+        lambda: scalar_elem(0.5),
+        lambda: diag_conj(1, 0.5, 1),
+        lambda: BinaryCubic(0.5, 1, 1, 1),
+        lambda: w.evaluate(0.5, 1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    # ints, Fractions and exact strings still go in
+    assert diag_elem(Fraction(1, 10), 0, 0) == diag_elem("1/10", 0, 0) == diag_elem(1, 0, 0).scale("0.1")
+    assert BinaryCubic(0, "1", Fraction(-1), 0) == w and w.evaluate(2, "1") == 2
