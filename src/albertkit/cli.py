@@ -4,6 +4,10 @@ Every value crossing stdin/stdout is exact; rationals print as "p/q".
 Identical argv and input files produce identical bytes. Failures exit 1
 with {"error": kind, "detail": message} on stdout; a malformed command
 line is a ParseError. --help prints usage and exits 0.
+
+_COMMANDS holds every subcommand but verify once: its help, its input
+files as (argument, help, decoder) and its result, a function of the
+args and the decoded inputs. _parser() and _dispatch() both read it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,65 @@ def _trials(text: str) -> int:
     return n
 
 
+def _rat(key, fn):
+    """The result {key: fn(*inputs)}, a rational."""
+    return lambda args, *inputs: {key: rat_to_str(fn(*inputs))}
+
+
+def _elem(key, fn):
+    """The result {key: fn(*inputs)}, an element of J."""
+    return lambda args, *inputs: {key: encode_albert(fn(*inputs))}
+
+
+def _albert(*files):
+    """Element files, each given as (argument, help)."""
+    return [(name, helptext, decode_albert) for name, helptext in files]
+
+
+def _smap(args, point, x, y):
+    key, fn = ("circ", smap.circ_x) if args.normalize else ("smap", smap.s_map)
+    return {key: encode_albert(fn(point, x, y))}
+
+
+def _isotope_mul(args, a, x, y):
+    fn = isotope.circ_a_tform if args.method == "tform" else isotope.circ_a_springer
+    return {"product": encode_albert(fn(a, x, y))}
+
+
+def _qa(args, a):
+    """The Gram matrix under --gram; else q_a(x, y), whose files are read once both are given."""
+    if args.gram:
+        return {"gram": [[rat_to_str(v) for v in row] for row in isotope.gram_qa(a)]}
+    if args.x is None or args.y is None:
+        raise ParseError("qa needs two argument files unless --gram is given")
+    x, y = (decode_albert(load_json(f)) for f in (args.x, args.y))
+    return {"qa": rat_to_str(isotope.q_a(a, x, y))}
+
+
+_ELEM = _albert(("elem", "element JSON file"))
+_POINT = [("point", "VPoint JSON file", decode_vpoint)]
+_XY = _albert(("x", "left factor"), ("y", "right factor"))
+_XYZ = _albert(("x", "first"), ("y", "second"), ("z", "third"))
+
+# subcommand -> (help, input files as (argument, help, decoder), result of (args, *decoded inputs))
+_COMMANDS = {
+    "det": ("cubic form of an element", _ELEM, _rat("det", det_j)),
+    "trace": ("trace of an element", _ELEM, _rat("trace", trace_j)),
+    "jordan": ("Jordan product", _XY, _elem("jordan", jordan_mul)),
+    "cross": ("Freudenthal cross product", _XY, _elem("cross", cross_j)),
+    "dform": ("polarized determinant D(X, Y, Z)", _XYZ, _rat("dform", trilinear_d)),
+    "cubic": ("binary cubic of a point of V", _POINT, lambda args, x: {"cubic": cubic_to_str(cubic_of(x))}),
+    "delta": ("degree-12 invariant of a point of V", _POINT, _rat("delta", delta)),
+    "smap": ("structure map S_x(X, Y)", _POINT + _albert(("x", "first input"), ("y", "second input")), _smap),
+    "structure": (
+        "full 27x27x27 structure tensor at a point", _POINT, lambda args, x: encode_stensor(smap.structure_tensor(x))
+    ),
+    "tform": ("trilinear form T_a(X, Y, Z)", _albert(("a", "index element")) + _XYZ, _rat("tform", isotope.t_form)),
+    "isotope-mul": ("isotope product X circ_a Y", _albert(("a", "index element, det != 0")) + _XY, _isotope_mul),
+    "qa": ("bilinear form Q_a", _albert(("a", "index element")), _qa),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors follow the JSON error contract."""
 
@@ -56,53 +119,23 @@ def _parser() -> argparse.ArgumentParser:
         "its cubic form, and the structure map on pairs.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def cmd(name, helptext, *files):
+    for name, (helptext, files, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
-        for fname, fhelp in files:
+        for fname, fhelp, _ in files:
             sp.add_argument(fname, help=fhelp)
-        return sp
-
-    cmd("det", "cubic form of an element", ("elem", "element JSON file"))
-    cmd("trace", "trace of an element", ("elem", "element JSON file"))
-    cmd("jordan", "Jordan product", ("x", "left factor"), ("y", "right factor"))
-    cmd("cross", "Freudenthal cross product", ("x", "left factor"), ("y", "right factor"))
-    cmd(
-        "dform",
-        "polarized determinant D(X, Y, Z)",
-        ("x", "first"), ("y", "second"), ("z", "third"),
-    )
-    cmd("cubic", "binary cubic of a point of V", ("point", "VPoint JSON file"))
-    cmd("delta", "degree-12 invariant of a point of V", ("point", "VPoint JSON file"))
-    sp = cmd(
-        "smap",
-        "structure map S_x(X, Y)",
-        ("point", "VPoint JSON file"), ("x", "first input"), ("y", "second input"),
-    )
-    sp.add_argument(
+    sub.choices["smap"].add_argument(
         "--normalize",
         action="store_true",
         help="divide by delta(point): the isotope product (needs semistability)",
     )
-    cmd("structure", "full 27x27x27 structure tensor at a point", ("point", "VPoint JSON file"))
-    cmd(
-        "tform",
-        "trilinear form T_a(X, Y, Z)",
-        ("a", "index element"), ("x", "first"), ("y", "second"), ("z", "third"),
-    )
-    sp = cmd(
-        "isotope-mul",
-        "isotope product X circ_a Y",
-        ("a", "index element, det != 0"), ("x", "left factor"), ("y", "right factor"),
-    )
-    sp.add_argument(
+    sub.choices["isotope-mul"].add_argument(
         "--method",
         choices=("tform", "springer"),
         default="tform",
         help="tform (default): the V with q_a(V, Z) = T_a(X, Y, Z) / det(a) for every Z, "
         "in closed form; springer: evaluate det(a)^-4 phi_a(X, Y), the quadratic-map formula",
     )
-    sp = cmd("qa", "bilinear form Q_a", ("a", "index element"))
+    sp = sub.choices["qa"]
     sp.add_argument("x", nargs="?", help="first argument (omit with --gram)")
     sp.add_argument("y", nargs="?", help="second argument (omit with --gram)")
     sp.add_argument(
@@ -118,76 +151,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args):
-    cmd = args.command
-    if cmd == "det":
-        return {"det": rat_to_str(det_j(decode_albert(load_json(args.elem))))}, 0
-    if cmd == "trace":
-        return {"trace": rat_to_str(trace_j(decode_albert(load_json(args.elem))))}, 0
-    if cmd == "jordan":
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        return {"jordan": encode_albert(jordan_mul(x, y))}, 0
-    if cmd == "cross":
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        return {"cross": encode_albert(cross_j(x, y))}, 0
-    if cmd == "dform":
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        z = decode_albert(load_json(args.z))
-        return {"dform": rat_to_str(trilinear_d(x, y, z))}, 0
-    if cmd == "cubic":
-        return {"cubic": cubic_to_str(cubic_of(decode_vpoint(load_json(args.point))))}, 0
-    if cmd == "delta":
-        return {"delta": rat_to_str(delta(decode_vpoint(load_json(args.point))))}, 0
-    if cmd == "smap":
-        point = decode_vpoint(load_json(args.point))
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        if args.normalize:
-            return {"circ": encode_albert(smap.circ_x(point, x, y))}, 0
-        return {"smap": encode_albert(smap.s_map(point, x, y))}, 0
-    if cmd == "structure":
-        point = decode_vpoint(load_json(args.point))
-        return encode_stensor(smap.structure_tensor(point)), 0
-    if cmd == "tform":
-        a = decode_albert(load_json(args.a))
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        z = decode_albert(load_json(args.z))
-        return {"tform": rat_to_str(isotope.t_form(a, x, y, z))}, 0
-    if cmd == "isotope-mul":
-        a = decode_albert(load_json(args.a))
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        fn = isotope.circ_a_tform if args.method == "tform" else isotope.circ_a_springer
-        return {"product": encode_albert(fn(a, x, y))}, 0
-    if cmd == "qa":
-        if args.gram and (args.x, args.y) != (None, None):
-            raise ParseError("qa --gram takes only the index element")
-        a = decode_albert(load_json(args.a))
-        if args.gram:
-            gram = isotope.gram_qa(a)
-            return {"gram": [[rat_to_str(v) for v in row] for row in gram]}, 0
-        if args.x is None or args.y is None:
-            raise ParseError("qa needs two argument files unless --gram is given")
-        x = decode_albert(load_json(args.x))
-        y = decode_albert(load_json(args.y))
-        return {"qa": rat_to_str(isotope.q_a(a, x, y))}, 0
+    if args.command == "verify":
+        return _verify(args)
+    if args.command == "qa" and args.gram and (args.x, args.y) != (None, None):
+        raise ParseError("qa --gram takes only the index element")
+    _, files, result = _COMMANDS[args.command]
+    return result(args, *[dec(load_json(getattr(args, f))) for f, _, dec in files]), 0
+
+
+def _verify(args):
     from . import verify
 
     results = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
     ok = all(r.failed == 0 for r in results)
-    payload = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "trials": args.trials,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "failed": r.failed} for r in results
-        ],
-        "ok": ok,
-    }
-    return payload, 0 if ok else 1
+    checks = [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results]
+    return {"suite": args.suite, "seed": args.seed, "trials": args.trials, "checks": checks, "ok": ok}, 0 if ok else 1
 
 
 def main(argv=None) -> int:

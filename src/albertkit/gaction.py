@@ -63,6 +63,10 @@ class GroupElem(_Frozen):
     The scales are int numerators `nums` over one `den` > 0 with gcd(den, *nums) == 1,
     so == and hash compare exact values. `scales` and the dense `L` are read-only
     Fraction views; a dense matrix comes in only through from_dense.
+
+    The constructor checks c exactly, on integers: with q = perm^-1, (LX)_i = scales[q[i]]
+    X_{q[i]}, so L maps each monomial of det_table() to one, distinct ones to distinct ones,
+    and the image must be c times det_table(). An L that is no similarity is a ValueError.
     """
 
     __slots__ = ("perm", "nums", "den", "c", "g2")
@@ -81,36 +85,26 @@ class GroupElem(_Frozen):
         c = _rat(c)
         if c == 0:
             raise ZeroScalar("group element must scale det by a nonzero factor")
-        g2 = tuple(tuple(_rat(v) for v in row) for row in g2)
-        if [len(row) for row in g2] != [2, 2]:
-            raise ValueError("GL(2) factor must be 2x2")
-        if det2(g2) == 0:
-            raise SingularMatrix("GL(2) factor must be invertible")
+        g2 = _gl2(g2)
+        q = sorted(_ID_PERM, key=perm.__getitem__)
+        image = {}
+        for l, m, n, a in det_table():
+            l, m, n = sorted((q[l], q[m], q[n]))
+            image[l, m, n] = a * nums[l] * nums[m] * nums[n] * c.denominator
+        cd3 = c.numerator * den**3
+        if image != {(l, m, n): a * cd3 for l, m, n, a in det_table()}:
+            raise ValueError("c = %s is not the det multiplier of L" % (c,))
         self._init(perm, nums, den, c, g2)
 
     @classmethod
     def from_dense(cls, L, c, g2=_ID2) -> "GroupElem":
-        """The element with the 27x27 matrix L; ValueError unless L is monomial with det multiplier c.
-
-        c is checked exactly: with q = perm^-1, (LX)_i = scales[q[i]] X_{q[i]}, so L maps
-        each monomial of det_table() to one monomial, distinct ones to distinct ones, and
-        the image must be c times det_table().
-        """
+        """The element with the 27x27 matrix L; ValueError unless L is monomial, then as the constructor."""
         if len(L) != 27 or any(len(row) != 27 for row in L):
             raise ValueError("L must be a 27x27 matrix")
         cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*L)]
         if any(len(col) != 1 for col in cols):
             raise ValueError("L must be monomial: one nonzero entry in each column")
-        g = cls([col[0][0] for col in cols], [col[0][1] for col in cols], c, g2)
-        q = sorted(_ID_PERM, key=g.perm.__getitem__)
-        s = g.scales
-        image = {}
-        for l, m, n, a in det_table():
-            l, m, n = sorted((q[l], q[m], q[n]))
-            image[l, m, n] = a * s[l] * s[m] * s[n]
-        if image != {(l, m, n): g.c * a for l, m, n, a in det_table()}:
-            raise ValueError("c = %s is not the det multiplier of L" % (g.c,))
-        return g
+        return cls([col[0][0] for col in cols], [col[0][1] for col in cols], c, g2)
 
     @property
     def scales(self) -> tuple:
@@ -157,8 +151,18 @@ def _group(perm, nums, den: int, c: Fraction, g2) -> GroupElem:
     return g
 
 
+def _gl2(m) -> tuple:
+    """m as a 2x2 tuple of Fractions; ValueError unless 2x2, SingularMatrix unless invertible."""
+    m = tuple(tuple(_rat(v) for v in row) for row in m)
+    if [len(row) for row in m] != [2, 2]:
+        raise ValueError("GL(2) factor must be 2x2")
+    if det2(m) == 0:
+        raise SingularMatrix("GL(2) factor must be invertible")
+    return m
+
+
 def identity_elem() -> GroupElem:
-    return GroupElem(_ID_PERM, _ONES, 1)
+    return _group(_ID_PERM, _ONES, 1, Fraction(1), _ID2)
 
 
 def scalar_elem(t) -> GroupElem:
@@ -209,12 +213,12 @@ def _perm_elem(sig: tuple) -> GroupElem:
         for a, (b, sign) in enumerate(coord):
             perm[3 + 8 * old + a] = 3 + 8 * new + b
             scales[3 + 8 * old + a] = sign
-    return GroupElem(perm, scales, 1)
+    return _group(perm, scales, 1, Fraction(1), _ID2)
 
 
 def gl2_elem(m) -> GroupElem:
     """Identity on J; m twists the two J summands of V."""
-    return GroupElem(_ID_PERM, _ONES, 1, m)
+    return _group(_ID_PERM, _ONES, 1, Fraction(1), _gl2(m))
 
 
 def act_v(g: GroupElem, x: VPoint) -> VPoint:

@@ -85,13 +85,18 @@ def _exact(cls, pairs):
     return _reduced(cls, [p * (den // q) for p, q in pairs], den)
 
 
+def _oct_pairs(obj) -> list:
+    """The 8 parsed (p, q) of an octonion's coordinates; ParseError unless an array of 8."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 8:
+        raise ParseError("octonion must be an array of 8 rationals")
+    return [_parse(c) for c in obj]
+
+
 def encode_oct(x: Oct) -> list:
     return [_fmt(n, x.den) for n in x.nums]
 
 def decode_oct(obj) -> Oct:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 8:
-        raise ParseError("octonion must be an array of 8 rationals")
-    return _exact(Oct, [_parse(c) for c in obj])
+    return _exact(Oct, _oct_pairs(obj))
 
 
 def encode_albert(X: AlbertElem) -> dict:
@@ -110,9 +115,7 @@ def decode_albert(obj) -> AlbertElem:
         raise ParseError("oct must hold 3 octonions")
     pairs = [_parse(c) for c in diag]
     for o in octs:
-        if not isinstance(o, (list, tuple)) or len(o) != 8:
-            raise ParseError("octonion must be an array of 8 rationals")
-        pairs += [_parse(c) for c in o]
+        pairs += _oct_pairs(o)
     return _exact(AlbertElem, pairs)
 
 

@@ -280,5 +280,3 @@ OCT_UNIT = Oct(1, (0, 0, 0), (0, 0, 0), 1)
 
 # Basis in coordinate order [alpha, v1, v2, v3, w1, w2, w3, beta].
 ZORN_BASIS = tuple(_reduced(Oct, [int(i == j) for i in range(8)], 1) for j in range(8))
-
-ZORN_BASIS_NAMES = ("alpha", "v1", "v2", "v3", "w1", "w2", "w3", "beta")

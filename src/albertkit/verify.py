@@ -516,6 +516,11 @@ def _scalar_chi(t):
     return gaction.chi(gaction.scalar_elem(t)) == t**12
 
 
+@_check("group-character", "act-v-is-action", _of(rand_group, rand_group, rand_vpoint))
+def _act_v_action(g, h, x):
+    return gaction.act_v(g.compose(h), x) == gaction.act_v(g, gaction.act_v(h, x))
+
+
 @_check("isotope-defs", "tform-at-unit", _of(*[rand_albert] * 3))
 def _tform_e(X, Y, Z):
     t = isotope.t_form(E, X, Y, Z)

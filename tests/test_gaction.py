@@ -36,6 +36,7 @@ character_soundness = predicate("group-character/character-soundness")
 chi_law = predicate("group-character/chi-law")
 tilde_adjoint = predicate("group-character/tilde-adjoint-involution")
 tilde_cross = predicate("group-character/tilde-cross-compat")
+act_v_action = predicate("group-character/act-v-is-action")
 
 
 def test_identity_generators():
@@ -133,6 +134,13 @@ def test_group_elem_validation():
         GroupElem([float(i) for i in range(27)], (1,) * 27, 1)
     with pytest.raises(ValueError):
         GroupElem([False, True] + list(range(2, 27)), (1,) * 27, 1)
+    # the constructor checks the det multiplier too: 2 L multiplies det by 8, and
+    # scaling one coordinate alone is no similarity, so no c fits it
+    with pytest.raises(ValueError, match="not the det multiplier"):
+        GroupElem(range(27), [2] * 27, 1)
+    assert GroupElem(range(27), [2] * 27, 8) == scalar_elem(2)
+    with pytest.raises(ValueError, match="not the det multiplier"):
+        GroupElem(range(27), [1] * 26 + [2], 1)
     # the dense entry point checks the claimed det multiplier exactly
     g = diag_conj(2, 3, 5) * perm_elem((2, 3, 1))
     assert GroupElem.from_dense(g.L, g.c, g.g2) == g
@@ -270,9 +278,7 @@ def test_mu_properties(rng):
 
 def test_act_v_is_group_action(rng):
     for _ in range(8):
-        g, h = rand_group(rng), rand_group(rng)
-        x = rand_vpoint(rng)
-        assert act_v(g * h, x) == act_v(g, act_v(h, x))
+        assert act_v_action(rand_group(rng), rand_group(rng), rand_vpoint(rng))
     x = rand_vpoint(rng)
     assert act_v(identity_elem(), x) == x
 
