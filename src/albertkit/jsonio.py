@@ -129,7 +129,7 @@ def decode_vpoint(obj) -> VPoint:
 
 
 def cubic_to_str(f: BinaryCubic) -> str:
-    return "[%s, %s, %s, %s]" % tuple(rat_to_str(c) for c in f.coeffs())
+    return "[%s, %s, %s, %s]" % tuple(_fmt(n, f.den) for n in f.nums)
 
 
 class _Rendered(_Frozen):

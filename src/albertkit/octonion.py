@@ -17,10 +17,10 @@ holds on all 64 basis products (and on random pairs) with this choice.
 
 Representation. An Oct holds its 8 coordinates as Python ints over one
 common denominator, in canonical form, the same representation
-albert.AlbertElem uses for its 27 (both build on _IntCoords below). The
-product and the forms work on those ints; the scalar forms return one
-Fraction each, and alpha, v, w, beta and coords() are Fraction views
-made on demand.
+albert.AlbertElem uses for its 27 and pvs.BinaryCubic for its 4 (all
+build on _IntCoords below). The product and the forms work on those
+ints; the scalar forms return one Fraction each, and alpha, v, w, beta
+and coords() are Fraction views made on demand.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class _Frozen:
     """A value type: slots set at construction (_init), then compared and hashed by one rule.
 
     Each subclass records `_setters`, its slot setters, and `_key`, an
-    attrgetter over its slots not named "_...", both in declaration order,
-    base classes first. Values of one type are == when their keys are,
-    and hash by the key; a "_" slot is a cache (StructureTensor._rows).
+    attrgetter over its slots, both in declaration order, base classes
+    first. Values of one type are == when their keys are, and hash by the
+    key.
 
     Values are hashed and shared (E, OCT_UNIT, the bases, cached group
     elements), so an assignment would corrupt every holder.
@@ -77,7 +77,7 @@ class _Frozen:
         super().__init_subclass__(**kwargs)
         names = [name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())]
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
-        cls._key = attrgetter(*[name for name in names if not name.startswith("_")])
+        cls._key = attrgetter(*names)
 
     def _init(self, *values):
         for put, v in zip(self._setters, values):

@@ -11,6 +11,9 @@ projective line) are the semistable ones; every construction downstream
 that divides by delta demands semistability. The reference semistable
 point is w = (diag(1, -1, 0), diag(0, 1, -1)) with F_w = v1 v2 (v1 - v2)
 and delta(w) = 1.
+
+F_x is held as 4 ints over one denominator (BinaryCubic, an _IntCoords
+like Oct), and delta is computed from them in integers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .albert import AlbertElem, _det_num, diag_elem
-from .octonion import _Frozen, _rat
+from .octonion import _canonical, _Frozen, _IntCoords, _rat, _reduced
 
 
 class VPoint(_Frozen):
@@ -37,16 +40,16 @@ class VPoint(_Frozen):
         return VPoint(self.a.scale(t), self.b.scale(t))
 
 
-class BinaryCubic(_Frozen):
-    """c30 v1^3 + c21 v1^2 v2 + c12 v1 v2^2 + c03 v2^3. Immutable."""
+class BinaryCubic(_IntCoords):
+    """c30 v1^3 + c21 v1^2 v2 + c12 v1 v2^2 + c03 v2^3: the 4 coefficients as ints `nums` over `den`. Immutable."""
 
-    __slots__ = ("c30", "c21", "c12", "c03")
+    __slots__ = ()
 
     def __init__(self, c30, c21, c12, c03):
-        self._init(_rat(c30), _rat(c21), _rat(c12), _rat(c03))
+        self._init(*_canonical([_rat(c) for c in (c30, c21, c12, c03)]))
 
     def coeffs(self) -> tuple:
-        return (self.c30, self.c21, self.c12, self.c03)
+        return self.coords()
 
     def __repr__(self):
         return "BinaryCubic(%s, %s, %s, %s)" % self.coeffs()
@@ -57,28 +60,31 @@ class BinaryCubic(_Frozen):
     def evaluate(self, v1, v2) -> Fraction:
         v1 = _rat(v1)
         v2 = _rat(v2)
+        c30, c21, c12, c03 = self.coeffs()
         return (
-            self.c30 * v1**3
-            + self.c21 * v1**2 * v2
-            + self.c12 * v1 * v2**2
-            + self.c03 * v2**3
+            c30 * v1**3
+            + c21 * v1**2 * v2
+            + c12 * v1 * v2**2
+            + c03 * v2**3
         )
 
     def discriminant(self) -> Fraction:
         """Discriminant of the cubic a v^3 + b v^2 + c v + d:
 
-        18abcd - 4 b^3 d + b^2 c^2 - 4 a c^3 - 27 a^2 d^2.
+        18abcd - 4 b^3 d + b^2 c^2 - 4 a c^3 - 27 a^2 d^2,
 
-        Nonzero exactly when the three projective roots are distinct.
+        one integer expression in the numerators, over den^4. Nonzero
+        exactly when the three projective roots are distinct.
         """
-        a, b, c, d = self.coeffs()
-        return (
+        a, b, c, d = self.nums
+        disc = (
             18 * a * b * c * d
             - 4 * b**3 * d
             + b**2 * c**2
             - 4 * a * c**3
             - 27 * a**2 * d**2
         )
+        return Fraction(disc, self.den**4)
 
 
 def _cubic_nums(x: VPoint) -> tuple:
@@ -101,12 +107,11 @@ def _cubic_nums(x: VPoint) -> tuple:
 def cubic_of(x: VPoint) -> BinaryCubic:
     """The binary cubic v -> det(a v1 + b v2) of x = (a, b), from the integers of _cubic_nums."""
     _, _, d, f = _cubic_nums(x)
-    d3 = d**3
-    return BinaryCubic(*(Fraction(c, d3) for c in f))
+    return _reduced(BinaryCubic, f, d**3)
 
 
 def delta(x: VPoint) -> Fraction:
-    """Degree-12 relative invariant: the discriminant of cubic_of(x)."""
+    """Degree-12 relative invariant: the discriminant of cubic_of(x), the one Fraction made."""
     return cubic_of(x).discriminant()
 
 

@@ -32,12 +32,13 @@ structure_tensor exploits this when tabulating all 729 basis pairs: the
 map k -> tensor is linear and fixed, and each of its 19683 basis entries
 is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_table()
 finds that pattern once, from the sparse cross-product constants of
-albert.cross_tables() and the Gram shuffle. So a StructureTensor stores
-just k, as 27 integers over one denominator, and lay_out reads its 378
-shared rows from the 109 values 0 and c k_l only when rows is first
-read. jsonio.encode_stensor formats the same 109 values once each and
-joins each distinct row once into its JSON text: no Fraction is made on
-the way from the integers of the point through k_elem to the JSON bytes.
+albert.cross_tables() and the Gram shuffle. So a StructureTensor is
+built from its point alone and stores just k, as 27 integers over one
+denominator; lay_out reads its 378 shared rows from the 109 values 0 and
+c k_l whenever rows is read. jsonio.encode_stensor formats the same 109
+values once each and joins each distinct row once into its JSON text: no
+Fraction is made on the way from the integers of the point through
+k_elem to the JSON bytes, nor by s_map.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from .albert import (
     AlbertElem,
     _cross_nums,
     _elem,
+    _pair_nums,
     cross,
     cross_tables,
-    pair,
     trilinear_d,
 )
 from .errors import NotSemistable
@@ -87,40 +88,28 @@ def _signed_terms() -> tuple:
 SIGNED_TERMS = _signed_terms()
 
 
-def _term_scalar(a: AlbertElem, b: AlbertElem, picks) -> Fraction:
-    """D(v2, v5, v7) * D(v4, v6, v8) for the picked slots."""
-    ab = (a, b)
-    v = [ab[p] for p in picks]
-    return trilinear_d(v[1], v[4], v[6]) * trilinear_d(v[3], v[5], v[7])
+def _signed_sum(x: VPoint, piece) -> AlbertElem:
+    """The sum over SIGNED_TERMS of sign * D(v2, v5, v7) D(v4, v6, v8) * piece(v1, v3), literally."""
+    ab = (x.a, x.b)
+    acc = AlbertElem((0, 0, 0))
+    for sign, picks in SIGNED_TERMS:
+        v = [ab[p] for p in picks]
+        dd = trilinear_d(v[1], v[4], v[6]) * trilinear_d(v[3], v[5], v[7])
+        if dd:
+            acc = acc + piece(v[0], v[2]).scale(sign * dd)
+    return acc
 
 
 def phi1(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    a, b = x.a, x.b
     xy = cross(X, Y)
-    acc = None
-    ab = (a, b)
-    for sign, picks in SIGNED_TERMS:
-        dd = _term_scalar(a, b, picks)
-        if dd == 0:
-            continue
-        piece = cross(cross(ab[picks[0]], ab[picks[2]]), xy).scale(sign * dd)
-        acc = piece if acc is None else acc + piece
-    return acc if acc is not None else X.scale(0)
+    return _signed_sum(x, lambda v1, v3: cross(cross(v1, v3), xy))
 
 
 def phi2(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    a, b = x.a, x.b
-    acc = None
-    ab = (a, b)
-    for sign, picks in SIGNED_TERMS:
-        dd = _term_scalar(a, b, picks)
-        if dd == 0:
-            continue
-        v1, v3 = ab[picks[0]], ab[picks[2]]
-        piece = Y.scale(trilinear_d(v1, v3, X)) + X.scale(trilinear_d(v1, v3, Y))
-        piece = piece.scale(sign * dd)
-        acc = piece if acc is None else acc + piece
-    return acc.scale(9) if acc is not None else X.scale(0)
+    def piece(v1, v3):
+        return Y.scale(trilinear_d(v1, v3, X)) + X.scale(trilinear_d(v1, v3, Y))
+
+    return _signed_sum(x, piece).scale(9)
 
 
 def k_elem(x: VPoint) -> AlbertElem:
@@ -151,57 +140,51 @@ def k_elem(x: VPoint) -> AlbertElem:
 
 
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """-18 phi1 + (3/2) phi2, contracted through k_elem(x)."""
+    """-18 phi1 + (3/2) phi2, contracted through k = k_elem(x), in integers.
+
+    With K, A, B the numerators of k, X, Y over dk, dx, dy, p = _pair_nums
+    and c = _cross_nums (twice the cross product, in numerators),
+
+        s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X)
+              = 9 (p(K, A) B + p(K, B) A - c(K, c(A, B))) / (2 dk dx dy),
+
+    reduced once. No Fraction is made.
+    """
     k = k_elem(x)
-    kx = pair(k, X)
-    ky = pair(k, Y)
-    out = cross(k, cross(X, Y)).scale(-18)
-    return out + (Y.scale(kx) + X.scale(ky)).scale(Fraction(9, 2))
+    K, A, B = k.nums, X.nums, Y.nums
+    kx, ky = _pair_nums(K, A), _pair_nums(K, B)
+    nums = [9 * (kx * b + ky * a - c) for a, b, c in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]
+    return _elem(nums, 2 * k.den * X.den * Y.den)
 
 
 class StructureTensor(_Frozen):
     """All 27^3 structure constants of s_map at a point, in jbasis coordinates.
 
-    Stored as the k = k_elem(point) they are a fixed linear image of:
-    kn, the 27 numerators of (9/2) k over one positive denominator den,
-    with gcd(den, *kn) = 1 (octonion._lowest). Each k_l is some entry, up
-    to sign, so == and hash (octonion._Frozen) compare (point, kn, den).
+    A function of the point alone: the constructor computes k_elem(point)
+    and stores the tensor as the fixed linear image of k it is (see
+    structure_tensor): kn, the 27 numerators of (9/2) k over one positive
+    denominator den, with gcd(den, *kn) = 1 (octonion._lowest). == and
+    hash (octonion._Frozen) compare (point, kn, den).
     rows[i * 27 + j] is the 27 numerators of s_map(x, b_i, b_j) over den,
-    (i, j) and (j, i) sharing one tuple; it is laid out on first read and
-    kept in the cache slot _rows, since the JSON encoder never reads it.
-    entry, product_coords and flat (row-major in (i, j, k)) are Fraction
-    views of rows built on each call. Immutable.
+    (i, j) and (j, i) sharing one tuple, laid out on each read: the JSON
+    encoder never reads it. flat (row-major in (i, j, k)) is their
+    Fraction view. Immutable.
     """
 
-    __slots__ = ("point", "kn", "den", "_rows")
+    __slots__ = ("point", "kn", "den")
 
-    def __init__(self, point: VPoint, kn, den: int):
-        kn = tuple(kn)
-        if len(kn) != 27:
-            raise ValueError("structure tensor needs the 27 numerators of k")
-        if den <= 0:
-            raise ValueError("structure tensor needs a positive denominator")
-        self._init(point, *_lowest(kn, den), None)
+    def __init__(self, point: VPoint):
+        k = k_elem(point)
+        self._init(point, *_lowest([9 * v for v in k.nums], 2 * k.den))
 
     @property
     def rows(self) -> tuple:
-        rows = self._rows
-        if rows is None:
-            rows = lay_out(slot_values(self.kn))
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        return lay_out(slot_values(self.kn))
 
     @property
     def flat(self) -> tuple:
         d = self.den
         return tuple(Fraction(v, d) for r in self.rows for v in r)
-
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self.rows[i * 27 + j][k], self.den)
-
-    def product_coords(self, i: int, j: int) -> tuple:
-        d = self.den
-        return tuple(Fraction(v, d) for v in self.rows[i * 27 + j])
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
@@ -256,7 +239,7 @@ def lay_out(values) -> tuple:
 
 
 def structure_tensor(x: VPoint) -> StructureTensor:
-    """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers.
+    """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers: StructureTensor(x).
 
     With k = k_elem(x) as its 27 integers kn over its denominator dk, let
     kx[m] = 2 dk cross(k, b_m), from the constants of cross_tables() (all
@@ -269,8 +252,7 @@ def structure_tensor(x: VPoint) -> StructureTensor:
     tensor is (9/2) k, as 9 kn over 2 dk, laid out by the slot table.
     No Fraction is made.
     """
-    k = k_elem(x)
-    return StructureTensor(x, [9 * v for v in k.nums], 2 * k.den)
+    return StructureTensor(x)
 
 
 def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:

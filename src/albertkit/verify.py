@@ -23,6 +23,7 @@ from . import gaction, isotope, smap
 from .albert import (
     AlbertElem,
     E,
+    _elem,
     cross,
     det_j,
     diag_elem,
@@ -386,8 +387,8 @@ def _recombine(x, X, Y):
 @_check("smap-contraction", "tensor-matches-smap", _of(rand_vpoint, _cells(6)), per=6, cap=4)
 def _tensor_rows(x, cells):
     t = smap.structure_tensor(x)
-    basis = jbasis()
-    return all(t.product_coords(r, c) == smap.s_map(x, basis[r], basis[c]).coords() for r, c in cells)
+    rows, basis = t.rows, jbasis()
+    return all(_elem(rows[r * 27 + c], t.den) == smap.s_map(x, basis[r], basis[c]) for r, c in cells)
 
 
 @_check("smap-contraction", "argument-swap", _of(rand_vpoint, rand_albert, rand_albert), per=2)
@@ -418,9 +419,9 @@ def _tensor_isotope(x):
     d = delta(x)
     k = literal_k(x)
     a = cross(k, k).scale(81 / d)
-    basis = jbasis()
+    rows, basis = t.rows, jbasis()
     return all(
-        t.product_coords(r, c) == isotope.circ_a_springer(a, basis[r], basis[c]).scale(d).coords()
+        _elem(rows[r * 27 + c], t.den) == isotope.circ_a_springer(a, basis[r], basis[c]).scale(d)
         for r in range(27)
         for c in range(r, 27)
     )
@@ -516,7 +517,20 @@ def _scalar_chi(t):
     return gaction.chi(gaction.scalar_elem(t)) == t**12
 
 
-@_check("group-character", "act-v-is-action", _of(rand_group, rand_group, rand_vpoint))
+def _twisted_words(rng: random.Random, i: int) -> tuple:
+    """Two words, each a J word after a gl2 factor, whose GL(2) parts do not commute, and a point.
+
+    act_v applying g2 transposed would act by h2^T g2^T for g.compose(h)
+    but by g2^T h2^T in turn, so it fails at every trial, not only when
+    two random words happen to carry such factors.
+    """
+    while True:
+        g, h = (_rand_j_group(rng).compose(gaction.gl2_elem(_rand_gl2(rng))) for _ in range(2))
+        if g.compose(h).g2 != h.compose(g).g2:
+            return g, h, rand_vpoint(rng)
+
+
+@_check("group-character", "act-v-is-action", _twisted_words)
 def _act_v_action(g, h, x):
     return gaction.act_v(g.compose(h), x) == gaction.act_v(g, gaction.act_v(h, x))
 

@@ -53,3 +53,19 @@ def _sparse_point(rng):
 def sparse_point():
     """sparse_point(rng): a semistable point of large height with few nonzero coordinates."""
     return _sparse_point
+
+
+def _point_63(rng):
+    """Every coordinate of both components a 63-bit numerator over a denominator below 2^10."""
+
+    def elem():
+        c = [Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**10)) for _ in range(27)]
+        return AlbertElem.from_coords(c)
+
+    return VPoint(elem(), elem())
+
+
+@pytest.fixture(scope="session")
+def point_63():
+    """point_63(rng): a dense point of V with 63-bit numerators, semistable or not."""
+    return _point_63

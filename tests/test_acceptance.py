@@ -142,10 +142,11 @@ def test_c05_second_kernel_at_base_point(basis):
 
 def test_c06_structure_tensor_at_base_point(jordan_tensor):
     t = structure_tensor(w_point())
+    rows = t.rows
     entries = 0
     for i in range(27):
         for j in range(27):
-            assert t.product_coords(i, j) == jordan_tensor[i][j]
+            assert tuple(Fraction(v, t.den) for v in rows[i * 27 + j]) == jordan_tensor[i][j]
             entries += 27
     assert entries == 19683
     _report("c06 structure tensor at the base point is the Jordan tensor (19683)")

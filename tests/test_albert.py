@@ -297,21 +297,19 @@ def _leaves(cls) -> set:
 
 
 _T = structure_tensor(w_point())
-assert _T.rows  # read: the other StructureTensor route below never is, so _rows differs
 _G = perm_elem((2, 1, 3))  # the shared cached element
 _HALF = Fraction(1, 2)
 
-# (value, the same value by another route, its public slots in order): the key
-# each type but _Rendered, which compared by identity before, has always hashed
+# (value, the same value by another route, its slots in order): the key it hashes by
 VALUES = {
     "Oct": (OCT_UNIT, Oct.from_coords([1, 0, 0, 0, 0, 0, 0, 1]), (OCT_UNIT.nums, OCT_UNIT.den)),
     "AlbertElem": (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(_HALF), (E.nums, E.den)),
     "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
-    "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), (0, 1, -1, 0)),
+    "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
     "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, _G.c, _G.g2)),
     "StructureTensor": (
         _T,
-        StructureTensor(w_point(), [6 * v for v in _T.kn], 6 * _T.den),
+        StructureTensor(act_v(identity_elem(), w_point())),
         (_T.point, _T.kn, _T.den),
     ),
     "_Rendered": (
@@ -326,16 +324,13 @@ VALUES = {
 def test_value_types_are_immutable(value, other, key):
     """The one rule of octonion._Frozen, on every value type.
 
-    Equal values built by two routes are == and hash equal, by their
-    public slots, so hashes are those of the old per-type keys; a value
-    of another type is not compared; a slot whose name starts with "_"
-    is a cache that takes no part; and no slot can be set or deleted.
+    Equal values built by two routes are == and hash equal, by all
+    their slots; a value of another type is not compared; and no slot
+    can be set or deleted.
     Shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and
     held by callers, so an assignment would corrupt every holder.
     """
     assert {type(v) for v, _, _ in VALUES.values()} == _leaves(_Frozen)
-    if type(value) is StructureTensor:
-        assert value._rows is not None and other._rows is None
     assert value == other and value is not other and not value != other
     assert hash(value) == hash(other) == hash(key)
     strangers = [key] + [v for v, _, _ in VALUES.values() if type(v) is not type(value)]

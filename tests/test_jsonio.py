@@ -29,7 +29,7 @@ from albertkit.jsonio import (
 )
 from albertkit.octonion import Oct
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
-from albertkit.smap import structure_tensor
+from albertkit.smap import StructureTensor, circ_x, s_map, structure_tensor
 from albertkit.verify import (
     rand_albert,
     rand_group,
@@ -113,6 +113,7 @@ def test_cubic_string():
 def test_stensor_round_trip(rng, sparse_point):
     for x in (w_point(), rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
+        assert StructureTensor(x) == t and hash(StructureTensor(x)) == hash(t)
         enc = encode_stensor(t)
         doc = json.loads(dumps(enc))
         assert doc["basis"] == STENSOR_BASIS_TAG
@@ -295,9 +296,8 @@ def test_canonical_refuses_what_json_cannot_hold():
         dumps({"t": enc})
 
 
-def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):
-    # decode_vpoint -> structure_tensor -> encode_stensor -> dumps runs on integers only
-    docs = [json.loads(dumps(encode_vpoint(x))) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
+def _count_fractions(monkeypatch) -> list:
+    """Patch Fraction.__new__ to record its arguments in the list returned; monkeypatch.undo() restores it."""
     made = []
     new = Fraction.__new__
 
@@ -308,10 +308,35 @@ def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
     made.clear()
+    return made
+
+
+def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):
+    # decode_vpoint -> structure_tensor -> encode_stensor -> dumps runs on integers only
+    docs = [json.loads(dumps(encode_vpoint(x))) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
+    made = _count_fractions(monkeypatch)
     texts = [dumps(encode_stensor(structure_tensor(decode_vpoint(doc)))) for doc in docs]
     assert made == []
     monkeypatch.undo()
     assert all(json.loads(t)["point"] == doc for t, doc in zip(texts, docs))
+
+
+def test_point_side_fraction_counts(rng, sparse_point, monkeypatch):
+    # s_map and the cubic command run on integers; delta makes its one result
+    # and circ_x at most one more, dividing by it
+    calls = [(x, rand_albert(rng), rand_albert(rng)) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
+    made = _count_fractions(monkeypatch)
+
+    def made_by(f, *args):
+        made.clear()
+        f(*args)
+        return len(made)
+
+    for x, X, Y in calls:
+        assert made_by(s_map, x, X, Y) == 0
+        assert made_by(lambda: cubic_to_str(cubic_of(x))) == 0
+        assert made_by(delta, x) == 1
+        assert made_by(circ_x, x, X, Y) <= 2
 
 
 def test_load_json(tmp_path):

@@ -40,15 +40,19 @@ def test_cubic_evaluates_det(x, a, b):
 
 @settings(max_examples=25, deadline=None)
 @given(points, st.integers(0, 2**32))
-def test_cubic_coefficients_are_d_values(sparse_point, x, seed):
-    # small halves, and a sparse point of large height (20-bit over 8-bit coordinates)
-    for y in (x, sparse_point(random.Random(seed))):
-        assert cubic_of(y).coeffs() == (
+def test_cubic_coefficients_are_d_values(sparse_point, point_63, x, seed):
+    # small halves, a sparse point of large height (20-bit over 8-bit
+    # coordinates) and a dense 63-bit one; delta, an integer expression over
+    # den^4, against the textbook discriminant of the coefficients
+    for y in (x, sparse_point(random.Random(seed)), point_63(random.Random(seed))):
+        a, b, c, d = cubic_of(y).coeffs()
+        assert (a, b, c, d) == (
             det_j(y.a),
             3 * trilinear_d(y.a, y.a, y.b),
             3 * trilinear_d(y.a, y.b, y.b),
             det_j(y.b),
         )
+        assert delta(y) == 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
 
 
 def test_discriminant_values():
@@ -81,6 +85,10 @@ def test_cubic_value_semantics():
     f = BinaryCubic(0, 1, -1, 0)
     g = BinaryCubic(Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
     assert f == g and hash(f) == hash(g)
+    # 4 ints over one denominator, in lowest terms, as cubic_of builds them
+    assert (f.nums, f.den) == ((0, 1, -1, 0), 1) and f == cubic_of(w_point())
+    h = BinaryCubic("3/4", 0, "-1/6", 2)
+    assert (h.nums, h.den) == ((9, 0, -2, 24), 12) and h.coeffs() == (Fraction(3, 4), 0, Fraction(-1, 6), 2)
     assert f != BinaryCubic(0, 1, -1, 1)
     assert str(BinaryCubic(Fraction(1, 2), 0, 0, -2)) == "[1/2, 0, 0, -2]"
 
