@@ -10,7 +10,7 @@ The package builds, over the rationals with no tolerance anywhere:
  * the degree-8 structure map S_x, its tabulation, and the isotope
    product it induces at semistable points (`smap`),
  * the degree-6 trilinear form T_a and both isotope constructions,
-   the T_a route as one closed form over integers (`isotope`),
+   the T_a route as the integer isotope kernel S_x also uses (`isotope`),
  * JSON round-tripping (`jsonio`), seeded verification suites
    (`verify`), the literal routes the kernels are tested against
    (`reference`), and the `albertkit` CLI (`cli`).

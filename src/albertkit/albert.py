@@ -31,7 +31,9 @@ written out as straight-line code, one sum per output with no table
 read at run time: _cross_nums (the 270 constants of cross_tables(), 10
 per coordinate), _det_num (the 45 monomials of det_table()) and
 _pair_nums (the 27 signed terms of the Gram shuffle _GRAM). A test
-checks each kernel against its table on the whole basis.
+checks each kernel against its table on the whole basis. On top of them,
+_isotope_nums is the one isotope kernel, p(K, A) B + p(K, B) A -
+c(K, c(A, B)), which both smap.s_map and isotope.circ_a_tform evaluate.
 
 Tables. The constants come from two sparse tables, each built once, on
 first use, from the octonion formulas evaluated on the 8 Zorn basis
@@ -329,6 +331,18 @@ def _pair_nums(x, y) -> int:
 def pair(X: AlbertElem, Y: AlbertElem) -> Fraction:
     """Trace(X o Y) = sum_i s_i t_i + 2 sum_i Q(x_i, y_i), from the kernel _pair_nums."""
     return Fraction(_pair_nums(X.nums, Y.nums), X.den * Y.den)
+
+
+def _isotope_nums(K, A, B) -> list:
+    """p(K, A) B + p(K, B) A - c(K, c(A, B)) on integer coordinates, p = _pair_nums and c = _cross_nums.
+
+    Over 4 dk da db, for the elements k, a, b with these numerators over
+    dk, da, db, it is (pair(k, a) b + pair(k, b) a)/4 - k x (a x b). The
+    isotope product at an index is 2/det times it at k = index#, and
+    s_map at a point x is 18 times it at k = k_elem(x): one kernel for both.
+    """
+    ka, kb = _pair_nums(K, A), _pair_nums(K, B)
+    return [ka * b + kb * a - c for a, b, c in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]
 
 
 def _det_num(x) -> int:

@@ -15,28 +15,15 @@ and the bilinear form
  * circ_a_tform: the unique V with
        q_a(V, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z.
 
-With a# = a x a and the U-operator of the cubic norm structure,
+With a# = a x a, solving the t_form equation gives the isotope of the
+cubic norm structure at a (McCrimmon, A Taste of Jordan Algebras, on
+isotopes J^(u); Petersson and Racine, "Jordan algebras of degree 3 and
+the Tits process", J. Algebra 1986):
 
-    U_v R = pair(v, R) v - 2 (v# x R),
+    X circ_a Y = det(a)^{-1} ((pair(a#, X) Y + pair(a#, Y) X)/2 - 2 a# x (X x Y)).
 
-q_a(X, Y) = pair(U_{a#} X, Y), and U_{a#} has the inverse
-det(a)^{-2} U_a (McCrimmon, A Taste of Jordan Algebras, on isotopes
-J^(u)). By duality, pair(V x W, Z) = 3 D(V, W, Z), the right side is
-pair(R, Z) with R = s a# - 8 (a x u), where u = (a x X) x (a x Y) and
-s = pair(a#, X) pair(a#, Y) / det(a). So V = det(a)^{-2} U_a R. Expand
-it with a## = det(a) a, pair(a, a#) = 3 det(a), pair(a, a x u) =
-pair(a#, u) = t and the adjoint identity of the cubic norm (in the
-same book, with x half of McCrimmon's cross)
-
-    a# x (a x u) = (det(a) u + pair(a#, u) a) / 4:
-
-pair(a, R) = 3 s det(a) - 8 t and a# x R = (s det(a) - 2 t) a - 2 det(a) u,
-hence
-
-    V = (4/det(a)) u + ((s det(a) - 4 t) / det(a)^2) a.
-
-circ_a_tform evaluates this in integers; no linear solve, and neither
-a x u nor a# x R is formed.
+That is albert._isotope_nums at K = a#, the kernel s_map contracts at a
+point; circ_a_tform evaluates it in integers, with no linear solve.
 
 Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
@@ -52,7 +39,7 @@ from .albert import (
     _cross_nums,
     _det_num,
     _elem,
-    _pair_nums,
+    _isotope_nums,
     cross,
     det_j,
     jbasis,
@@ -126,25 +113,17 @@ def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The product defined implicitly by q_a(X circ Y, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
-    With d = det(a), P = a x X, Q = a x Y, u = P x Q, s = pair(a#, X)
-    pair(a#, Y) / d and t = pair(a#, u) it is
+    It is the isotope kernel at a# (see the module docstring). With A =
+    a.nums over da, dn = det(a) da^3 and S = _cross_nums(A, A), the
+    numerators of a# over 2 da^2,
 
-        V = (4/d) u + ((s d - 4 t) / d^2) a.
+        X circ Y = sgn(dn) da _isotope_nums(S, X.nums, Y.nums) / (4 |dn| den(X) den(Y)),
 
-    It is formed in integers: with A = a.nums over da, dn = d da^3, S, P, Q
-    and U the cross numerators of a#, a x X, a x Y and u, and sx, sy, t the
-    pair numerators of S against X, Y and U,
-
-        V = (2 dn da U + (sx sy - t) da A) / (4 den(X) den(Y) dn^2),
-
-    reduced once: four cross products, one det and three pairings on the
+    reduced once: three cross products, one det and two pairings on the
     written-out kernels of albert, with no table built or read and no
-    Fraction. The derivation is in the module docstring.
+    Fraction.
     """
     A, da = a.nums, a.den
     dn = _require_invertible(_det_num(A))
-    S = _cross_nums(A, A)
-    U = _cross_nums(_cross_nums(A, X.nums), _cross_nums(A, Y.nums))
-    sx, sy, t = _pair_nums(S, X.nums), _pair_nums(S, Y.nums), _pair_nums(S, U)
-    cu, ca = 2 * dn * da, (sx * sy - t) * da
-    return _elem([cu * u + ca * v for u, v in zip(U, A)], 4 * X.den * Y.den * dn * dn)
+    c = da if dn > 0 else -da
+    return _elem([c * v for v in _isotope_nums(_cross_nums(A, A), X.nums, Y.nums)], 4 * abs(dn) * X.den * Y.den)

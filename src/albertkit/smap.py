@@ -53,14 +53,14 @@ from .albert import (
     AlbertElem,
     _cross_nums,
     _elem,
-    _pair_nums,
+    _isotope_nums,
     cross,
     cross_tables,
     trilinear_d,
 )
 from .errors import NotSemistable
-from .octonion import _Frozen, _lowest
-from .pvs import VPoint, _cubic_nums, delta
+from .octonion import _Frozen, _lowest, _reduced
+from .pvs import BinaryCubic, VPoint, _cubic_nums
 
 
 class SignedTerm(NamedTuple):
@@ -112,6 +112,14 @@ def phi2(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return _signed_sum(x, piece).scale(9)
 
 
+def _k(A, B, d, f) -> AlbertElem:
+    """k_elem from the integers (A, B, d, f) of pvs._cubic_nums(x)."""
+    r0, r1, r2, r3 = 3 * f[0], f[1], f[2], 3 * f[3]
+    caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
+    crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
+    return _elem([caa * u + cab * v + cbb * w for u, v, w in crosses], 9 * d**8)
+
+
 def k_elem(x: VPoint) -> AlbertElem:
     """sum over terms of sign * dd * (v1 x v3); phi1 = k x (X x Y).
 
@@ -132,11 +140,12 @@ def k_elem(x: VPoint) -> AlbertElem:
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """
-    A, B, d, (f0, f1, f2, f3) = _cubic_nums(x)
-    r0, r1, r2, r3 = 3 * f0, f1, f2, 3 * f3
-    caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
-    crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
-    return _elem([caa * u + cab * v + cbb * w for u, v, w in crosses], 9 * d**8)
+    return _k(*_cubic_nums(x))
+
+
+def _contract(k: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
+    """s_map through k = k_elem(x): 9 _isotope_nums(K, A, B) / (2 dk dx dy), reduced once."""
+    return _elem([9 * v for v in _isotope_nums(k.nums, X.nums, Y.nums)], 2 * k.den * X.den * Y.den)
 
 
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -148,13 +157,10 @@ def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
         s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X)
               = 9 (p(K, A) B + p(K, B) A - c(K, c(A, B))) / (2 dk dx dy),
 
-    reduced once. No Fraction is made.
+    with the isotope kernel albert._isotope_nums, which circ_a_tform
+    evaluates at a#. No Fraction is made.
     """
-    k = k_elem(x)
-    K, A, B = k.nums, X.nums, Y.nums
-    kx, ky = _pair_nums(K, A), _pair_nums(K, B)
-    nums = [9 * (kx * b + ky * a - c) for a, b, c in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]
-    return _elem(nums, 2 * k.den * X.den * Y.den)
+    return _contract(k_elem(x), X, Y)
 
 
 class StructureTensor(_Frozen):
@@ -256,8 +262,12 @@ def structure_tensor(x: VPoint) -> StructureTensor:
 
 
 def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """The isotope product delta(x)^{-1} s_map(x, X, Y); needs x semistable."""
-    d = delta(x)
-    if d == 0:
+    """The isotope product delta(x)^{-1} s_map(x, X, Y); needs x semistable.
+
+    One read of pvs._cubic_nums gives both k and delta: 2 Fractions, delta and its inverse.
+    """
+    A, B, d, f = _cubic_nums(x)
+    dlt = _reduced(BinaryCubic, f, d**3).discriminant()
+    if dlt == 0:
         raise NotSemistable("delta(x) = 0: no algebra is attached to x")
-    return s_map(x, X, Y).scale(1 / d)
+    return _contract(_k(A, B, d, f), X, Y).scale(1 / dlt)

@@ -571,7 +571,8 @@ def _pairing_tform_link(a, X, Y, Z):
 @_check("isotope-defs", "adjoint-identity", _of(rand_albert, rand_invertible, rand_singular))
 def _adjoint_identity(u, *index):
     # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4 at each a of index, invertible
-    # or not: circ_a_tform's closed form rests on it
+    # or not: with it the t_form equation reduces to the isotope kernel at a#,
+    # which circ_a_tform evaluates
     for a in index:
         a_sharp = cross(a, a)
         rhs = (u.scale(det_j(a)) + a.scale(pair(a_sharp, u))).scale(Fraction(1, 4))
@@ -635,11 +636,12 @@ def _unit_image(g, X, Y):
     per=4,
 )
 def _x_to_a(x, X, Y):
-    # circ_x is the isotope product at a(x) = 81 (k x k) / delta(x); a(w) = e
+    # circ_x is the isotope product at a(x) = 81 (k x k) / delta(x), with
+    # a(x)# = 9 k and det(a(x)) = delta(x); a(w) = e
     k = smap.k_elem(x)
     d = delta(x)
     a = cross(k, k).scale(81 / d)
-    if det_j(k) != d * d / 729 or (x == w_point() and a != E):
+    if det_j(k) != d * d / 729 or cross(a, a) != k.scale(9) or det_j(a) != d or (x == w_point() and a != E):
         return False
     return smap.circ_x(x, X, Y) == isotope.circ_a_springer(a, X, Y)
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertkit.albert import AlbertElem, diag_elem, jordan_mul
+from albertkit.albert import AlbertElem, det_j, diag_elem, jordan_mul
 from albertkit.cli import main
 from albertkit.errors import ParseError
 from albertkit.jsonio import decode_albert, decode_oct, dumps, encode_albert, encode_vpoint, str_to_rat
 from albertkit.octonion import Oct
-from albertkit.pvs import VPoint, w_point
+from albertkit.pvs import VPoint, delta, w_point
 from albertkit.verify import rand_albert
 
 
@@ -121,6 +121,58 @@ def test_structure_bytes_pinned(tmp_path, capsys):
         code, _, raw = run_cli(capsys, "structure", str(path))
         assert code == 0
         assert hashlib.sha256(raw.encode()).hexdigest() == STRUCTURE_SHA256[name]
+
+
+def _fixed_product_inputs() -> dict:
+    """The operands of the product pins, from fixed formulas: points, 63-bit factors and two index elements."""
+
+    def elem(num, den=lambda i: 1):
+        return AlbertElem.from_coords([Fraction(num(i), den(i)) for i in range(27)])
+
+    sparse = VPoint(
+        elem(lambda i: (3 * i - 40) * (i in (0, 4, 13, 22, 25)), lambda i: 1 + i % 5),
+        elem(lambda i: (7 - 2 * i) * (i in (1, 2, 7, 19, 26)), lambda i: 2 + i % 3),
+    )
+    neg = elem(lambda i: (5 * i + 1) % 9 - 4)
+    if det_j(neg) > 0:
+        neg = -neg
+    return {
+        "w": w_point(),
+        "sparse": sparse,
+        "x63": elem(lambda i: (-1) ** i * (2**62 + 7919 * i * i + 1)),
+        "y63": elem(lambda i: (2**63 - 1 - 104729 * i) * (1 - 2 * (i % 3 == 1)), lambda i: 2**61 - 1),
+        "neg": neg,
+        "two_dens": elem(lambda i: (11 * i + 4) % 17 - 8, lambda i: (3, 7)[i % 2]),
+    }
+
+
+# sha256 of stdout for `smap`, `smap --normalize` and both `isotope-mul` methods, on
+# _fixed_product_inputs(); both methods print the same bytes
+PRODUCT_SHA256 = {
+    ("smap", "w"): "fb6f55b739a5d9facbfb7cacf1ce401c8631689168109e2f10442f9e9dbb3178",
+    ("smap", "sparse"): "1ebc75a83f24fe89a592a0bd7e57eae7462fdcb76d8450102454d789cfbb03fe",
+    ("smap --normalize", "w"): "03b24260dc392e6c5cef46c5297756ba66f20281c286e67ea1ff2405916be83d",
+    ("smap --normalize", "sparse"): "6b9cd7f2b73da5b61c5d0e88d2a66f03a17fec1cbe4f7a5966752a68a666b80c",
+    ("isotope-mul --method tform", "neg"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
+    ("isotope-mul --method tform", "two_dens"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
+    ("isotope-mul --method springer", "neg"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
+    ("isotope-mul --method springer", "two_dens"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
+}
+
+
+def test_product_bytes_pinned(tmp_path, capsys):
+    inputs = _fixed_product_inputs()
+    assert det_j(inputs["neg"]) < 0 and inputs["two_dens"].den == 21
+    assert delta(inputs["sparse"]) != 0 and sum(1 for v in inputs["sparse"].a.nums if v) == 5
+    paths = {}
+    for name, value in inputs.items():
+        paths[name] = tmp_path / (name + ".json")
+        encode = encode_vpoint if isinstance(value, VPoint) else encode_albert
+        paths[name].write_text(dumps(encode(value)), encoding="utf-8")
+    for (command, first), digest in PRODUCT_SHA256.items():
+        code, _, raw = run_cli(capsys, *command.split(), str(paths[first]), str(paths["x63"]), str(paths["y63"]))
+        assert code == 0
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, (command, first)
 
 
 def test_tform_qa(files, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from albertkit import pvs, smap
 from albertkit.albert import (
     ALBERT_ZERO,
     AlbertElem,
@@ -34,6 +35,7 @@ from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
 from albertkit.pvs import delta
 from albertkit.reference import te_expansion
+from albertkit.smap import circ_x, k_elem, s_map
 from albertkit.verify import predicate, rand_albert, rand_invertible, rand_singular
 
 two_definitions_agree = predicate("isotope-defs/two-definitions-agree")
@@ -115,8 +117,8 @@ def test_two_constructions_agree(rng):
 def _solve_route(a, X, Y):
     """The product as one exact solve: q_a(U, b) = t_form(a; X, Y, b) / det(a) over jbasis.
 
-    The reference for circ_a_tform, which evaluates the closed form
-    (4/det(a)) u + ((s det(a) - 4 t) / det(a)^2) a and solves nothing.
+    The reference for circ_a_tform, which evaluates the isotope kernel
+    at a# and solves nothing.
     """
     d = det_j(a)
     rhs = [t_form(a, X, Y, b) / d for b in jbasis()]
@@ -189,7 +191,7 @@ def test_tform_matches_solve_route(rng):
 
 def test_adjoint_identity_of_the_cubic_norm(rng):
     # a# x (a x u) = (det(a) u + pair(a#, u) a) / 4 for every a, invertible or not;
-    # the closed form of circ_a_tform rests on it
+    # with it the t_form equation reduces to the isotope kernel of circ_a_tform
     index = [rand_albert(rng), _big(rng), _sparse(rng), _two_dens(rng)]
     index += [rand_singular(rng), rand_singular(rng), diag_elem(0, 1, 1), ALBERT_ZERO]
     for a in index:
@@ -198,12 +200,16 @@ def test_adjoint_identity_of_the_cubic_norm(rng):
     assert det_j(index[4]) == 0 and det_j(index[5]) == 0
 
 
-def test_tform_makes_no_fraction(rng, monkeypatch):
-    # circ_a_tform runs on integers only, and a singular a keeps its documented error
+def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch):
+    # circ_a_tform and s_map, the two users of the isotope kernel, run on integers
+    # only, a singular a keeps its documented error, and circ_x makes delta and 1/delta
     args = [(rand_invertible(rng), rand_albert(rng), rand_albert(rng))]
     args.append((_invertible(_big, rng), _big(rng), _big(rng)))
     args.append((_invertible(_two_dens, rng), _sparse(rng), rand_albert(rng)))
     want = [circ_a_springer(*t) for t in args]
+    x, X, Y = sparse_point(rng), _big(rng), _big(rng)
+    d, k = delta(x), k_elem(x)
+    want_circ = circ_a_springer(cross(k, k).scale(81 / d), X, Y)
     singular = diag_elem(0, 1, 1)
     made = []
     new = Fraction.__new__
@@ -218,23 +224,35 @@ def test_tform_makes_no_fraction(rng, monkeypatch):
     got = [circ_a_tform(*t) for t in args]
     with pytest.raises(SingularPoint) as err:
         circ_a_tform(singular, E, E)
+    got_s = s_map(x, X, Y)
     assert made == []
+    got_circ = circ_x(x, X, Y)
+    assert len(made) <= 2
     monkeypatch.undo()
     assert got == want
+    assert got_circ == want_circ and got_s == want_circ.scale(d)
     assert str(err.value) == "det(a) = 0: the isotope at a is undefined"
 
 
-def test_tform_and_delta_build_no_table(rng, sparse_point):
-    # the written-out kernels read no table, so a fresh process pays for neither on this path
+def test_tform_and_delta_build_no_table(rng, sparse_point, monkeypatch):
+    # the written-out kernels read no table, so a fresh process pays for neither on
+    # these paths; circ_x reads the binary cubic of its point once, for k and delta
     a, X, Y, x = rand_invertible(rng), rand_albert(rng), rand_albert(rng), sparse_point(rng)
     want = circ_a_springer(a, X, Y)
+    read, reads = pvs._cubic_nums, []
+    for module in (pvs, smap):
+        monkeypatch.setattr(module, "_cubic_nums", lambda x: reads.append(x) or read(x))
     cross_tables.cache_clear()
     det_table.cache_clear()
     got = circ_a_tform(a, X, Y)
     d = delta(x)
+    s = s_map(x, X, Y)
+    reads.clear()
+    c = circ_x(x, X, Y)
+    assert reads == [x]
     assert cross_tables.cache_info().currsize == 0
     assert det_table.cache_info().currsize == 0
-    assert got == want and d != 0
+    assert got == want and d != 0 and c.scale(d) == s
 
 
 # no shrink phase: each shrink candidate would run _solve_route (27 t_forms and a
