@@ -15,7 +15,8 @@ and the cross product x complete the structure:
     det(X)            = s1 s2 s3 - sum_i s_i norm(x_i) + tr((x1 x2) x3)
     6 D(X, Y, Z)      = det(X+Y+Z) - det(X+Y) - det(Y+Z) - det(Z+X)
                         + det(X) + det(Y) + det(Z)
-    pair(X x Y, Z)    = 3 D(X, Y, Z)        (duality, asserted in tests)
+    pair(X x Y, Z)    = 3 D(X, Y, Z)        (duality: trilinear_d computes D so,
+                                             and verify checks it against det)
 
 Coordinates: coords() lists [s1, s2, s3] then the 8 Zorn coordinates of
 x1, x2, x3 in turn (27 in total); jbasis() enumerates the matching basis.
@@ -26,14 +27,15 @@ gcd(den, *nums) == 1; it shares octonion._IntCoords with Oct. Equality
 and hashing compare those tuples, and +, -, scale and pair do integer
 work only. coords(), .s and .x are Fraction and Oct views made on demand.
 
-Kernels. cross, jordan_mul, det_j and pair run on three integer kernels
-written out as straight-line code, one sum per output with no table
-read at run time: _cross_nums (the 270 constants of cross_tables(), 10
-per coordinate), _det_num (the 45 monomials of det_table()) and
-_pair_nums (the 27 signed terms of the Gram shuffle _GRAM). A test
-checks each kernel against its table on the whole basis. On top of them,
-_isotope_nums is the one isotope kernel, p(K, A) B + p(K, B) A -
-c(K, c(A, B)), which both smap.s_map and isotope.circ_a_tform evaluate.
+Kernels. cross, jordan_mul, det_j, pair and trilinear_d run on three
+integer kernels written out as straight-line code, one sum per output
+with no table read at run time: _cross_nums (the 270 constants of
+cross_tables(), 10 per coordinate), _det_num (the 45 monomials of
+det_table()) and _pair_nums (the 27 signed terms of the Gram shuffle
+_GRAM). A test checks each kernel against its table on the whole
+basis. On top of them, _isotope_nums is the one isotope kernel,
+p(K, A) B + p(K, B) A - c(K, c(A, B)), which both smap.s_map and
+isotope.circ_a_tform evaluate.
 
 Tables. The constants come from two sparse tables, each built once, on
 first use, from the octonion formulas evaluated on the 8 Zorn basis
@@ -47,13 +49,15 @@ octonions:
    (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
    polarization, over the denominator 6. It never reads the cross table.
 
-They stay the one source of the constants: trilinear_d contracts
-against det_table(), smap._slot_table and gaction.GroupElem.from_dense
-read them; circ_a_tform, k_elem and delta build neither.
+They stay the one source of the constants. smap._slot_table reads
+cross_tables(), and the similarity check of gaction.GroupElem is
+det_table()'s only reader in src/; no form of J or of an isotope (D,
+t_form, q_a, gram_qa, phi_a, either product) and neither k_elem nor
+delta builds a table.
 
 The basis octonions and their products have the denominator 1, so the
 builders read integer numerators (nums, _norm_num, _trace_num) and every
-constant is an int; a Fraction constant would put trilinear_d on
+constant is an int; a Fraction constant would put their readers on
 Fraction arithmetic with the same results.
 
 Oracles. The literal routes the kernels are tested against live in
@@ -286,7 +290,8 @@ def cross(X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 
     X x Y = X o Y - Tr(X)/2 Y - Tr(Y)/2 X - pair(X,Y)/2 e + Tr(X)Tr(Y)/2 e,
 
-    and its defining property pair(X x Y, Z) = 3 D(X, Y, Z) is a test invariant.
+    and its defining property pair(X x Y, Z) = 3 D(X, Y, Z), with D the polarization
+    of det, is a test invariant.
     """
     return _elem(_cross_nums(X.nums, Y.nums), 2 * X.den * Y.den)
 
@@ -376,16 +381,10 @@ def det_j(X: AlbertElem) -> Fraction:
 def trilinear_d(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
     """Full polarization of det: symmetric, D(X, X, X) = det(X).
 
-    Each monomial c X_l X_m X_n of det_table() contributes c/6 times the
-    sum of X_l Y_m Z_n over the 6 orders of (l, m, n).
+    By duality D(X, Y, Z) = pair(X x Y, Z)/3, that is
+    _pair_nums(_cross_nums(x, y), z) over 6 den(X) den(Y) den(Z).
     """
-    x, y, z = X.nums, Y.nums, Z.nums
-    acc = 0
-    for l, m, n, c in det_table():
-        yl, ym, yn = y[l], y[m], y[n]
-        zl, zm, zn = z[l], z[m], z[n]
-        acc += c * (x[l] * (ym * zn + yn * zm) + x[m] * (yl * zn + yn * zl) + x[n] * (yl * zm + ym * zl))
-    return Fraction(acc, 6 * X.den * Y.den * Z.den)
+    return Fraction(_pair_nums(_cross_nums(X.nums, Y.nums), Z.nums), 6 * X.den * Y.den * Z.den)
 
 
 @lru_cache(maxsize=1)

@@ -28,6 +28,25 @@ point; circ_a_tform evaluates it in integers, with no linear solve.
 Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
 the matching trace form.
+
+On integers. Let A = a.nums over da, dn = det(a) da^3, S =
+_cross_nums(A, A) (so a# = S / (2 da^2)), p = _pair_nums and c =
+_cross_nums, and let x, y, z be the numerators of X, Y, Z over dx, dy,
+dz. Since D(X, Y, Z) = pair(X x Y, Z)/3, each form is one integer
+expression reduced once:
+
+    t_form = (p(S,x) p(S,y) p(S,z) - 4 dn p(c(c(A,x), c(A,y)), c(A,z)))
+             / (8 da^6 dx dy dz)
+    q_a    = (p(S,x) p(S,y) - 4 dn p(c(x,y), A)) / (4 da^4 dx dy)
+
+and row j of gram_qa is gram_apply(g_j S - 4 dn c(A, b_j)) / (4 da^4),
+g = gram_apply(S). With q_a(X, a) = det(a) pair(a#, X) the correction
+term of phi_a collapses, and the Springer route is two lines:
+
+    phi_a           = det(a)^3 (4 (X x a) x (Y x a) - pair(X x Y, a) a)
+    circ_a_springer = det(a)^-1 (4 (X x a) x (Y x a) - pair(X x Y, a) a),
+
+one bracket c(c(x,A), c(y,A)) - p(c(x,y), A) A over 2 dx dy da^2.
 """
 
 from __future__ import annotations
@@ -40,74 +59,96 @@ from .albert import (
     _det_num,
     _elem,
     _isotope_nums,
-    cross,
-    det_j,
+    _pair_nums,
+    gram_apply,
     jbasis,
     pair_vec,
-    trilinear_d,
 )
 from .errors import SingularPoint
 
 
+def _index(a: AlbertElem) -> tuple:
+    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints."""
+    A = a.nums
+    return A, a.den, _det_num(A), _cross_nums(A, A)
+
+
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Trilinear, symmetric, degree 6 in a; t_form(e; X, Y, Z) = Tr((X o Y) o Z)."""
-    daa_x = trilinear_d(a, a, X)
-    daa_y = trilinear_d(a, a, Y)
-    daa_z = trilinear_d(a, a, Z)
-    head = 27 * daa_x * daa_y * daa_z
-    tail = 24 * det_j(a) * trilinear_d(cross(a, X), cross(a, Y), cross(a, Z))
-    return head - tail
+    """Trilinear, symmetric, degree 6 in a; t_form(e; X, Y, Z) = Tr((X o Y) o Z).
+
+    One integer expression, reduced once (see the module docstring).
+    """
+    A, da, dn, S = _index(a)
+    head = _pair_nums(S, X.nums) * _pair_nums(S, Y.nums) * _pair_nums(S, Z.nums)
+    tail = _pair_nums(_cross_nums(_cross_nums(A, X.nums), _cross_nums(A, Y.nums)), _cross_nums(A, Z.nums))
+    return Fraction(head - 4 * dn * tail, 8 * da**6 * X.den * Y.den * Z.den)
 
 
 def q_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
-    """-6 det(a) D(X, Y, a) + 9 D(X, a, a) D(Y, a, a); nondegenerate for det(a) != 0."""
-    return -6 * det_j(a) * trilinear_d(X, Y, a) + 9 * trilinear_d(X, a, a) * trilinear_d(Y, a, a)
+    """-6 det(a) D(X, Y, a) + 9 D(X, a, a) D(Y, a, a); nondegenerate for det(a) != 0.
+
+    One integer expression, reduced once (see the module docstring).
+    """
+    A, da, dn, S = _index(a)
+    num = _pair_nums(S, X.nums) * _pair_nums(S, Y.nums) - 4 * dn * _pair_nums(_cross_nums(X.nums, Y.nums), A)
+    return Fraction(num, 4 * da**4 * X.den * Y.den)
 
 
 def gram_qa(a: AlbertElem) -> tuple:
     """27x27 Gram matrix of q_a over jbasis.
 
     q_a(X, Y) = pair(U_{a#} X, Y), so row j is pair_vec(U_{a#} b_j); with
-    a## = det(a) a that is pair(a#, b_j) a# - 2 det(a) (a x b_j). The
-    matrix is singular exactly when det(a) = 0.
+    a## = det(a) a that is pair(a#, b_j) a# - 2 det(a) (a x b_j), on
+    integers over 4 da^4. The matrix is singular exactly when det(a) = 0.
     """
-    det_a = det_j(a)
-    a_sharp = cross(a, a)
-    dvec = pair_vec(a_sharp)
+    A, da, dn, S = _index(a)
+    k, den = 4 * dn, 4 * da**4
     return tuple(
-        pair_vec(a_sharp.scale(dvec[j]) - cross(a, b).scale(2 * det_a))
-        for j, b in enumerate(jbasis())
+        pair_vec(_elem([g * s - k * c for s, c in zip(S, _cross_nums(A, b.nums))], den))
+        for g, b in zip(gram_apply(S), jbasis())
     )
+
+
+def _springer_nums(A, x, y) -> list:
+    """c(c(x, A), c(y, A)) - p(c(x, y), A) A: 4 (X x a) x (Y x a) - pair(X x Y, a) a over 2 da^2 dx dy."""
+    r = _pair_nums(_cross_nums(x, y), A)
+    return [v - r * w for v, w in zip(_cross_nums(_cross_nums(x, A), _cross_nums(y, A)), A)]
 
 
 def phi_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """4 det(a)^3 (X x a) x (Y x a) + (det(a)^2 q_a(X,Y) - q_a(X,a) q_a(Y,a))/2 * a.
 
-    Bilinear symmetric; degree 11 in a. phi_a(e, X, Y) = X o Y.
+    Bilinear symmetric; degree 11 in a. phi_a(e, X, Y) = X o Y. It is
+    det(a)^3 times the bracket _springer_nums (see the module docstring).
     """
-    det_a = det_j(a)
-    head = cross(cross(X, a), cross(Y, a)).scale(4 * det_a**3)
-    corr = det_a**2 * q_a(a, X, Y) - q_a(a, X, a) * q_a(a, Y, a)
-    return head + a.scale(corr / 2)
+    A = a.nums
+    d3 = _det_num(A) ** 3
+    return _elem([d3 * v for v in _springer_nums(A, X.nums, Y.nums)], 2 * a.den**11 * X.den * Y.den)
 
 
-def _require_invertible(d):
-    """d, which is det(a) or its numerator; SingularPoint when it is 0."""
-    if d == 0:
+def _require_invertible(dn):
+    """dn, the numerator of det(a); SingularPoint when it is 0."""
+    if dn == 0:
         raise SingularPoint("det(a) = 0: the isotope at a is undefined")
-    return d
+    return dn
+
+
+def _over_det(da, dn, nums, den) -> AlbertElem:
+    """(nums / (den da^2)) / det(a), det(a) = dn / da^3 != 0: sgn(dn) da nums over |dn| den, reduced once."""
+    c = da if _require_invertible(dn) > 0 else -da
+    return _elem([c * v for v in nums], abs(dn) * den)
 
 
 def circ_a_springer(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """det(a)^{-4} phi_a(X, Y); the isotope product in closed form."""
-    d = _require_invertible(det_j(a))
-    return phi_a(a, X, Y).scale(1 / d**4)
+    """det(a)^{-4} phi_a(X, Y); the isotope product in closed form: the bracket _springer_nums over det(a)."""
+    A = a.nums
+    return _over_det(a.den, _det_num(A), _springer_nums(A, X.nums, Y.nums), 2 * X.den * Y.den)
 
 
 def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
     """det(a)^{-2} q_a(X, Y); the isotope's trace form."""
-    d = _require_invertible(det_j(a))
-    return q_a(a, X, Y) / d**2
+    dn = _require_invertible(_det_num(a.nums))
+    return q_a(a, X, Y) * a.den**6 / dn**2
 
 
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -123,7 +164,5 @@ def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     written-out kernels of albert, with no table built or read and no
     Fraction.
     """
-    A, da = a.nums, a.den
-    dn = _require_invertible(_det_num(A))
-    c = da if dn > 0 else -da
-    return _elem([c * v for v in _isotope_nums(_cross_nums(A, A), X.nums, Y.nums)], 4 * abs(dn) * X.den * Y.den)
+    A, da, dn, S = _index(a)
+    return _over_det(da, dn, _isotope_nums(S, X.nums, Y.nums), 4 * X.den * Y.den)

@@ -74,7 +74,7 @@ def _slot_traces(x, y, z) -> Fraction:
 
 
 def d_expanded(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
-    """Multilinear expansion of D; the reference for det_table().
+    """Multilinear expansion of D; the reference for trilinear_d and det_table().
 
     6D = sum over index permutations of s_i t_j u_k
        + sum over argument-to-slot assignments of tr((slot1 slot2) slot3)

@@ -361,7 +361,7 @@ def test_kernels_match_references_on_basis_pairs(basis, jordan_tensor):
             assert jordan_mul(X, Y).coords() == jordan_tensor[i][j]
             S = X + Y.scale(2) + W
             assert det_j(S) == d_expanded(S, S, S)
-            assert trilinear_d(X, Y, W) == d_expanded(X, Y, W)
+            assert trilinear_d(X, Y, W) == d_expanded(X, Y, W) == _table_d(X, Y, W)
 
 
 @settings(max_examples=8, deadline=None)
@@ -370,7 +370,7 @@ def test_kernels_match_references_63_bit(X, Y, Z):
     assert cross(X, Y) == cross_via_matrix(X, Y)
     assert jordan_mul(X, Y) == jordan_via_matrix(X, Y)
     assert det_j(X) == d_expanded(X, X, X)
-    assert trilinear_d(X, Y, Z) == d_expanded(X, Y, Z)
+    assert trilinear_d(X, Y, Z) == d_expanded(X, Y, Z) == _table_d(X, Y, Z)
 
 
 # -- the written-out kernels against the table contractions they replace -----
@@ -385,6 +385,21 @@ def _table_cross(x, y):
 
 def _table_det(x):
     return sum(c * x[l] * x[m] * x[n] for l, m, n, c in det_table())
+
+
+def _table_d(X, Y, Z):
+    """D as the polarization of det_table().
+
+    Each monomial c X_l X_m X_n gives c/6 times the sum of X_l Y_m Z_n
+    over the 6 orders of (l, m, n).
+    """
+    x, y, z = X.nums, Y.nums, Z.nums
+    acc = 0
+    for l, m, n, c in det_table():
+        yl, ym, yn = y[l], y[m], y[n]
+        zl, zm, zn = z[l], z[m], z[n]
+        acc += c * (x[l] * (ym * zn + yn * zm) + x[m] * (yl * zn + yn * zl) + x[n] * (yl * zm + ym * zl))
+    return Fraction(acc, 6 * X.den * Y.den * Z.den)
 
 
 def _gram_pair(x, y):

@@ -141,38 +141,49 @@ def _fixed_product_inputs() -> dict:
         "sparse": sparse,
         "x63": elem(lambda i: (-1) ** i * (2**62 + 7919 * i * i + 1)),
         "y63": elem(lambda i: (2**63 - 1 - 104729 * i) * (1 - 2 * (i % 3 == 1)), lambda i: 2**61 - 1),
+        "z63": elem(lambda i: (-1) ** (i // 2) * (2**63 - 25 - 3 * i**3), lambda i: (1000003, 999983, 2**31 - 1)[i % 3]),
         "neg": neg,
         "two_dens": elem(lambda i: (11 * i + 4) % 17 - 8, lambda i: (3, 7)[i % 2]),
     }
 
 
-# sha256 of stdout for `smap`, `smap --normalize` and both `isotope-mul` methods, on
-# _fixed_product_inputs(); both methods print the same bytes
+# sha256 of stdout for `smap`, `smap --normalize`, both `isotope-mul` methods and the
+# cubic-norm forms `dform`, `tform`, `qa` and `qa --gram`, on _fixed_product_inputs()
+# named in argument order; both isotope methods print the same bytes
 PRODUCT_SHA256 = {
-    ("smap", "w"): "fb6f55b739a5d9facbfb7cacf1ce401c8631689168109e2f10442f9e9dbb3178",
-    ("smap", "sparse"): "1ebc75a83f24fe89a592a0bd7e57eae7462fdcb76d8450102454d789cfbb03fe",
-    ("smap --normalize", "w"): "03b24260dc392e6c5cef46c5297756ba66f20281c286e67ea1ff2405916be83d",
-    ("smap --normalize", "sparse"): "6b9cd7f2b73da5b61c5d0e88d2a66f03a17fec1cbe4f7a5966752a68a666b80c",
-    ("isotope-mul --method tform", "neg"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
-    ("isotope-mul --method tform", "two_dens"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
-    ("isotope-mul --method springer", "neg"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
-    ("isotope-mul --method springer", "two_dens"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
+    ("smap", "w x63 y63"): "fb6f55b739a5d9facbfb7cacf1ce401c8631689168109e2f10442f9e9dbb3178",
+    ("smap", "sparse x63 y63"): "1ebc75a83f24fe89a592a0bd7e57eae7462fdcb76d8450102454d789cfbb03fe",
+    ("smap --normalize", "w x63 y63"): "03b24260dc392e6c5cef46c5297756ba66f20281c286e67ea1ff2405916be83d",
+    ("smap --normalize", "sparse x63 y63"): "6b9cd7f2b73da5b61c5d0e88d2a66f03a17fec1cbe4f7a5966752a68a666b80c",
+    ("isotope-mul --method tform", "neg x63 y63"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
+    ("isotope-mul --method tform", "two_dens x63 y63"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
+    ("isotope-mul --method springer", "neg x63 y63"): "550199b24f520d2c51a28b593e5a3f0d38afb235ceb5cc7e453e823b98aac46d",
+    ("isotope-mul --method springer", "two_dens x63 y63"): "939263530a51296d8f6b936438ae1142e96ee8e6468e2860486245bc0ccaf0a3",
+    ("dform", "x63 y63 z63"): "1c3838a7ddd2562ab4b3bd6edc76f2d934a83ead68ce8e8690536e2dd860e312",
+    ("dform", "neg two_dens z63"): "c1030ec32c3fe8e2b9a9355269fea7e7f116a1cae86da86097a7acdca9130abd",
+    ("tform", "neg x63 y63 z63"): "7b3f7db0430e9842465ea36133dbad34516a53c15517d7d92a2a2a5ff72c9fe3",
+    ("tform", "two_dens x63 y63 z63"): "a11780c3015df8c462d13341e62ea2569a4ce780cee757186372f6cdc25dd3c2",
+    ("qa", "neg x63 z63"): "982d83b885cc5e96c1c3adcae19cc413a2fa03c863e72e05f2c441981b2c0bf4",
+    ("qa", "two_dens y63 z63"): "adbfe43a9afc5106f8c40f9b3b9362b8a5ffedd4d54b49bfd0ef487b749226cd",
+    ("qa --gram", "neg"): "170723443999b96a100e8e4cbbad2a89ec7268f3fe5da0f079070f562f1c179d",
+    ("qa --gram", "two_dens"): "b102c90fae97f284d025636ba1d1860ffdc448cdf629ab1dfd04151870958324",
 }
 
 
 def test_product_bytes_pinned(tmp_path, capsys):
     inputs = _fixed_product_inputs()
     assert det_j(inputs["neg"]) < 0 and inputs["two_dens"].den == 21
+    assert inputs["z63"].den == 1000003 * 999983 * (2**31 - 1)
     assert delta(inputs["sparse"]) != 0 and sum(1 for v in inputs["sparse"].a.nums if v) == 5
     paths = {}
     for name, value in inputs.items():
         paths[name] = tmp_path / (name + ".json")
         encode = encode_vpoint if isinstance(value, VPoint) else encode_albert
         paths[name].write_text(dumps(encode(value)), encoding="utf-8")
-    for (command, first), digest in PRODUCT_SHA256.items():
-        code, _, raw = run_cli(capsys, *command.split(), str(paths[first]), str(paths["x63"]), str(paths["y63"]))
+    for (command, operands), digest in PRODUCT_SHA256.items():
+        code, _, raw = run_cli(capsys, *command.split(), *(str(paths[name]) for name in operands.split()))
         assert code == 0
-        assert hashlib.sha256(raw.encode()).hexdigest() == digest, (command, first)
+        assert hashlib.sha256(raw.encode()).hexdigest() == digest, (command, operands)
 
 
 def test_tform_qa(files, capsys):

@@ -20,6 +20,7 @@ from albertkit.albert import (
     jordan_mul,
     pair_gram,
     trace_j,
+    trilinear_d,
 )
 from albertkit.errors import SingularPoint
 from albertkit.isotope import (
@@ -34,7 +35,7 @@ from albertkit.isotope import (
 from albertkit.linalg import solve_exact
 from albertkit.octonion import Oct
 from albertkit.pvs import delta
-from albertkit.reference import te_expansion
+from albertkit.reference import d_expanded, te_expansion
 from albertkit.smap import circ_x, k_elem, s_map
 from albertkit.verify import predicate, rand_albert, rand_invertible, rand_singular
 
@@ -170,6 +171,45 @@ def _differential_cases(rng):
     return cases
 
 
+def _literal_t(a, X, Y, Z):
+    """t_form as the module docstring states it, on d_expanded, det_j and cross."""
+    D = d_expanded
+    return 27 * D(a, a, X) * D(a, a, Y) * D(a, a, Z) - 24 * det_j(a) * D(cross(a, X), cross(a, Y), cross(a, Z))
+
+
+def _literal_q(a, X, Y):
+    """q_a as the module docstring states it."""
+    return -6 * det_j(a) * d_expanded(X, Y, a) + 9 * d_expanded(X, a, a) * d_expanded(Y, a, a)
+
+
+def _literal_phi(a, X, Y):
+    """phi_a as the module docstring states it."""
+    d = det_j(a)
+    corr = d**2 * _literal_q(a, X, Y) - _literal_q(a, X, a) * _literal_q(a, Y, a)
+    return cross(cross(X, a), cross(Y, a)).scale(4 * d**3) + a.scale(corr / 2)
+
+
+def _big_singular(rng, bits):
+    """det = 0 at height: s1 = 0 and x2 = x3 = 0 leave only -s1 norm(x1) = 0 in det."""
+    c = [0 if n == 0 or n >= 11 else rng.randrange(-(2**bits), 2**bits) for n in range(27)]
+    return AlbertElem.from_coords(c)
+
+
+def test_forms_match_paper_literal(rng, sparse_point):
+    # the integer forms against their definitions in D and det, at a sparse point's
+    # coordinates, at 63 and 200 bits, and at singular index elements
+    x = sparse_point(rng)
+    cases = [(x.a, x.b, _sparse(rng), _sparse(rng)), (x.b, x.a, x.b, cross(x.a, x.b))]
+    cases += [(_big(rng, bits), _big(rng, bits), _big(rng, bits), _big(rng, bits)) for bits in (63, 200)]
+    singular = [_big_singular(rng, 63), _big_singular(rng, 200), rand_singular(rng)]
+    assert all(det_j(a) == 0 for a in singular)
+    cases += [(a, _big(rng), _big(rng, 200), _sparse(rng)) for a in singular]
+    for a, X, Y, Z in cases:
+        assert t_form(a, X, Y, Z) == _literal_t(a, X, Y, Z)
+        assert q_a(a, X, Y) == _literal_q(a, X, Y)
+        assert phi_a(a, X, Y) == _literal_phi(a, X, Y)
+
+
 def test_tform_matches_solve_route(rng):
     basis = jbasis()
     for a in (E, diag_elem(1, 2, -3), rand_invertible(rng)):
@@ -202,7 +242,8 @@ def test_adjoint_identity_of_the_cubic_norm(rng):
 
 def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch):
     # circ_a_tform and s_map, the two users of the isotope kernel, run on integers
-    # only, a singular a keeps its documented error, and circ_x makes delta and 1/delta
+    # only, a singular a keeps its documented error, circ_x makes delta and 1/delta,
+    # and each cubic-norm form reduces once
     args = [(rand_invertible(rng), rand_albert(rng), rand_albert(rng))]
     args.append((_invertible(_big, rng), _big(rng), _big(rng)))
     args.append((_invertible(_two_dens, rng), _sparse(rng), rand_albert(rng)))
@@ -228,7 +269,25 @@ def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch):
     assert made == []
     got_circ = circ_x(x, X, Y)
     assert len(made) <= 2
+    # the cubic-norm forms: one Fraction per scalar, none per element, one per Gram entry
+    a, Z = args[1][0], _big(rng)
+    forms = {}
+    for name, fn, n in (
+        ("d", lambda: trilinear_d(X, Y, Z), 1),
+        ("t", lambda: t_form(a, X, Y, Z), 1),
+        ("q", lambda: q_a(a, X, Y), 1),
+        ("phi", lambda: phi_a(a, X, Y), 0),
+        ("springer", lambda: circ_a_springer(a, X, Y), 0),
+        ("gram", lambda: gram_qa(a), 729),
+    ):
+        made.clear()
+        forms[name] = fn()
+        assert len(made) == n, name
     monkeypatch.undo()
+    assert forms["d"] == d_expanded(X, Y, Z)
+    assert forms["t"] == _literal_t(a, X, Y, Z) and forms["q"] == _literal_q(a, X, Y)
+    assert forms["phi"] == _literal_phi(a, X, Y) == forms["springer"].scale(det_j(a) ** 4)
+    assert forms["gram"][3][20] == _literal_q(a, jbasis()[3], jbasis()[20])
     assert got == want
     assert got_circ == want_circ and got_s == want_circ.scale(d)
     assert str(err.value) == "det(a) = 0: the isotope at a is undefined"
@@ -250,9 +309,11 @@ def test_tform_and_delta_build_no_table(rng, sparse_point, monkeypatch):
     reads.clear()
     c = circ_x(x, X, Y)
     assert reads == [x]
+    # the forms behind dform, tform, qa, qa --gram and isotope-mul --method springer
+    forms = (trilinear_d(X, Y, a), t_form(a, X, Y, a), q_a(a, X, Y), gram_qa(a), circ_a_springer(a, X, Y))
     assert cross_tables.cache_info().currsize == 0
     assert det_table.cache_info().currsize == 0
-    assert got == want and d != 0 and c.scale(d) == s
+    assert got == want == forms[-1] and d != 0 and c.scale(d) == s
 
 
 # no shrink phase: each shrink candidate would run _solve_route (27 t_forms and a
