@@ -16,8 +16,9 @@ How L is stored: as perm and the 27 scale numerators `nums`, Python ints
 over one positive denominator `den` in canonical form, gcd(den, *nums) = 1,
 as octonion._IntCoords stores coordinates. apply_j, compose, tilde, mu and
 act_v work on those ints with one octonion._lowest per result; `scales`
-and the dense `L` are Fraction views made on demand. c and g2 stay
-Fractions. octonion._Frozen sets, compares and hashes the slots.
+and the dense `L` are Fraction views made on demand. g2 stays Fractions.
+c is not stored: L is a similarity and det(e) = 1, so c = det(L e), read
+off L on demand. octonion._Frozen sets, compares and hashes the slots.
 
 The character of the V-action is chi(g) = c^4 det(g2)^6; the adjoint
 involution tilde(g) is the unique map with pair(gX, tilde(g)Y) = pair(X, Y);
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .albert import _GRAM, AlbertElem, _elem, det_table
+from .albert import _GRAM, E, AlbertElem, _elem, det_j, det_table
 from .errors import SingularMatrix, ZeroScalar
 from .octonion import _canonical, _Frozen, _fractions, _lowest, _rat
 from .pvs import VPoint
@@ -58,18 +59,19 @@ def _mul2(m, n) -> tuple:
 
 
 class GroupElem(_Frozen):
-    """L b_j = (nums[j] / den) b_{perm[j]} on J; c: its det multiplier; g2: GL(2) factor. Immutable.
+    """L b_j = (nums[j] / den) b_{perm[j]} on J; g2: GL(2) factor; c = det(L e): L's det multiplier. Immutable.
 
     The scales are int numerators `nums` over one `den` > 0 with gcd(den, *nums) == 1,
     so == and hash compare exact values. `scales` and the dense `L` are read-only
     Fraction views; a dense matrix comes in only through from_dense.
 
-    The constructor checks c exactly, on integers: with q = perm^-1, (LX)_i = scales[q[i]]
-    X_{q[i]}, so L maps each monomial of det_table() to one, distinct ones to distinct ones,
-    and the image must be c times det_table(). An L that is no similarity is a ValueError.
+    The constructor takes c only to check it, exactly, on integers: with q = perm^-1,
+    (LX)_i = scales[q[i]] X_{q[i]}, so L maps each monomial of det_table() to one, distinct
+    ones to distinct ones, and the image must be c times det_table(). An L that is no
+    similarity is a ValueError.
     """
 
-    __slots__ = ("perm", "nums", "den", "c", "g2")
+    __slots__ = ("perm", "nums", "den", "g2")
 
     def __init__(self, perm, scales, c, g2=_ID2):
         perm = tuple(perm)
@@ -94,7 +96,7 @@ class GroupElem(_Frozen):
         cd3 = c.numerator * den**3
         if image != {(l, m, n): a * cd3 for l, m, n, a in det_table()}:
             raise ValueError("c = %s is not the det multiplier of L" % (c,))
-        self._init(perm, nums, den, c, g2)
+        self._init(perm, nums, den, g2)
 
     @classmethod
     def from_dense(cls, L, c, g2=_ID2) -> "GroupElem":
@@ -105,6 +107,11 @@ class GroupElem(_Frozen):
         if any(len(col) != 1 for col in cols):
             raise ValueError("L must be monomial: one nonzero entry in each column")
         return cls([col[0][0] for col in cols], [col[0][1] for col in cols], c, g2)
+
+    @property
+    def c(self) -> Fraction:
+        """The det multiplier, det(gX) = c det(X); det(e) = 1, so it is det(L e)."""
+        return det_j(self.apply_j(E))
 
     @property
     def scales(self) -> tuple:
@@ -130,13 +137,8 @@ class GroupElem(_Frozen):
     def compose(self, other: "GroupElem") -> "GroupElem":
         """self after other: (g.compose(h)) acts as X -> g(h(X)) on J and on V."""
         p, s, q = self.perm, self.nums, other.perm
-        return _group(
-            [p[k] for k in q],
-            [t * s[k] for k, t in zip(q, other.nums)],
-            self.den * other.den,
-            self.c * other.c,
-            _mul2(self.g2, other.g2),
-        )
+        nums = [t * s[k] for k, t in zip(q, other.nums)]
+        return _group([p[k] for k in q], nums, self.den * other.den, _mul2(self.g2, other.g2))
 
     def __mul__(self, other):
         if not isinstance(other, GroupElem):
@@ -144,10 +146,10 @@ class GroupElem(_Frozen):
         return self.compose(other)
 
 
-def _group(perm, nums, den: int, c: Fraction, g2) -> GroupElem:
+def _group(perm, nums, den: int, g2) -> GroupElem:
     """The element with scales nums/den (den > 0), reduced to canonical form; nothing is checked."""
     g = object.__new__(GroupElem)
-    g._init(tuple(perm), *_lowest(nums, den), c, g2)
+    g._init(tuple(perm), *_lowest(nums, den), g2)
     return g
 
 
@@ -162,7 +164,7 @@ def _gl2(m) -> tuple:
 
 
 def identity_elem() -> GroupElem:
-    return _group(_ID_PERM, _ONES, 1, Fraction(1), _ID2)
+    return _group(_ID_PERM, _ONES, 1, _ID2)
 
 
 def scalar_elem(t) -> GroupElem:
@@ -170,7 +172,7 @@ def scalar_elem(t) -> GroupElem:
     t = _rat(t)
     if t == 0:
         raise ZeroScalar(_NONZERO_SCALES)
-    return _group(_ID_PERM, (t.numerator,) * 27, t.denominator, t**3, _ID2)
+    return _group(_ID_PERM, (t.numerator,) * 27, t.denominator, _ID2)
 
 
 def diag_conj(l1, l2, l3) -> GroupElem:
@@ -180,7 +182,7 @@ def diag_conj(l1, l2, l3) -> GroupElem:
         raise ZeroScalar(_NONZERO_SCALES)
     # a diagonal matrix in coordinates, over q^2: 3 diagonal entries, then 8 per slot
     nums = [n * n for n in m] + [m[(i + 1) % 3] * m[(i + 2) % 3] for i in range(3) for _ in range(8)]
-    return _group(_ID_PERM, nums, q * q, Fraction((m[0] * m[1] * m[2]) ** 2, q**6), _ID2)
+    return _group(_ID_PERM, nums, q * q, _ID2)
 
 
 def perm_elem(sigma) -> GroupElem:
@@ -213,12 +215,12 @@ def _perm_elem(sig: tuple) -> GroupElem:
         for a, (b, sign) in enumerate(coord):
             perm[3 + 8 * old + a] = 3 + 8 * new + b
             scales[3 + 8 * old + a] = sign
-    return _group(perm, scales, 1, Fraction(1), _ID2)
+    return _group(perm, scales, 1, _ID2)
 
 
 def gl2_elem(m) -> GroupElem:
     """Identity on J; m twists the two J summands of V."""
-    return _group(_ID_PERM, _ONES, 1, Fraction(1), _gl2(m))
+    return _group(_ID_PERM, _ONES, 1, _gl2(m))
 
 
 def act_v(g: GroupElem, x: VPoint) -> VPoint:
@@ -254,11 +256,11 @@ def tilde(g: GroupElem) -> GroupElem:
     m, sign, p, s, d = _M_PERM, _M_SIGN, g.perm, g.nums, g.den
     l = lcm(*s)
     nums = [sign[j] * sign[p[k]] * d * (l // s[k]) for j, k in enumerate(m)]
-    return _group([m[p[k]] for k in m], nums, l, 1 / g.c, g.g2)
+    return _group([m[p[k]] for k in m], nums, l, g.g2)
 
 
 def mu(g: GroupElem) -> GroupElem:
     """c det(g2)^2 L, as a map on J; scales det by chi(g) = c (c det(g2)^2)^3."""
     factor = g.c * det2(g.g2) ** 2
     f = factor.numerator
-    return _group(g.perm, [f * n for n in g.nums], g.den * factor.denominator, g.c * factor**3, _ID2)
+    return _group(g.perm, [f * n for n in g.nums], g.den * factor.denominator, _ID2)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .albert import E, AlbertElem, cross, trace_j, trilinear_d
+from .albert import E, AlbertElem, cross, trace_j
 from .octonion import Oct, oct_conj, oct_mul, oct_q, trace_prod3
-from .smap import SIGNED_TERMS
+from .smap import _signed_sum
 
 _HALF = Fraction(1, 2)
 
@@ -111,10 +111,4 @@ def te_expansion(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
 
 def literal_k(x) -> AlbertElem:
     """The 16-term signed sum of SIGNED_TERMS, sign * D(v2,v5,v7) D(v4,v6,v8) * (v1 x v3); the reference for k_elem."""
-    acc = AlbertElem((0, 0, 0))
-    ab = (x.a, x.b)
-    for sign, picks in SIGNED_TERMS:
-        v = [ab[p] for p in picks]
-        dd = trilinear_d(v[1], v[4], v[6]) * trilinear_d(v[3], v[5], v[7])
-        acc = acc + cross(v[0], v[2]).scale(sign * dd)
-    return acc
+    return _signed_sum(x, cross)

@@ -672,12 +672,22 @@ def _singular_matrix():
 SUITE_NAMES = tuple(_REGISTRY) + ("all",)
 
 
+def _trial(draw, body, rng: random.Random, i: int) -> bool:
+    """Trial i of one check; an exception from the draw or the predicate fails it."""
+    try:
+        return bool(body(*draw(rng, i)))
+    except Exception:
+        return False
+
+
 def run_suite(name: str, seed: int = 0, trials: int = 20) -> list:
     """Run one suite (or "all") deterministically; returns CheckResults.
 
     An unknown name is a ParseError that lists the valid ones, and trials
     below 1 a ValueError: a check that runs no trial would report ok.
-    Under "all" each check's name is prefixed with its suite's.
+    Under "all" each check's name is prefixed with its suite's. A draw or
+    predicate that raises fails its trial, so a fault that raises in one
+    check still leaves every other check reported.
     """
     if name != "all" and name not in _REGISTRY:
         raise ParseError("unknown suite %r; choices: %s" % (name, ", ".join(SUITE_NAMES)))
@@ -690,6 +700,6 @@ def run_suite(name: str, seed: int = 0, trials: int = 20) -> list:
         prefix = suite + "/" if name == "all" else ""
         for check, count, draw, body in _REGISTRY[suite]:
             runs = range(count(trials))
-            passed = sum(1 for i in runs if body(*draw(rng, i)))
+            passed = sum(1 for i in runs if _trial(draw, body, rng, i))
             results.append(CheckResult(prefix + check, passed, len(runs) - passed))
     return results

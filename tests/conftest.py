@@ -34,6 +34,30 @@ def rng():
     return random.Random(20260819)
 
 
+@pytest.fixture()
+def count_fractions(monkeypatch):
+    """count_fractions(): patch Fraction.__new__ to record its arguments in the list returned.
+
+    Compute the expected values first: from the call on, every Fraction made
+    is recorded, until monkeypatch.undo() or the end of the test.
+    """
+
+    def start() -> list:
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
+        made.clear()
+        return made
+
+    return start
+
+
 def _sparse_point(rng):
     """6 of 27 coordinates per component: 20-bit numerators, 8-bit denominators."""
 

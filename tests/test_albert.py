@@ -306,7 +306,7 @@ VALUES = {
     "AlbertElem": (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(_HALF), (E.nums, E.den)),
     "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
     "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
-    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, _G.c, _G.g2)),
+    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, _G.g2)),
     "StructureTensor": (
         _T,
         StructureTensor(act_v(identity_elem(), w_point())),

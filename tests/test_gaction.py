@@ -172,27 +172,20 @@ def test_group_elem_canonical_form(rng):
     assert any(g.den > 1 for g in elems)
 
 
-def test_group_ops_make_few_fractions(rng, monkeypatch):
-    # the scales stay integers: apply_j and act_v make no Fraction, and compose,
-    # tilde and mu make only the few their c and g2 need, whatever the 27 scales
-    # are (compose: 1 for c and 3 for each entry of the 2x2 product of g2)
+def test_group_ops_make_few_fractions(rng, monkeypatch, count_fractions):
+    # the scales stay integers and c is read off L: apply_j, act_v and tilde make
+    # no Fraction, and compose and mu make only the few g2 needs, whatever the 27
+    # scales are (compose: 3 for each entry of the 2x2 product of g2; mu: 1 for c
+    # and 5 for c det(g2)^2)
     elems = [rand_group(rng) for _ in range(8)] + [rand_special(rng)] + _wide_elems()
     X, x = rand_albert(rng), rand_vpoint(rng)
     calls = []
     for g, h in zip(elems, elems[1:]):
-        calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 13)]
-        calls += [(tilde, (g,), 12), (mu, (g,), 12)]
+        calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 12)]
+        calls += [(tilde, (g,), 0), (mu, (g,), 6)]
     want = [f(*args) for f, args, _ in calls]
-    made, counts = [], []
-    new = Fraction.__new__
-
-    def counted(cls, *a, **k):
-        made.append(a)
-        return new(cls, *a, **k)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
-    got = []
+    counts, got = [], []
+    made = count_fractions()
     for f, args, _ in calls:
         made.clear()
         got.append(f(*args))
@@ -203,7 +196,7 @@ def test_group_ops_make_few_fractions(rng, monkeypatch):
 
 
 def test_character_soundness(rng):
-    # the stored scalar is the factor det picks up under the linear part,
+    # c, read off L as det(L e), is the factor det picks up at every X,
     # also for the 63-bit words
     for _ in range(12):
         assert character_soundness(rand_group(rng), rand_albert(rng))

@@ -240,7 +240,7 @@ def test_adjoint_identity_of_the_cubic_norm(rng):
     assert det_j(index[4]) == 0 and det_j(index[5]) == 0
 
 
-def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch):
+def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch, count_fractions):
     # circ_a_tform and s_map, the two users of the isotope kernel, run on integers
     # only, a singular a keeps its documented error, circ_x makes delta and 1/delta,
     # and each cubic-norm form reduces once
@@ -252,16 +252,7 @@ def test_tform_makes_no_fraction(rng, sparse_point, monkeypatch):
     d, k = delta(x), k_elem(x)
     want_circ = circ_a_springer(cross(k, k).scale(81 / d), X, Y)
     singular = diag_elem(0, 1, 1)
-    made = []
-    new = Fraction.__new__
-
-    def counted(cls, *a, **k):
-        made.append(a)
-        return new(cls, *a, **k)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
-    made.clear()
+    made = count_fractions()
     got = [circ_a_tform(*t) for t in args]
     with pytest.raises(SingularPoint) as err:
         circ_a_tform(singular, E, E)

@@ -296,36 +296,21 @@ def test_canonical_refuses_what_json_cannot_hold():
         dumps({"t": enc})
 
 
-def _count_fractions(monkeypatch) -> list:
-    """Patch Fraction.__new__ to record its arguments in the list returned; monkeypatch.undo() restores it."""
-    made = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2
-    made.clear()
-    return made
-
-
-def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch):
+def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch, count_fractions):
     # decode_vpoint -> structure_tensor -> encode_stensor -> dumps runs on integers only
     docs = [json.loads(dumps(encode_vpoint(x))) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
-    made = _count_fractions(monkeypatch)
+    made = count_fractions()
     texts = [dumps(encode_stensor(structure_tensor(decode_vpoint(doc)))) for doc in docs]
     assert made == []
     monkeypatch.undo()
     assert all(json.loads(t)["point"] == doc for t, doc in zip(texts, docs))
 
 
-def test_point_side_fraction_counts(rng, sparse_point, monkeypatch):
+def test_point_side_fraction_counts(rng, sparse_point, count_fractions):
     # s_map and the cubic command run on integers; delta makes its one result
     # and circ_x at most one more, dividing by it
     calls = [(x, rand_albert(rng), rand_albert(rng)) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
-    made = _count_fractions(monkeypatch)
+    made = count_fractions()
 
     def made_by(f, *args):
         made.clear()

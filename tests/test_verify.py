@@ -2,12 +2,14 @@
 
 import hashlib
 import inspect
+import json
 import random
 import re
 
 import pytest
 
-from albertkit import verify
+from albertkit import cli, isotope, verify
+from albertkit.errors import SingularPoint
 from albertkit.verify import SUITE_NAMES, predicate, run_suite
 
 SUITES = [n for n in SUITE_NAMES if n != "all"]
@@ -167,3 +169,20 @@ def test_predicate_returns_the_registered_body():
     for name in ("no-such-suite/unit", "albert/no-such-check", "albert", "unit"):
         with pytest.raises(ValueError, match=re.escape(repr(name))):
             predicate(name)
+
+
+def test_a_raising_predicate_fails_its_check(monkeypatch, capsys):
+    # a fault that raises inside one check fails that check's trials; every
+    # other check still runs, and verify reports them all
+    def singular(*args):
+        raise SingularPoint("det(a) = 0: the isotope at a is undefined")
+
+    monkeypatch.setattr(isotope, "circ_a_springer", singular)
+    results = run_suite("all", seed=1)
+    failed = {r.name for r in results if r.failed}
+    assert len(results) == 61 and "smap-contraction/tensor-is-isotope" in failed
+    assert len(failed) < len(results)
+    assert cli.main(["verify", "--suite", "all", "--seed", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert out["checks"] == [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results]
