@@ -16,7 +16,9 @@ How L is stored: as perm and the 27 scale numerators `nums`, Python ints
 over one positive denominator `den` in canonical form, gcd(den, *nums) = 1,
 as octonion._IntCoords stores coordinates. apply_j, compose, tilde, mu and
 act_v work on those ints with one octonion._lowest per result; `scales`
-and the dense `L` are Fraction views made on demand. g2 stays Fractions.
+and the dense `L` are Fraction views made on demand. g2 is a GL2, its
+entries a, b, c, d as ints over one denominator, an octonion._IntCoords
+like pvs.BinaryCubic; its product, act_v and det2 work on those ints.
 c is not stored: L is a similarity and det(e) = 1, so c = det(L e), read
 off L on demand. octonion._Frozen sets, compares and hashes the slots.
 
@@ -34,10 +36,9 @@ from math import lcm
 
 from .albert import _GRAM, E, AlbertElem, _elem, det_j, det_table
 from .errors import SingularMatrix, ZeroScalar
-from .octonion import _canonical, _Frozen, _fractions, _lowest, _rat
+from .octonion import _canonical, _Frozen, _fractions, _IntCoords, _lowest, _rat, _reduced
 from .pvs import VPoint
 
-_ID2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 _ID_PERM = tuple(range(27))
 _ONES = (1,) * 27
 _NONZERO_SCALES = "L needs 27 nonzero scales"
@@ -47,15 +48,25 @@ _M_PERM = tuple(j for _, j, _ in _GRAM)
 _M_SIGN = tuple(sign for _, _, sign in _GRAM)
 
 
-def det2(m) -> Fraction:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+class GL2(_IntCoords):
+    """The GL(2) factor [[a, b], [c, d]] of a GroupElem: nums = (a, b, c, d) as ints over `den`. Immutable."""
+
+    __slots__ = ()
 
 
-def _mul2(m, n) -> tuple:
-    """The 2x2 product m n of two GL(2) factors."""
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+_ID2 = _reduced(GL2, (1, 0, 0, 1), 1)
+
+
+def det2(m: GL2) -> Fraction:
+    a, b, c, d = m.nums
+    return Fraction(a * d - b * c, m.den * m.den)
+
+
+def _mul2(m: GL2, n: GL2) -> GL2:
+    """The 2x2 product m n of two GL(2) factors, over m.den * n.den."""
+    a, b, c, d = m.nums
+    e, f, g, h = n.nums
+    return _reduced(GL2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), m.den * n.den)
 
 
 class GroupElem(_Frozen):
@@ -125,7 +136,7 @@ class GroupElem(_Frozen):
         return tuple(tuple(s[j] if p[j] == i else zero for j in range(27)) for i in range(27))
 
     def __repr__(self):
-        return "GroupElem(c=%s, g2=%r, L=<monomial 27x27>)" % (self.c, self.g2)
+        return "GroupElem(c=%s, g2=[[%s, %s], [%s, %s]], L=<monomial 27x27>)" % (self.c, *self.g2.coords())
 
     def apply_j(self, X: AlbertElem) -> AlbertElem:
         """Scatter X's integer coordinates times the scale numerators, over X.den * den."""
@@ -153,12 +164,14 @@ def _group(perm, nums, den: int, g2) -> GroupElem:
     return g
 
 
-def _gl2(m) -> tuple:
-    """m as a 2x2 tuple of Fractions; ValueError unless 2x2, SingularMatrix unless invertible."""
-    m = tuple(tuple(_rat(v) for v in row) for row in m)
-    if [len(row) for row in m] != [2, 2]:
-        raise ValueError("GL(2) factor must be 2x2")
-    if det2(m) == 0:
+def _gl2(m) -> GL2:
+    """m, a GL2 or 2x2 rows of rationals, as a GL2; ValueError unless 2x2, SingularMatrix unless invertible."""
+    if type(m) is not GL2:
+        rows = [[_rat(v) for v in row] for row in m]
+        if [len(row) for row in rows] != [2, 2]:
+            raise ValueError("GL(2) factor must be 2x2")
+        m = _reduced(GL2, *_canonical(rows[0] + rows[1]))
+    if not det2(m):
         raise SingularMatrix("GL(2) factor must be invertible")
     return m
 
@@ -225,19 +238,17 @@ def gl2_elem(m) -> GroupElem:
 
 def act_v(g: GroupElem, x: VPoint) -> VPoint:
     """(a LA + b LB, c LA + d LB) for x = (A, B): one integer pass per output element."""
-    (a, b), (c, d) = g.g2
+    a, b, c, d = g.g2.nums
     return VPoint(_combine(g, a, b, x), _combine(g, c, d, x))
 
 
-def _combine(g: GroupElem, p: Fraction, q: Fraction, x: VPoint) -> AlbertElem:
-    """p LA + q LB = L(p A + q B), on the integer numerators, with one reduction."""
-    A, B = x.a, x.b
-    u = p.numerator * q.denominator * B.den
-    v = q.numerator * p.denominator * A.den
+def _combine(g: GroupElem, p: int, q: int, x: VPoint) -> AlbertElem:
+    """(p LA + q LB) / g2.den = L(p A + q B) / g2.den for x = (A, B), on the integer numerators, with one reduction."""
+    u, v = p * x.b.den, q * x.a.den
     out = [0] * 27
-    for i, n, s, t in zip(g.perm, g.nums, A.nums, B.nums):
+    for i, n, s, t in zip(g.perm, g.nums, x.a.nums, x.b.nums):
         out[i] = n * (u * s + v * t)
-    return _elem(out, p.denominator * q.denominator * A.den * B.den * g.den)
+    return _elem(out, g.g2.den * x.a.den * x.b.den * g.den)
 
 
 def chi(g: GroupElem) -> Fraction:

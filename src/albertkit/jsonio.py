@@ -8,11 +8,13 @@ JSON, validate shape and raise ParseError with a readable message.
 dumps() fixes key order and spacing so identical values serialize to
 identical bytes. Every rational is printed by _fmt from an int over a
 positive denominator, and read by _parse straight from its decimal
-digits into two ints; decode_oct and decode_albert bring those over one
-denominator with no Fraction in between. encode_stensor formats the 109
-slot values of a tensor once each and joins each of its 378 distinct
-rows once, by smap's slot table. decode_stensor accepts only the entries
-of the tensor of their point.
+digits into two ints; decode_oct, decode_albert and the g2 of
+decode_group bring those over one denominator with no Fraction in
+between. encode_group formats ints too: L from its perm, nums and den,
+with one shared "0" for the 702 zero entries, and g2 from its nums and
+den. encode_stensor formats the 109 slot values of a tensor once each
+and joins each of its 378 distinct rows once, by smap's slot table.
+decode_stensor accepts only the entries of the tensor of their point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import gcd, lcm
 
 from .albert import AlbertElem
 from .errors import ParseError
-from .gaction import GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
+from .gaction import GL2, GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
 from .octonion import Oct, _Frozen, _reduced
 from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor, _slot_table, slot_values, structure_tensor
@@ -174,23 +176,29 @@ def decode_stensor(obj) -> StructureTensor:
     return t
 
 
-def _decode_matrix(obj, rows, cols, what) -> tuple:
+def _decode_matrix(obj, rows, cols, what) -> list:
+    """The rows of parsed (p, q); ParseError unless obj is a rows x cols matrix of rationals."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError("%s must be a %dx%d matrix" % (what, rows, cols))
     out = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError("%s must be a %dx%d matrix" % (what, rows, cols))
-        out.append(tuple(str_to_rat(v) for v in row))
-    return tuple(out)
+        out.append([_parse(v) for v in row])
+    return out
+
+
+def _decode_gl2(obj, what) -> GL2:
+    """The 2x2 matrix obj as a GL2 over the lcm of its denominators; invertibility is the builders' check."""
+    return _exact(GL2, [pq for row in _decode_matrix(obj, 2, 2, what) for pq in row])
 
 
 def encode_group(g: GroupElem) -> dict:
-    return {
-        "L": [[rat_to_str(v) for v in row] for row in g.L],
-        "c": rat_to_str(g.c),
-        "g2": [[rat_to_str(v) for v in row] for row in g.g2],
-    }
+    L = [["0"] * 27 for _ in range(27)]
+    for j, (i, n) in enumerate(zip(g.perm, g.nums)):
+        L[i][j] = _fmt(n, g.den)
+    a, b, c, d = (_fmt(n, g.g2.den) for n in g.g2.nums)
+    return {"L": L, "c": rat_to_str(g.c), "g2": [[a, b], [c, d]]}
 
 def decode_group(obj) -> GroupElem:
     """Full form {"L", "c", "g2"}, L monomial with det multiplier c, or shorthand {"kind", "params"}."""
@@ -216,13 +224,13 @@ def decode_group(obj) -> GroupElem:
                 raise ParseError("perm shorthand needs a permutation of [1, 2, 3]")
             return perm_elem(params)
         if kind == "gl2":
-            return gl2_elem(_decode_matrix(params, 2, 2, "gl2 params"))
+            return gl2_elem(_decode_gl2(params, "gl2 params"))
         raise ParseError("unknown generator kind %r" % (kind,))
     if set(obj) != {"L", "c", "g2"}:
         raise ParseError('group element must be {"L", "c", "g2"} or a shorthand')
-    L = _decode_matrix(obj["L"], 27, 27, "L")
+    L = [[Fraction(*v) for v in row] for row in _decode_matrix(obj["L"], 27, 27, "L")]
     c = str_to_rat(obj["c"])
-    g2 = _decode_matrix(obj["g2"], 2, 2, "g2")
+    g2 = _decode_gl2(obj["g2"], "g2")
     try:
         return GroupElem.from_dense(L, c, g2)
     except ValueError as exc:

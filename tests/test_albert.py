@@ -31,7 +31,7 @@ from albertkit.albert import (
     trace_j,
     trilinear_d,
 )
-from albertkit.gaction import GroupElem, act_v, identity_elem, perm_elem
+from albertkit.gaction import GroupElem, act_v, gl2_elem, identity_elem, perm_elem
 from albertkit.jsonio import dumps, encode_stensor
 from albertkit.octonion import OCT_UNIT, Oct, _Frozen, oct_conj, oct_mul, oct_norm, oct_trace
 from albertkit.pvs import BinaryCubic, cubic_of, w_point
@@ -299,6 +299,7 @@ def _leaves(cls) -> set:
 _T = structure_tensor(w_point())
 _G = perm_elem((2, 1, 3))  # the shared cached element
 _HALF = Fraction(1, 2)
+_M = gl2_elem([[1, -2], [Fraction(3, 2), 7]]).g2
 
 # (value, the same value by another route, its slots in order): the key it hashes by
 VALUES = {
@@ -306,7 +307,8 @@ VALUES = {
     "AlbertElem": (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(_HALF), (E.nums, E.den)),
     "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
     "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
-    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, _G.g2)),
+    "GL2": (_M, gl2_elem([["2/2", -2], [Fraction(6, 4), 7]]).g2, ((2, -4, 3, 14), 2)),
+    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, gl2_elem([[1, 0], [0, 1]]).g2)),
     "StructureTensor": (
         _T,
         StructureTensor(act_v(identity_elem(), w_point())),
@@ -320,13 +322,18 @@ VALUES = {
 }
 
 
+def _holds_fraction(v) -> bool:
+    return isinstance(v, Fraction) or (isinstance(v, tuple) and any(map(_holds_fraction, v)))
+
+
 @pytest.mark.parametrize("value, other, key", VALUES.values(), ids=VALUES.keys())
 def test_value_types_are_immutable(value, other, key):
     """The one rule of octonion._Frozen, on every value type.
 
     Equal values built by two routes are == and hash equal, by all
-    their slots; a value of another type is not compared; and no slot
-    can be set or deleted.
+    their slots; a value of another type is not compared; no slot
+    can be set or deleted; and no slot holds a Fraction, nested in
+    tuples or not: exact values are ints over a denominator.
     Shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and
     held by callers, so an assignment would corrupt every holder.
     """
@@ -338,6 +345,7 @@ def test_value_types_are_immutable(value, other, key):
     h = hash(value)
     slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
     assert slots
+    assert not any(_holds_fraction(getattr(value, name)) for name in slots)
     for name in slots:
         before = getattr(value, name)
         with pytest.raises(AttributeError):

@@ -173,16 +173,16 @@ def test_group_elem_canonical_form(rng):
 
 
 def test_group_ops_make_few_fractions(rng, monkeypatch, count_fractions):
-    # the scales stay integers and c is read off L: apply_j, act_v and tilde make
-    # no Fraction, and compose and mu make only the few g2 needs, whatever the 27
-    # scales are (compose: 3 for each entry of the 2x2 product of g2; mu: 1 for c
-    # and 5 for c det(g2)^2)
+    # the scales and g2 are integers over one denominator and c is read off L:
+    # apply_j, act_v, compose and tilde make no Fraction, whatever the 27 scales
+    # and the 4 entries of g2 are, and mu makes 4 (c, det2(g2), its square and
+    # c det2(g2)^2)
     elems = [rand_group(rng) for _ in range(8)] + [rand_special(rng)] + _wide_elems()
     X, x = rand_albert(rng), rand_vpoint(rng)
     calls = []
     for g, h in zip(elems, elems[1:]):
-        calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 12)]
-        calls += [(tilde, (g,), 0), (mu, (g,), 6)]
+        calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 0)]
+        calls += [(tilde, (g,), 0), (mu, (g,), 4)]
     want = [f(*args) for f, args, _ in calls]
     counts, got = [], []
     made = count_fractions()
@@ -211,7 +211,7 @@ def test_compose_matches_function_composition(rng):
         gh = g * h
         assert gh.apply_j(X) == g.apply_j(h.apply_j(X))
         assert gh.c == g.c * h.c
-        assert gh.g2 == tuple(tuple(r) for r in mat_mul(g.g2, h.g2))
+        assert _rows(gh.g2) == mat_mul(_rows(g.g2), _rows(h.g2))
 
 
 def test_chi_multiplicative(rng):
@@ -228,7 +228,7 @@ def test_cubic_transport(rng):
         g = rand_group(rng)
         x = rand_vpoint(rng)
         fx, fgx = cubic_of(x), cubic_of(act_v(g, x))
-        (p, q), (r, s) = g.g2
+        p, q, r, s = g.g2.coords()
         for u, v in ((1, 0), (0, 1), (1, 1), (2, -1)):
             assert fgx.evaluate(u, v) == g.c * fx.evaluate(p * u + r * v, q * u + s * v)
 
@@ -289,15 +289,29 @@ def _dense_reference_elems(rng):
     ] + words
 
 
+def _rows(m) -> tuple:
+    """The GL(2) factor m as its 2x2 rows of Fractions."""
+    a, b, c, d = m.coords()
+    return ((a, b), (c, d))
+
+
 def _wide_elems():
-    """Words whose scales have negative and 63-bit numerators over many distinct denominators."""
+    """Words whose scales have negative and 63-bit numerators over many distinct denominators.
+
+    The last two carry a GL(2) factor with 63-bit numerators over the
+    distinct primes 3, 7 and 2^61 - 1: the first composes it with a
+    factor over 1, the second with itself.
+    """
     big = 2**62 + 135
     d1 = diag_conj(Fraction(-big, 3), Fraction(big - 2, 5), Fraction(-7, 2**61 - 1))
     d2 = diag_conj(Fraction(11, 13), Fraction(-(2**63 - 25), 17), Fraction(19, 23))
+    wide2 = gl2_elem([[Fraction(big, 3), Fraction(-(2**63 - 25), 7)], [Fraction(5, 2**61 - 1), big - 4]])
     return [
         d1,
         d1 * perm_elem((2, 3, 1)) * d2,
         scalar_elem(Fraction(-big, 29)) * d2 * gl2_elem([[1, -2], [3, 7]]) * perm_elem((3, 2, 1)),
+        wide2 * d1 * gl2_elem([[1, -2], [3, 7]]),
+        perm_elem((3, 1, 2)) * wide2 * d2 * wide2,
     ]
 
 
@@ -308,6 +322,7 @@ def test_monomial_form_matches_dense_reference(rng):
     scales = [s for g in wide for s in g.scales]
     assert any(s < 0 for s in scales) and max(abs(s.numerator) for s in scales).bit_length() >= 63
     assert all(len({s.denominator for s in g.scales}) >= 4 for g in wide)
+    assert any(g.g2.den.bit_length() > 61 and max(map(abs, g.g2.nums)).bit_length() > 63 for g in wide)
     elems = _dense_reference_elems(rng) + wide
     for g, h in zip(elems, elems[1:] + elems[:1]):
         L = g.L
@@ -317,3 +332,11 @@ def test_monomial_form_matches_dense_reference(rng):
         assert tilde(g).L == mat_mul(mat_mul(M, inv_exact(tuple(zip(*L)))), M)
         factor = g.c * det2(g.g2) ** 2
         assert mu(g).L == tuple(tuple(factor * v for v in row) for row in L)
+        # g2: the 2x2 product of compose, and act_v as (a LA + b LB, c LA + d LB)
+        assert _rows((g * h).g2) == mat_mul(_rows(g.g2), _rows(h.g2))
+        (a, b), (c, d) = _rows(g.g2)
+        x = rand_vpoint(rng)
+        LA, LB = mat_vec(L, x.a.coords()), mat_vec(L, x.b.coords())
+        y = act_v(g, x)
+        assert y.a.coords() == tuple(a * s + b * t for s, t in zip(LA, LB))
+        assert y.b.coords() == tuple(c * s + d * t for s, t in zip(LA, LB))

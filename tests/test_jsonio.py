@@ -1,13 +1,24 @@
 """JSON wire formats: round trips, strict validation, canonical bytes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from albertkit.albert import E, AlbertElem
-from albertkit.errors import ParseError
-from albertkit.gaction import diag_conj, gl2_elem, perm_elem, scalar_elem
+from albertkit.errors import AlbertKitError, ParseError
+from albertkit.gaction import (
+    act_v,
+    chi,
+    diag_conj,
+    gl2_elem,
+    identity_elem,
+    mu,
+    perm_elem,
+    scalar_elem,
+    tilde,
+)
 from albertkit.jsonio import (
     STENSOR_BASIS_TAG,
     _canonical,
@@ -184,15 +195,17 @@ def test_group_full_round_trip(rng):
         assert decode_group(encode_group(g)) == g
 
 
-def _full_identity(c="1", column=None, row=None):
-    """The full form of the identity on J, with a claimed c, a zeroed column or a row of ones."""
+def _full_identity(c="1", column=None, row=None, scale=None, g2=(("1", "0"), ("0", "1"))):
+    """The full form of the identity on J, with a claimed c and g2, a zeroed column, a row of ones or one scale 2."""
     L = [["1" if i == j else "0" for j in range(27)] for i in range(27)]
     if column is not None:
         for r in L:
             r[column] = "0"
     if row is not None:
         L[row] = ["1"] * 27
-    return {"L": L, "c": c, "g2": [["1", "0"], ["0", "1"]]}
+    if scale is not None:
+        L[scale][scale] = "2"
+    return {"L": L, "c": c, "g2": [list(r) for r in g2]}
 
 
 def test_group_shorthand():
@@ -223,6 +236,116 @@ def test_group_shorthand():
         with pytest.raises(ParseError):
             decode_group(bad)
     assert decode_group(_full_identity()) == scalar_elem(1)
+
+
+def _codec_elems() -> dict:
+    """One element of each generator kind, and a word with 63-bit scales, its tilde and its mu.
+
+    The word's GL(2) factor "g2" has 63-bit entries over the distinct
+    primes 3, 7, 2^61 - 1 and 11, and a negative det.
+    """
+    big, p61 = 2**62 + 135, 2**61 - 1
+    g2 = gl2_elem([[Fraction(-big, 3), Fraction(2**63 - 25, 7)], [Fraction(5, p61), Fraction(big - 2, 11)]])
+    d = diag_conj(Fraction(-big, 13), Fraction(big - 2, 5), Fraction(-7, p61))
+    word = d * perm_elem((2, 3, 1)) * g2 * scalar_elem(Fraction(11, 17))
+    return {
+        "identity": identity_elem(),
+        "scalar": scalar_elem(Fraction(-3, 2)),
+        "diag": diag_conj(2, Fraction(1, 3), -5),
+        "perm": perm_elem((3, 1, 2)),
+        "gl2": gl2_elem([[1, 2], [3, 5]]),
+        "g2": g2,
+        "word": word,
+        "tilde": tilde(word),
+        "mu": mu(word),
+    }
+
+
+# sha256 of dumps(encode_group(g)) for each of _codec_elems(), recorded before
+# encode_group and g2 moved onto integers; re-record only on purpose
+GROUP_BYTES = {
+    "identity": "e5c786a98bf6bffebc975d39fbe5b80f3cd07385e76d5405fda50bdc56617712",
+    "scalar": "671b450803b25059249414ad180d4c317ea72cd85494ef6bba640817ecc5cd5c",
+    "diag": "8d14c6575ca533d1a27b75eecf3727b25374590315d0e3f13b098150ff862e91",
+    "perm": "d018c7a74311efa8ce0545729a02da41e941249a41dba6873ed84482114dd07b",
+    "gl2": "20ab6e970779379427ec7a30433c10a8a63dec5f1e20c72b6885359f380cabc2",
+    "g2": "1ba656a56b3322f74ef4eea18e997868f25c5eae2543332b9cf77d9ea2de2979",
+    "word": "21dcef43fcea032c35bb0f68f8a9aa336aad1ff25f66bea5f5f991f8fb43e2d0",
+    "tilde": "378c36192d161621af6c64f9fb0ce957e096c25e52de0fc5240cf75d65dd0de6",
+    "mu": "57ebc945a269daac3da19b8819f886d75d53512d7aee11133d3031b8a771a8ae",
+}
+
+
+def test_group_bytes_pinned():
+    elems = _codec_elems()
+    assert max(abs(n) for n in elems["word"].nums).bit_length() > 63
+    digests = {k: hashlib.sha256(dumps(encode_group(g)).encode()).hexdigest() for k, g in elems.items()}
+    assert digests == GROUP_BYTES
+    for g in elems.values():
+        assert decode_group(encode_group(g)) == g
+
+
+# (document, the error kind and detail decode_group gives it), recorded with GROUP_BYTES
+GROUP_ERRORS = [
+    ({"kind": "gl2", "params": [["1", "2"]]}, "ParseError", "gl2 params must be a 2x2 matrix"),
+    ({"kind": "gl2", "params": [["1", "2"], ["3"]]}, "ParseError", "gl2 params must be a 2x2 matrix"),
+    ({"kind": "gl2", "params": [["1", "2"], ["2", "4"]]}, "SingularMatrix", "GL(2) factor must be invertible"),
+    (
+        {"kind": "gl2", "params": [["1", "1.5"], ["2", "4"]]},
+        "ParseError",
+        "bad rational '1.5': expected p or p/q in decimal digits",
+    ),
+    ({"kind": "gl2", "params": [["1", 0.5], ["2", "4"]]}, "ParseError", "rational must be a string, got 'float'"),
+    ({"kind": "gl2", "params": [["1/0", "0"], ["2", "4"]]}, "ParseError", "bad rational '1/0': the denominator is 0"),
+    (_full_identity(g2=(("1", "0", "0"), ("0", "1"))), "ParseError", "g2 must be a 2x2 matrix"),
+    (_full_identity(g2=(("1", "2"), ("1/2", "1"))), "SingularMatrix", "GL(2) factor must be invertible"),
+    ({"L": [], "c": "1", "g2": [["1", "0"], ["0", "1"]]}, "ParseError", "L must be a 27x27 matrix"),
+    (_full_identity(column=4), "ParseError", "L must be monomial: one nonzero entry in each column"),
+    (_full_identity(row=0), "ParseError", "L must be monomial: one nonzero entry in each column"),
+    (_full_identity(scale=5), "ParseError", "c = 1 is not the det multiplier of L"),
+    (_full_identity(c="5"), "ParseError", "c = 5 is not the det multiplier of L"),
+    (_full_identity(c="-1/8"), "ParseError", "c = -1/8 is not the det multiplier of L"),
+    (_full_identity(c="0"), "ZeroScalar", "group element must scale det by a nonzero factor"),
+]
+
+
+@pytest.mark.parametrize("doc, kind, detail", GROUP_ERRORS)
+def test_group_decode_errors_pinned(doc, kind, detail):
+    with pytest.raises(AlbertKitError) as info:
+        decode_group(doc)
+    assert (info.value.kind, str(info.value)) == (kind, detail)
+
+
+def test_group_op_fraction_counts(rng, monkeypatch, count_fractions):
+    # a whole group op, from shorthand JSON with a gl2 factor to act_v, and its
+    # encoding. The op makes 14: the 4 decoded scalar and diag parameters,
+    # det2 of the gl2 check, mu's 4 and chi's 5 (c, det2 and their powers);
+    # compose, tilde and act_v make none. encode_group makes 1 per element, c.
+    word = [
+        {"kind": "diag", "params": ["2", "-1/3", "5/7"]},
+        {"kind": "gl2", "params": [["1/2", "-3"], ["5", "7/11"]]},
+        {"kind": "perm", "params": [3, 1, 2]},
+        {"kind": "scalar", "params": "-2/3"},
+    ]
+    x = rand_vpoint(rng)
+
+    def op():
+        gens = [decode_group(doc) for doc in word]
+        g = gens[0]
+        for h in gens[1:]:
+            g = g.compose(h)
+        return g, tilde(g), mu(g), chi(g), act_v(g, x)
+
+    want = op()
+    made = count_fractions()
+    got = op()
+    n_op = len(made)
+    made.clear()
+    encoded = [encode_group(g) for g in got[:3]]
+    n_encode = len(made)
+    monkeypatch.undo()
+    assert got == want and [decode_group(doc) for doc in encoded] == list(got[:3])
+    assert (n_op, n_encode) == (14, 3)
 
 
 def test_dumps_canonical():

@@ -242,7 +242,8 @@ def test_s_equivariance_spot(rng):
     x = rand_vpoint(rng)
     X, Y = rand_albert(rng), rand_albert(rng)
     lhs = s_map(act_v(g, x), g.apply_j(X), g.apply_j(Y))
-    d2 = g.g2[0][0] * g.g2[1][1] - g.g2[0][1] * g.g2[1][0]
+    a, b, c, d = g.g2.coords()
+    d2 = a * d - b * c
     rhs = g.apply_j(s_map(x, X, Y)).scale(g.c ** 3 * d2 ** 4)
     assert lhs == rhs
     assert chi(g) == g.c ** 4 * d2 ** 6
