@@ -74,50 +74,19 @@ class GroupElem(_Frozen):
 
     The scales are int numerators `nums` over one `den` > 0 with gcd(den, *nums) == 1,
     so == and hash compare exact values. `scales` and the dense `L` are read-only
-    Fraction views; a dense matrix comes in only through from_dense.
+    Fraction views; no dense matrix comes in: decode_group reads the full form's
+    perm and scales off its columns.
 
     The constructor takes c only to check it, exactly, on integers: with q = perm^-1,
     (LX)_i = scales[q[i]] X_{q[i]}, so L maps each monomial of det_table() to one, distinct
     ones to distinct ones, and the image must be c times det_table(). An L that is no
-    similarity is a ValueError.
+    similarity is a ValueError. _checked holds these checks; decode_group runs them too.
     """
 
     __slots__ = ("perm", "nums", "den", "g2")
 
     def __init__(self, perm, scales, c, g2=_ID2):
-        perm = tuple(perm)
-        if any(type(i) is not int for i in perm) or sorted(perm) != list(_ID_PERM):
-            raise ValueError("L must be monomial and invertible: perm is not a permutation of range(27)")
-        # an int scale needs no Fraction: _canonical reads only numerator and denominator
-        scales = [s if type(s) is int else _rat(s) for s in scales]
-        if len(scales) != 27:
-            raise ValueError("L needs 27 scales, got %d" % len(scales))
-        nums, den = _canonical(scales)
-        if not all(nums):
-            raise ZeroScalar(_NONZERO_SCALES)
-        c = _rat(c)
-        if c == 0:
-            raise ZeroScalar("group element must scale det by a nonzero factor")
-        g2 = _gl2(g2)
-        q = sorted(_ID_PERM, key=perm.__getitem__)
-        image = {}
-        for l, m, n, a in det_table():
-            l, m, n = sorted((q[l], q[m], q[n]))
-            image[l, m, n] = a * nums[l] * nums[m] * nums[n] * c.denominator
-        cd3 = c.numerator * den**3
-        if image != {(l, m, n): a * cd3 for l, m, n, a in det_table()}:
-            raise ValueError("c = %s is not the det multiplier of L" % (c,))
-        self._init(perm, nums, den, g2)
-
-    @classmethod
-    def from_dense(cls, L, c, g2=_ID2) -> "GroupElem":
-        """The element with the 27x27 matrix L; ValueError unless L is monomial, then as the constructor."""
-        if len(L) != 27 or any(len(row) != 27 for row in L):
-            raise ValueError("L must be a 27x27 matrix")
-        cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*L)]
-        if any(len(col) != 1 for col in cols):
-            raise ValueError("L must be monomial: one nonzero entry in each column")
-        return cls([col[0][0] for col in cols], [col[0][1] for col in cols], c, g2)
+        self._init(*_checked(perm, scales, 1, c, g2))
 
     @property
     def c(self) -> Fraction:
@@ -162,6 +131,36 @@ def _group(perm, nums, den: int, g2) -> GroupElem:
     g = object.__new__(GroupElem)
     g._init(tuple(perm), *_lowest(nums, den), g2)
     return g
+
+
+def _checked(perm, scales, den: int, c, g2) -> tuple:
+    """(perm, nums, den, g2) of L b_j = (scales[j] / den) b_{perm[j]}, checked as the constructor documents.
+
+    The scales are rationals; ints, as decode_group passes them, need no Fraction.
+    """
+    perm = tuple(perm)
+    if any(type(i) is not int for i in perm) or sorted(perm) != list(_ID_PERM):
+        raise ValueError("L must be monomial and invertible: perm is not a permutation of range(27)")
+    # _canonical reads only numerator and denominator, which an int has
+    nums, d = _canonical([s if type(s) is int else _rat(s) for s in scales])
+    if len(nums) != 27:
+        raise ValueError("L needs 27 scales, got %d" % len(nums))
+    nums, den = _lowest(nums, d * den)
+    if not all(nums):
+        raise ZeroScalar(_NONZERO_SCALES)
+    c = _rat(c)
+    if c == 0:
+        raise ZeroScalar("group element must scale det by a nonzero factor")
+    g2 = _gl2(g2)
+    q = sorted(_ID_PERM, key=perm.__getitem__)
+    image = {}
+    for l, m, n, a in det_table():
+        l, m, n = sorted((q[l], q[m], q[n]))
+        image[l, m, n] = a * nums[l] * nums[m] * nums[n] * c.denominator
+    cd3 = c.numerator * den**3
+    if image != {(l, m, n): a * cd3 for l, m, n, a in det_table()}:
+        raise ValueError("c = %s is not the det multiplier of L" % (c,))
+    return perm, nums, den, g2
 
 
 def _gl2(m) -> GL2:

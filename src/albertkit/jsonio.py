@@ -8,12 +8,14 @@ JSON, validate shape and raise ParseError with a readable message.
 dumps() fixes key order and spacing so identical values serialize to
 identical bytes. Every rational is printed by _fmt from an int over a
 positive denominator, and read by _parse straight from its decimal
-digits into two ints; decode_oct, decode_albert and the g2 of
-decode_group bring those over one denominator with no Fraction in
-between. encode_group formats ints too: L from its perm, nums and den,
-with one shared "0" for the 702 zero entries, and g2 from its nums and
-den. encode_stensor formats the 109 slot values of a tensor once each
-and joins each of its 378 distinct rows once, by smap's slot table.
+digits into two ints; decode_oct, decode_albert and decode_group (the
+scales of a full-form L, read off its columns, and g2) bring those over
+one denominator, and decode_stensor compares them with the tensor's
+integers: no decoder makes a Fraction per coordinate. encode_group
+formats ints too: L from its perm, nums and den, with one shared "0"
+for the 702 zero entries, and g2 from its nums and den. encode_stensor
+formats the 109 slot values of a tensor once each and joins each of its
+378 distinct rows once, by smap's slot table.
 decode_stensor accepts only the entries of the tensor of their point.
 """
 
@@ -27,7 +29,7 @@ from math import gcd, lcm
 
 from .albert import AlbertElem
 from .errors import ParseError
-from .gaction import GL2, GroupElem, diag_conj, gl2_elem, perm_elem, scalar_elem
+from .gaction import GL2, GroupElem, _checked, _group, diag_conj, gl2_elem, perm_elem, scalar_elem
 from .octonion import Oct, _Frozen, _reduced
 from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor, _slot_table, slot_values, structure_tensor
@@ -81,10 +83,10 @@ def str_to_rat(s) -> Fraction:
     return Fraction(*_parse(s))
 
 
-def _exact(cls, pairs):
-    """The cls value with coordinates p/q for the parsed (p, q), over their lcm."""
+def _over_lcm(pairs) -> tuple:
+    """(nums, den): the parsed (p, q) as numerators p * (den // q) over den, the lcm of their q."""
     den = lcm(*(q for _, q in pairs))
-    return _reduced(cls, [p * (den // q) for p, q in pairs], den)
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _oct_pairs(obj) -> list:
@@ -98,7 +100,7 @@ def encode_oct(x: Oct) -> list:
     return [_fmt(n, x.den) for n in x.nums]
 
 def decode_oct(obj) -> Oct:
-    return _exact(Oct, _oct_pairs(obj))
+    return _reduced(Oct, *_over_lcm(_oct_pairs(obj)))
 
 
 def encode_albert(X: AlbertElem) -> dict:
@@ -118,7 +120,7 @@ def decode_albert(obj) -> AlbertElem:
     pairs = [_parse(c) for c in diag]
     for o in octs:
         pairs += _oct_pairs(o)
-    return _exact(AlbertElem, pairs)
+    return _reduced(AlbertElem, *_over_lcm(pairs))
 
 
 def encode_vpoint(x: VPoint) -> dict:
@@ -171,7 +173,8 @@ def decode_stensor(obj) -> StructureTensor:
     if not isinstance(entries, (list, tuple)) or len(entries) != 19683:
         raise ParseError("entries must hold 27^3 rationals")
     t = structure_tensor(decode_vpoint(obj["point"]))
-    if tuple(map(str_to_rat, entries)) != t.flat:
+    pairs = list(map(_parse, entries))
+    if any(p * t.den != v * q for (p, q), v in zip(pairs, (n for r in t.rows for n in r))):
         raise ParseError("entries are not the structure tensor of the point")
     return t
 
@@ -190,7 +193,7 @@ def _decode_matrix(obj, rows, cols, what) -> list:
 
 def _decode_gl2(obj, what) -> GL2:
     """The 2x2 matrix obj as a GL2 over the lcm of its denominators; invertibility is the builders' check."""
-    return _exact(GL2, [pq for row in _decode_matrix(obj, 2, 2, what) for pq in row])
+    return _reduced(GL2, *_over_lcm([pq for row in _decode_matrix(obj, 2, 2, what) for pq in row]))
 
 
 def encode_group(g: GroupElem) -> dict:
@@ -228,11 +231,16 @@ def decode_group(obj) -> GroupElem:
         raise ParseError("unknown generator kind %r" % (kind,))
     if set(obj) != {"L", "c", "g2"}:
         raise ParseError('group element must be {"L", "c", "g2"} or a shorthand')
-    L = [[Fraction(*v) for v in row] for row in _decode_matrix(obj["L"], 27, 27, "L")]
+    L = _decode_matrix(obj["L"], 27, 27, "L")
     c = str_to_rat(obj["c"])
     g2 = _decode_gl2(obj["g2"], "g2")
+    # each column's one nonzero (row, (p, q)): the perm and the scales of L
+    cols = [[(i, pq) for i, pq in enumerate(col) if pq[0]] for col in zip(*L)]
+    if any(len(col) != 1 for col in cols):
+        raise ParseError("L must be monomial: one nonzero entry in each column")
+    perm, pairs = zip(*(col[0] for col in cols))
     try:
-        return GroupElem.from_dense(L, c, g2)
+        return _group(*_checked(perm, *_over_lcm(pairs), c, g2))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -308,7 +308,7 @@ VALUES = {
     "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
     "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
     "GL2": (_M, gl2_elem([["2/2", -2], [Fraction(6, 4), 7]]).g2, ((2, -4, 3, 14), 2)),
-    "GroupElem": (_G, GroupElem.from_dense(_G.L, 1), (_G.perm, _G.nums, _G.den, gl2_elem([[1, 0], [0, 1]]).g2)),
+    "GroupElem": (_G, GroupElem(_G.perm, _G.scales, 1), (_G.perm, _G.nums, _G.den, gl2_elem([[1, 0], [0, 1]]).g2)),
     "StructureTensor": (
         _T,
         StructureTensor(act_v(identity_elem(), w_point())),

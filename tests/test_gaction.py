@@ -26,6 +26,7 @@ from albertkit.gaction import (
     scalar_elem,
     tilde,
 )
+from albertkit.jsonio import decode_group, encode_group
 from albertkit.linalg import inv_exact, mat_mul, mat_vec
 from albertkit.octonion import Oct, oct_conj
 from albertkit.pvs import cubic_of, w_point
@@ -86,7 +87,7 @@ def test_perm_elem():
 
 
 def test_perm_elem_matches_matrix_route():
-    # the closed-form monomial element of each sigma, against from_dense of the
+    # the closed-form monomial element of each sigma, against the matrix of the
     # basis images on the octonion-matrix route, for all six permutations
     for sigma in permutations((1, 2, 3)):
         cols = []
@@ -95,7 +96,7 @@ def test_perm_elem_matches_matrix_route():
             N = tuple(tuple(M[sigma[i] - 1][sigma[j] - 1] for j in range(3)) for i in range(3))
             cols.append(from_matrix(N).coords())
         g = perm_elem(list(sigma))
-        assert g == GroupElem.from_dense(tuple(zip(*cols)), 1)
+        assert g.L == tuple(zip(*cols))
         # one shared element per sigma
         assert perm_elem(sigma) is g and g.c == 1
 
@@ -119,6 +120,10 @@ def test_group_elem_validation():
         GroupElem((0,) + tuple(range(26)), ident.scales, 1)
     with pytest.raises(ValueError):
         GroupElem(range(26), ident.scales, 1)
+    # the permutation is checked before the scales are read or counted
+    for scales in ((1,) * 26, ["x"] * 27, [0.5] * 27):
+        with pytest.raises(ValueError, match="perm is not a permutation of range\\(27\\)"):
+            GroupElem(range(26), scales, 1)
     with pytest.raises(ZeroScalar):
         GroupElem(ident.perm, (0,) + ident.scales[1:], 1)
     # a wrong count of scales is a shape error naming the count, not a zero scale
@@ -141,17 +146,11 @@ def test_group_elem_validation():
     assert GroupElem(range(27), [2] * 27, 8) == scalar_elem(2)
     with pytest.raises(ValueError, match="not the det multiplier"):
         GroupElem(range(27), [1] * 26 + [2], 1)
-    # the dense entry point checks the claimed det multiplier exactly
+    # the claimed det multiplier of a word is checked exactly
     g = diag_conj(2, 3, 5) * perm_elem((2, 3, 1))
-    assert GroupElem.from_dense(g.L, g.c, g.g2) == g
-    with pytest.raises(ValueError):
-        GroupElem.from_dense(g.L, 2 * g.c, g.g2)
-    # L must be 27 rows of 27: zip(*L) would drop an extra column and ignore an extra row
-    wide = [row + (0,) for row in g.L]
-    wide[0] = wide[0][:27] + (1,)
-    for L in (wide, g.L + ((0,) * 27,), g.L[:26], g.L[:26] + (g.L[26][:26],)):
-        with pytest.raises(ValueError, match="L must be a 27x27 matrix"):
-            GroupElem.from_dense(L, g.c, g.g2)
+    assert GroupElem(g.perm, g.scales, g.c, g.g2) == g
+    with pytest.raises(ValueError, match="not the det multiplier"):
+        GroupElem(g.perm, g.scales, 2 * g.c, g.g2)
 
 
 def test_group_elem_canonical_form(rng):
@@ -340,3 +339,27 @@ def test_monomial_form_matches_dense_reference(rng):
         y = act_v(g, x)
         assert y.a.coords() == tuple(a * s + b * t for s, t in zip(LA, LB))
         assert y.b.coords() == tuple(c * s + d * t for s, t in zip(LA, LB))
+
+
+def _respell(v: str, k: int):
+    """Another spelling of the entry v: "-0", "0/7" or 0 for a zero, then p/q doubled or a JSON int."""
+    if v == "0":
+        return ("-0", "0/7", 0)[k % 3]
+    x = Fraction(v)
+    if k % 2:
+        return int(x) if x.denominator == 1 else v
+    return "%d/%d" % (2 * x.numerator, 2 * x.denominator)
+
+
+def test_full_form_decodes_wide_words():
+    # the full form decodes on integers, over the lcm of the column denominators,
+    # and so does a respelling of every entry of L, g2 and c
+    ints = 0
+    for g in _wide_elems() + [perm_elem((2, 1, 3)) * scalar_elem(-3)]:
+        doc = encode_group(g)
+        assert decode_group(doc) == g
+        L = [[_respell(v, 27 * i + j) for j, v in enumerate(row)] for i, row in enumerate(doc["L"])]
+        g2 = [[_respell(v, 2 * i + j) for j, v in enumerate(row)] for i, row in enumerate(doc["g2"])]
+        assert decode_group({"L": L, "c": _respell(doc["c"], 0), "g2": g2}) == g
+        ints += sum(type(v) is int and v != 0 for row in L for v in row)
+    assert ints > 0

@@ -195,8 +195,11 @@ def test_group_full_round_trip(rng):
         assert decode_group(encode_group(g)) == g
 
 
-def _full_identity(c="1", column=None, row=None, scale=None, g2=(("1", "0"), ("0", "1"))):
-    """The full form of the identity on J, with a claimed c and g2, a zeroed column, a row of ones or one scale 2."""
+def _full_identity(c="1", column=None, row=None, scale=None, g2=(("1", "0"), ("0", "1")), entries=(), reshape=None):
+    """The full form of the identity on J, with a claimed c and g2, a zeroed column, a row of ones or one scale 2.
+
+    entries are (i, j, v) written into L last; reshape, if given, is called on L's rows after them.
+    """
     L = [["1" if i == j else "0" for j in range(27)] for i in range(27)]
     if column is not None:
         for r in L:
@@ -205,6 +208,10 @@ def _full_identity(c="1", column=None, row=None, scale=None, g2=(("1", "0"), ("0
         L[row] = ["1"] * 27
     if scale is not None:
         L[scale][scale] = "2"
+    for i, j, v in entries:
+        L[i][j] = v
+    if reshape is not None:
+        reshape(L)
     return {"L": L, "c": c, "g2": [list(r) for r in g2]}
 
 
@@ -285,6 +292,8 @@ def test_group_bytes_pinned():
         assert decode_group(encode_group(g)) == g
 
 
+_SINGULAR = (("1", "2"), ("2", "4"))
+
 # (document, the error kind and detail decode_group gives it), recorded with GROUP_BYTES
 GROUP_ERRORS = [
     ({"kind": "gl2", "params": [["1", "2"]]}, "ParseError", "gl2 params must be a 2x2 matrix"),
@@ -306,6 +315,23 @@ GROUP_ERRORS = [
     (_full_identity(c="5"), "ParseError", "c = 5 is not the det multiplier of L"),
     (_full_identity(c="-1/8"), "ParseError", "c = -1/8 is not the det multiplier of L"),
     (_full_identity(c="0"), "ZeroScalar", "group element must scale det by a nonzero factor"),
+    # recorded before the full form was decoded on integers: the nonzero entries of
+    # columns 3 and 4 share row 3, a bad rational or a zero denominator inside L,
+    # a wide row, an extra row and a short row
+    (
+        _full_identity(entries=((4, 4, "0"), (3, 4, "1"))),
+        "ParseError",
+        "L must be monomial and invertible: perm is not a permutation of range(27)",
+    ),
+    (_full_identity(entries=((2, 2, "1.5"),)), "ParseError", "bad rational '1.5': expected p or p/q in decimal digits"),
+    (_full_identity(entries=((2, 9, "1/0"),)), "ParseError", "bad rational '1/0': the denominator is 0"),
+    (_full_identity(reshape=lambda L: L[0].append("0")), "ParseError", "L must be a 27x27 matrix"),
+    (_full_identity(reshape=lambda L: L.append(["0"] * 27)), "ParseError", "L must be a 27x27 matrix"),
+    (_full_identity(reshape=lambda L: L[26].pop()), "ParseError", "L must be a 27x27 matrix"),
+    # two faults in one document: the first check to fail names the error
+    (_full_identity(column=4, g2=_SINGULAR), "ParseError", "L must be monomial: one nonzero entry in each column"),
+    (_full_identity(c="0", g2=_SINGULAR), "ZeroScalar", "group element must scale det by a nonzero factor"),
+    (_full_identity(c="5", g2=_SINGULAR), "SingularMatrix", "GL(2) factor must be invertible"),
 ]
 
 
@@ -314,6 +340,46 @@ def test_group_decode_errors_pinned(doc, kind, detail):
     with pytest.raises(AlbertKitError) as info:
         decode_group(doc)
     assert (info.value.kind, str(info.value)) == (kind, detail)
+
+
+def test_stensor_decode_errors_pinned():
+    # every entry is parsed before any is compared: a bad rational is reported even
+    # after a mismatching entry; recorded before decode_stensor compared integers
+    doc = json.loads(dumps(encode_stensor(structure_tensor(w_point()))))
+    entries = doc["entries"]
+    wrong = entries[:100] + [rat_to_str(str_to_rat(entries[100]) + 1)] + entries[101:]
+    cases = [
+        (entries[:7] + [0.5] + entries[8:], "rational must be a string, got 'float'"),
+        (wrong[:-1] + ["1.5"], "bad rational '1.5': expected p or p/q in decimal digits"),
+        (wrong, "entries are not the structure tensor of the point"),
+    ]
+    for bad, detail in cases:
+        with pytest.raises(ParseError) as info:
+            decode_stensor({**doc, "entries": bad})
+        assert str(info.value) == detail
+
+
+def test_full_form_decode_makes_two_fractions(monkeypatch, count_fractions):
+    # the full form of a word with 63-bit scales reads L off its columns on
+    # integers: c and det2 of the g2 check are its only Fractions
+    word = _codec_elems()["word"]
+    doc = json.loads(dumps(encode_group(word)))
+    made = count_fractions()
+    g = decode_group(doc)
+    n = len(made)
+    monkeypatch.undo()
+    assert g == word and n <= 2
+
+
+def test_decode_stensor_makes_no_fraction(rng, monkeypatch, count_fractions):
+    # the parsed entries are compared with the tensor's integer rows
+    x = rand_semistable(rng)
+    doc = json.loads(dumps(encode_stensor(structure_tensor(x))))
+    made = count_fractions()
+    t = decode_stensor(doc)
+    n = len(made)
+    monkeypatch.undo()
+    assert t == structure_tensor(x) and n == 0
 
 
 def test_group_op_fraction_counts(rng, monkeypatch, count_fractions):
