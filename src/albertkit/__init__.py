@@ -59,7 +59,6 @@ from .isotope import (
     q_a,
     t_form,
 )
-from .linalg import inv_exact, solve_exact
 from .octonion import (
     OCT_UNIT,
     OCT_ZERO,
@@ -108,7 +107,6 @@ __all__ = [
     "gl2_elem",
     "gram_qa",
     "identity_elem",
-    "inv_exact",
     "is_semistable",
     "jbasis",
     "jordan_mul",
@@ -128,7 +126,6 @@ __all__ = [
     "s_map",
     "scalar_elem",
     "slot_elem",
-    "solve_exact",
     "structure_tensor",
     "t_form",
     "tilde",

@@ -29,36 +29,28 @@ work only. coords(), .s and .x are Fraction and Oct views made on demand.
 
 Kernels. cross, jordan_mul, det_j, pair and trilinear_d run on three
 integer kernels written out as straight-line code, one sum per output
-with no table read at run time: _cross_nums (the 270 constants of
-cross_tables(), 10 per coordinate), _det_num (the 45 monomials of
-det_table()) and _pair_nums (the 27 signed terms of the Gram shuffle
-_GRAM). A test checks each kernel against its table on the whole
-basis. On top of them, _isotope_nums is the one isotope kernel,
+with no table read at run time: _cross_nums (270 constants, 10 per
+coordinate, each +-1 over the denominator 2), _det_num (the 45
+monomials of det) and _pair_nums (the 27 signed terms of the Gram
+shuffle _GRAM). They are the one source of J's constants, and the
+tests check each against the matrix route on the whole basis. On top
+of them, _isotope_nums is the one isotope kernel,
 p(K, A) B + p(K, B) A - c(K, c(A, B)), which both smap.s_map and
 isotope.circ_a_tform evaluate.
 
-Tables. The constants come from two sparse tables, each built once, on
-first use, from the octonion formulas evaluated on the 8 Zorn basis
-octonions:
+Tables. Two sparse tables list the same constants for the readers that
+need them by index. Each is read, once and on first use, off its
+kernel evaluated on _Poly variables, so every constant is an int:
 
  * cross_tables(): the 270 nonzero constants of cross on basis pairs,
-   over the denominator 2, from the entrywise formula of the cross
-   product (Zorn products of conjugated basis octonions, and the polar
-   form of the norm). jordan_mul is cross plus trace and pairing terms.
- * det_table(): the 45 monomials of det, from det's own formula
-   (oct_norm on basis pairs, trace_prod3 on basis triples); D is their
-   polarization, over the denominator 6. It never reads the cross table.
+   from _cross_nums. jordan_mul is cross plus trace and pairing terms.
+ * det_table(): the 45 monomials of det, from _det_num; D is their
+   polarization, over the denominator 6.
 
-They stay the one source of the constants. smap._slot_table reads
-cross_tables(), and the similarity check of gaction.GroupElem is
-det_table()'s only reader in src/; no form of J or of an isotope (D,
-t_form, q_a, gram_qa, phi_a, either product) and neither k_elem nor
-delta builds a table.
-
-The basis octonions and their products have the denominator 1, so the
-builders read integer numerators (nums, _norm_num, _trace_num) and every
-constant is an int; a Fraction constant would put their readers on
-Fraction arithmetic with the same results.
+smap._slot_table reads cross_tables(), and the similarity check of
+gaction.GroupElem is det_table()'s only reader in src/; no form of J
+or of an isotope (D, t_form, q_a, gram_qa, phi_a, either product) and
+neither k_elem nor delta builds a table.
 
 Oracles. The literal routes the kernels are tested against live in
 reference.py; basis_crosses() below is built on its matrix route.
@@ -70,20 +62,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 
-from .octonion import (
-    OCT_ZERO,
-    Oct,
-    ZORN_BASIS,
-    _canonical,
-    _fractions,
-    _IntCoords,
-    _norm_num,
-    _rat,
-    _reduced,
-    _trace_num,
-    oct_conj,
-    oct_mul,
-)
+from .octonion import OCT_ZERO, Oct, _canonical, _fractions, _IntCoords, _rat, _reduced
 
 
 class AlbertElem(_IntCoords):
@@ -155,88 +134,67 @@ def jbasis() -> tuple:
 # -- the tables ------------------------------------------------------------------
 
 
-def _slot(i: int, a: int) -> int:
-    """The coordinate index of Zorn coordinate a of octonion slot i (0, 1, 2)."""
-    return 3 + 8 * i + a
+class _Poly(dict):
+    """A polynomial with int coefficients: {sorted tuple of variables: coefficient}.
+
+    The kernels run on it unchanged, so evaluated on variables they give their constants.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other, sign=1):
+        out = _Poly(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) + sign * c
+        return out
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return _Poly({key: -c for key, c in self.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                key = tuple(sorted(k1 + k2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
 
 
-def _collect(terms) -> tuple:
-    """Sum (key, c) terms per key and drop zero sums: ((*key, c), ...), sorted."""
-    acc = {}
-    for key, c in terms:
-        acc[key] = acc.get(key, 0) + c
-    return tuple(key + (c,) for key, c in sorted(acc.items()) if c)
+def _variables(first: int) -> list:
+    """27 variables of _Poly, numbered from first."""
+    return [_Poly({(first + l,): 1}) for l in range(27)]
 
 
 @lru_cache(maxsize=1)
 def cross_tables() -> tuple:
     """The cross product on basis pairs as integers: (den, consts, pair_coords).
 
-    den is 2. consts lists each nonzero constant as (l, m, n, c):
+    den is 2. consts lists each nonzero constant as (l, m, n, c), sorted:
     coordinate n of cross(b_l, b_m) is c/den. pair_coords[l][m] lists the
     nonzero coordinates of cross(b_l, b_m) as (n, c), on the same
-    denominator. The constants come from the entrywise cross product,
-
-        s'_i = (s_j t_k + s_k t_j)/2 - Q(x_i, y_i)
-        x'_i = (conj(x_k) conj(y_j) + conj(y_k) conj(x_j) - s_i y_i - t_i x_i)/2
-
-    for (i, j, k) cyclic, read off the 64 Zorn products of conjugated
-    basis octonions and the polar form 2 Q(e_a, e_b) = tr(e_a conj(e_b))
-    (twice oct_q) on basis pairs.
+    denominator. The constants are read off _cross_nums evaluated once on
+    two sets of 27 variables, x_l numbered l and y_m numbered 27 + m.
     """
-    conj = [oct_conj(e) for e in ZORN_BASIS]
-    prods = [[oct_mul(p, q).nums for q in conj] for p in conj]
-    polar = [[_trace_num(p, q) for q in conj] for p in ZORN_BASIS]
-    terms = []
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        terms += [((j, k, i), 1), ((k, j, i), 1)]
-        for a in range(8):
-            ia, ka = _slot(i, a), _slot(k, a)
-            terms += [((i, ia, ia), -1), ((ia, i, ia), -1)]
-            for b in range(8):
-                terms.append(((ia, _slot(i, b), i), -polar[a][b]))
-                # conj(e_a) conj(e_b) from x_k = e_a, y_j = e_b and from y_k = e_a, x_j = e_b
-                jb = _slot(j, b)
-                for r, c in enumerate(prods[a][b]):
-                    if c:
-                        terms += [((ka, jb, _slot(i, r)), c), ((jb, ka, _slot(i, r)), c)]
-    consts = _collect(terms)
+    coords = _cross_nums(_variables(0), _variables(27))
+    consts = sorted((l, m - 27, n, c) for n, p in enumerate(coords) for (l, m), c in p.items() if c)
     pair_coords = [[[] for _ in range(27)] for _ in range(27)]
     for l, m, n, c in consts:
         pair_coords[l][m].append((n, c))
-    return 2, consts, tuple(tuple(map(tuple, row)) for row in pair_coords)
+    return 2, tuple(consts), tuple(tuple(map(tuple, row)) for row in pair_coords)
 
 
 @lru_cache(maxsize=1)
 def det_table() -> tuple:
-    """The monomials of det as (l, m, n, c), l <= m <= n: det(X) = sum c X_l X_m X_n.
+    """The monomials of det as (l, m, n, c), l <= m <= n, sorted: det(X) = sum c X_l X_m X_n.
 
-    They come from det's formula s1 s2 s3 - sum_i s_i norm(x_i) +
-    tr((x1 x2) x3) on the basis: the norm of basis octonions and their
-    pairwise sums gives norm(x_i), and tr((e_a e_b) e_c), which is
-    trace_prod3(e_a, e_b, e_c) with each of the 64 products e_a e_b made
-    once, gives the trace term. D is the polarization: 6 D(X, Y, Z) is
-    the sum over monomials of c times X_l Y_m Z_n summed over the 6
-    orders of (l, m, n).
+    They are read off _det_num evaluated once on 27 variables. D is the
+    polarization: 6 D(X, Y, Z) is the sum over monomials of c times
+    X_l Y_m Z_n summed over the 6 orders of (l, m, n).
     """
-    basis = ZORN_BASIS
-    norm = [_norm_num(e) for e in basis]
-    # the coefficient of x_a x_b in norm(sum_a x_a e_a), for a <= b
-    quad = {
-        (a, b): norm[a] if a == b else _norm_num(p + q) - norm[a] - norm[b]
-        for a, p in enumerate(basis)
-        for b, q in enumerate(basis)
-        if a <= b
-    }
-    terms = [((0, 1, 2), 1)]
-    for i in range(3):
-        terms += [((i, _slot(i, a), _slot(i, b)), -c) for (a, b), c in quad.items()]
-    for a, p in enumerate(basis):
-        for b, q in enumerate(basis):
-            pq = oct_mul(p, q)
-            for c, r in enumerate(basis):
-                terms.append(((_slot(0, a), _slot(1, b), _slot(2, c)), _trace_num(pq, r)))
-    return _collect(terms)
+    return tuple(sorted(key + (c,) for key, c in _det_num(_variables(0)).items() if c))
 
 
 # -- products and forms -----------------------------------------------------
@@ -245,8 +203,8 @@ def det_table() -> tuple:
 def _cross_nums(x, y) -> list:
     """Numerators of cross on integer coordinates, over the denominator 2.
 
-    cross_tables() written out: coordinate n is the sum of c x_l y_m over
-    its 10 constants (l, m, n, c), each c = +-1.
+    Coordinate n is the sum of c x_l y_m over its 10 constants (l, m, n, c),
+    each c = +-1; cross_tables() lists them, read off this code.
     """
     (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
      x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
@@ -353,8 +311,8 @@ def _isotope_nums(K, A, B) -> list:
 def _det_num(x) -> int:
     """det on integer coordinates: the numerator of det over den**3.
 
-    det_table() written out: its 45 monomials c x_l x_m x_n, each c = +-1,
-    grouped by their first index l.
+    Its 45 monomials c x_l x_m x_n, each c = +-1, grouped by their first
+    index l; det_table() lists them, read off this code.
     """
     (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
      x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x

@@ -236,14 +236,9 @@ def oct_conj(x: Oct) -> Oct:
     return _reduced(Oct, (b, -v1, -v2, -v3, -w1, -w2, -w3, a), x.den)
 
 
-def _norm_num(x: Oct) -> int:
-    """The numerator of norm(x) over x.den ** 2."""
-    a, v1, v2, v3, w1, w2, w3, b = x.nums
-    return a * b - v1 * w1 - v2 * w2 - v3 * w3
-
-
 def oct_norm(x: Oct) -> Fraction:
-    return Fraction(_norm_num(x), x.den * x.den)
+    a, v1, v2, v3, w1, w2, w3, b = x.nums
+    return Fraction(a * b - v1 * w1 - v2 * w2 - v3 * w3, x.den * x.den)
 
 
 def oct_trace(x: Oct) -> Fraction:
@@ -258,16 +253,12 @@ def oct_q(x: Oct, y: Oct) -> Fraction:
     return Fraction(s, 2 * x.den * y.den)
 
 
-def _trace_num(x: Oct, y: Oct) -> int:
-    """The numerator of trace(x*y) over x.den * y.den; the table builders read it as an int."""
-    a1, p1, p2, p3, q1, q2, q3, b1 = x.nums
-    a2, r1, r2, r3, s1, s2, s3, b2 = y.nums
-    return a1 * a2 + p1 * s1 + p2 * s2 + p3 * s3 + q1 * r1 + q2 * r2 + q3 * r3 + b1 * b2
-
-
 def trace_prod(x: Oct, y: Oct) -> Fraction:
     """trace(x*y) without materializing the product."""
-    return Fraction(_trace_num(x, y), x.den * y.den)
+    a1, p1, p2, p3, q1, q2, q3, b1 = x.nums
+    a2, r1, r2, r3, s1, s2, s3, b2 = y.nums
+    s = a1 * a2 + p1 * s1 + p2 * s2 + p3 * s3 + q1 * r1 + q2 * r2 + q3 * r3 + b1 * b2
+    return Fraction(s, x.den * y.den)
 
 
 def trace_prod3(x: Oct, y: Oct, z: Oct) -> Fraction:

@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from albertkit.albert import AlbertElem, jbasis
 from albertkit.reference import jordan_via_matrix
 from albertkit.pvs import VPoint, delta
+
+# Every phase but shrink: a failing example is reported as drawn. Shrinking
+# elements of 27 coordinates through a broken kernel takes a minute or more
+# per property test, and a test's verdict does not depend on it. Each test's
+# own settings (max_examples, deadline) apply on top of this profile.
+settings.register_profile("default", phases=tuple(p for p in Phase if p is not Phase.shrink))
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

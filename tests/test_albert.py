@@ -1,6 +1,7 @@
 """The 27-dimensional algebra: products, forms, cross product, Gram tools."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -296,38 +297,42 @@ def _leaves(cls) -> set:
     return set().union(*map(_leaves, subs)) if subs else {cls}
 
 
-_T = structure_tensor(w_point())
-_G = perm_elem((2, 1, 3))  # the shared cached element
-_HALF = Fraction(1, 2)
-_M = gl2_elem([[1, -2], [Fraction(3, 2), 7]]).g2
+@lru_cache(maxsize=1)
+def _values() -> dict:
+    """(value, the same value by another route, its slots in order: the key it hashes by), by type name.
 
-# (value, the same value by another route, its slots in order): the key it hashes by
-VALUES = {
-    "Oct": (OCT_UNIT, Oct.from_coords([1, 0, 0, 0, 0, 0, 0, 1]), (OCT_UNIT.nums, OCT_UNIT.den)),
-    "AlbertElem": (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(_HALF), (E.nums, E.den)),
-    "VPoint": (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
-    "BinaryCubic": (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
-    "GL2": (_M, gl2_elem([["2/2", -2], [Fraction(6, 4), 7]]).g2, ((2, -4, 3, 14), 2)),
-    "GroupElem": (_G, GroupElem(_G.perm, _G.scales, 1), (_G.perm, _G.nums, _G.den, gl2_elem([[1, 0], [0, 1]]).g2)),
-    "StructureTensor": (
-        _T,
-        StructureTensor(act_v(identity_elem(), w_point())),
-        (_T.point, _T.kn, _T.den),
-    ),
-    "_Rendered": (
-        encode_stensor(_T),
-        encode_stensor(structure_tensor(act_v(identity_elem(), w_point()))),
-        dumps(encode_stensor(_T)),
-    ),
-}
+    Built on first use, not at import, so that a broken kernel fails the
+    tests that read these values, not the collection of this file.
+    """
+    t = structure_tensor(w_point())
+    g = perm_elem((2, 1, 3))  # the shared cached element
+    m = gl2_elem([[1, -2], [Fraction(3, 2), 7]]).g2
+    triples = (
+        (OCT_UNIT, Oct.from_coords([1, 0, 0, 0, 0, 0, 0, 1]), (OCT_UNIT.nums, OCT_UNIT.den)),
+        (E, AlbertElem.from_coords([2, 2, 2] + [0] * 24).scale(HALF), (E.nums, E.den)),
+        (w_point(), act_v(identity_elem(), w_point()), (w_point().a, w_point().b)),
+        (cubic_of(w_point()), BinaryCubic(0, "2/2", -1, Fraction(0)), ((0, 1, -1, 0), 1)),
+        (m, gl2_elem([["2/2", -2], [Fraction(6, 4), 7]]).g2, ((2, -4, 3, 14), 2)),
+        (g, GroupElem(g.perm, g.scales, 1), (g.perm, g.nums, g.den, gl2_elem([[1, 0], [0, 1]]).g2)),
+        (t, StructureTensor(act_v(identity_elem(), w_point())), (t.point, t.kn, t.den)),
+        (
+            encode_stensor(t),
+            encode_stensor(structure_tensor(act_v(identity_elem(), w_point()))),
+            dumps(encode_stensor(t)),
+        ),
+    )
+    return {type(v).__name__: (v, o, k) for v, o, k in triples}
 
 
 def _holds_fraction(v) -> bool:
     return isinstance(v, Fraction) or (isinstance(v, tuple) and any(map(_holds_fraction, v)))
 
 
-@pytest.mark.parametrize("value, other, key", VALUES.values(), ids=VALUES.keys())
-def test_value_types_are_immutable(value, other, key):
+VALUE_TYPES = ("Oct", "AlbertElem", "VPoint", "BinaryCubic", "GL2", "GroupElem", "StructureTensor", "_Rendered")
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable(name):
     """The one rule of octonion._Frozen, on every value type.
 
     Equal values built by two routes are == and hash equal, by all
@@ -337,10 +342,13 @@ def test_value_types_are_immutable(value, other, key):
     Shared instances (E, OCT_UNIT, a cached perm_elem) are hashed and
     held by callers, so an assignment would corrupt every holder.
     """
-    assert {type(v) for v, _, _ in VALUES.values()} == _leaves(_Frozen)
+    values = _values()
+    value, other, key = values[name]
+    assert tuple(values) == VALUE_TYPES
+    assert {type(v) for v, _, _ in values.values()} == _leaves(_Frozen)
     assert value == other and value is not other and not value != other
     assert hash(value) == hash(other) == hash(key)
-    strangers = [key] + [v for v, _, _ in VALUES.values() if type(v) is not type(value)]
+    strangers = [key] + [v for v, _, _ in values.values() if type(v) is not type(value)]
     assert all(value.__eq__(v) is NotImplemented and value != v for v in strangers)
     h = hash(value)
     slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
@@ -381,7 +389,7 @@ def test_kernels_match_references_63_bit(X, Y, Z):
     assert trilinear_d(X, Y, Z) == d_expanded(X, Y, Z) == _table_d(X, Y, Z)
 
 
-# -- the written-out kernels against the table contractions they replace -----
+# -- the written-out kernels against the matrix route and the tables read off them --
 
 
 def _table_cross(x, y):
@@ -420,14 +428,36 @@ def _signed(terms):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+@lru_cache(maxsize=1)
+def _det_monomials() -> dict:
+    """The monomials of det on the matrix route: {(l, m, n): c} for l <= m <= n, c != 0.
+
+    det(X) = D(X, X, X), so the coefficient of x_l x_m x_n is
+    reference.d_expanded(b_l, b_m, b_n) times the number of orders of
+    (l, m, n): 1, 3 or 6 for 1, 2 or 3 distinct indices.
+    """
+    basis = jbasis()
+    out = {}
+    for l in range(27):
+        for m in range(l, 27):
+            for n in range(m, 27):
+                c = d_expanded(basis[l], basis[m], basis[n]) * (1, 3, 6)[len({l, m, n}) - 1]
+                if c:
+                    out[l, m, n] = c
+    return out
+
+
 def _cross_line(n):
-    """The line of _cross_nums that holds output coordinate n."""
-    return _signed(("x%d*y%d" % (l, m), c) for l, m, k, c in cross_tables()[1] if k == n) + ","
+    """The line of _cross_nums that holds output coordinate n, on the matrix route's basis_crosses()."""
+    crosses = basis_crosses()
+    terms = (("x%d*y%d" % (l, m), crosses[l][m].nums[n]) for l in range(27) for m in range(27))
+    return _signed((p, c) for p, c in terms if c) + ","
 
 
 def _det_line(l):
-    """The line of _det_num that holds the monomials with first index l."""
-    return "x%d * (%s)" % (l, _signed(("x%d*x%d" % (m, n), c) for k, m, n, c in det_table() if k == l))
+    """The line of _det_num that holds the monomials with first index l, on the matrix route."""
+    terms = sorted((m, n, c) for (k, m, n), c in _det_monomials().items() if k == l)
+    return "x%d * (%s)" % (l, _signed(("x%d*x%d" % (m, n), c) for m, n, c in terms))
 
 
 def _unit(*ks):
@@ -435,14 +465,15 @@ def _unit(*ks):
 
 
 def test_cross_kernel_matches_table_on_basis():
-    # cross is bilinear, so agreeing on all 729 basis pairs makes the two maps equal
+    # cross is bilinear, so agreeing with the matrix route's basis table on
+    # all 729 basis pairs makes the two maps equal
+    crosses = basis_crosses()
     for l in range(27):
         for m in range(27):
-            x, y = _unit(l), _unit(m)
-            got, want = _cross_nums(x, y), _table_cross(x, y)
+            got, want = _cross_nums(_unit(l), _unit(m)), [2 * c for c in crosses[l][m].coords()]
             for n in range(27):
                 assert got[n] == want[n], (
-                    "_cross_nums coordinate %d at (b_%d, b_%d) is %d, cross_tables() gives %d; "
+                    "_cross_nums coordinate %d at (b_%d, b_%d) is %d, basis_crosses() gives %s; "
                     "that coordinate's line should read\n        %s" % (n, l, m, got[n], want[n], _cross_line(n))
                 )
 
@@ -460,9 +491,9 @@ def test_pair_kernel_matches_gram_on_basis():
 
 def test_det_kernel_matches_table_monomials():
     # 6 D(b_l, b_m, b_n) by polarization is k c_lmn, k = 6, 2, 1 for 1, 2, 3 distinct
-    # indices: so each monomial coefficient of the cubic _det_num is read off exactly
-    table = {(l, m, n): c for l, m, n, c in det_table()}
-    found = 0
+    # indices: so each monomial coefficient of the cubic _det_num is read off exactly,
+    # and compared with the matrix route's
+    monomials = _det_monomials()
     for l in range(27):
         for m in range(l, 27):
             for n in range(m, 27):
@@ -470,13 +501,13 @@ def test_det_kernel_matches_table_monomials():
                     _det_num(_unit(l, m, n)) - _det_num(_unit(l, m)) - _det_num(_unit(m, n)) - _det_num(_unit(n, l))
                     + _det_num(_unit(l)) + _det_num(_unit(m)) + _det_num(_unit(n))
                 )
-                got, want = six_d // (6, 2, 1)[len({l, m, n}) - 1], table.get((l, m, n), 0)
-                found += got != 0
+                got, want = six_d // (6, 2, 1)[len({l, m, n}) - 1], monomials.get((l, m, n), 0)
                 assert got == want, (
-                    "_det_num has %d x%d*x%d*x%d, det_table() has %d; "
+                    "_det_num has %d x%d*x%d*x%d, the matrix route has %s; "
                     "the line for x%d should read\n        %s" % (got, l, m, n, want, l, _det_line(l))
                 )
-    assert found == len(table) == 45
+    assert len(monomials) == 45
+    assert det_table() == tuple(key + (c,) for key, c in sorted(monomials.items()))
 
 
 @pytest.mark.parametrize("bits", [4, 20, 63, 200])

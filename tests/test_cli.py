@@ -442,7 +442,7 @@ def test_fuzzed_inputs_follow_the_error_contract(tmp_path_factory, argv, kinds, 
 
 
 def test_commands_load_no_oracle(tmp_path):
-    """A cold command imports neither the reference routes nor the verify suites."""
+    """A cold command imports neither the reference routes, the verify suites nor the solver."""
     elem = tmp_path / "elem.json"
     elem.write_text(dumps(encode_albert(diag_elem(1, 2, 3))), encoding="utf-8")
     script = (
@@ -454,7 +454,7 @@ def test_commands_load_no_oracle(tmp_path):
         "assert (code, out.getvalue()) == (0, '{\"det\":\"6\"}\\n'), out.getvalue()\n"
         "for sigma in itertools.permutations((1, 2, 3)):\n"
         "    perm_elem(sigma)\n"
-        "print(sorted(m for m in ('albertkit.reference', 'albertkit.verify') if m in sys.modules))\n"
+        "print(sorted(m for m in ('albertkit.linalg', 'albertkit.reference', 'albertkit.verify') if m in sys.modules))\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
