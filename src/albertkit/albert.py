@@ -47,7 +47,7 @@ kernel evaluated on _Poly variables, so every constant is an int:
  * det_table(): the 45 monomials of det, from _det_num; D is their
    polarization, over the denominator 6.
 
-smap._slot_table reads cross_tables(), and the similarity check of
+smap._slot_rows reads cross_tables(), and the similarity check of
 gaction.GroupElem is det_table()'s only reader in src/; no form of J
 or of an isotope (D, t_form, q_a, gram_qa, phi_a, either product) and
 neither k_elem nor delta builds a table.

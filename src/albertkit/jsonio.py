@@ -14,8 +14,9 @@ one denominator, and decode_stensor compares them with the tensor's
 integers: no decoder makes a Fraction per coordinate. encode_group
 formats ints too: L from its perm, nums and den, with one shared "0"
 for the 702 zero entries, and g2 from its nums and den. encode_stensor
-formats the 109 slot values of a tensor once each and joins each of its
-378 distinct rows once, by smap's slot table.
+formats 54 values of a tensor, kn and 2 kn, flips their signs for -kn
+and -2 kn, and makes the document in one join: its 3051 nonzero entries
+between the fixed texts of a layout read once off smap's slot rows.
 decode_stensor accepts only the entries of the tensor of their point.
 """
 
@@ -25,14 +26,16 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 
 from .albert import AlbertElem
 from .errors import ParseError
 from .gaction import GL2, GroupElem, _checked, _group, diag_conj, gl2_elem, perm_elem, scalar_elem
 from .octonion import Oct, _Frozen, _reduced
 from .pvs import BinaryCubic, VPoint
-from .smap import StructureTensor, _slot_table, slot_values, structure_tensor
+from .smap import StructureTensor, _slot_rows, structure_tensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
 
@@ -145,23 +148,46 @@ class _Rendered(_Frozen):
         self._init(text)
 
 
+def _negated(s: str) -> str:
+    """The text of -v from the text s of v: "0" stays "0"."""
+    return s if s == "0" else s[1:] if s[0] == "-" else "-" + s
+
+
+@lru_cache(maxsize=1)
+def _stensor_layout() -> tuple:
+    """(texts, take): the 3052 fixed texts around the 3051 nonzero entries of a tensor document, and their slots.
+
+    Read off smap._slot_rows() by C-level bytes and string calls, with no
+    Python loop over the 19683 entries: every entry is printed as "0",
+    the digit of each nonzero one is overwritten with a NUL marker, and
+    the document up to its "point" key is cut at the markers. take is
+    itemgetter over the nonzero slots, entry by entry.
+    """
+    slots = b"".join(_slot_rows())
+    entries = bytearray(b'"0",' * len(slots))
+    entries[1::4] = slots.translate(b"0" + bytes(255))
+    head = '{"basis":%s,"entries":[%s],"point":' % (_canonical(STENSOR_BASIS_TAG), entries[:-1].decode())
+    return tuple(head.split("\0")), itemgetter(*slots.translate(None, b"\0"))
+
+
 def encode_stensor(t: StructureTensor) -> _Rendered:
     """The tensor as the rendered document {"basis", "entries", "point"}, entries row-major in (i, j, k).
 
-    The 109 slot values of t.kn are formatted once each over t.den as
-    JSON strings; each of the 378 distinct rows is read from them by the
-    slot table and joined once, for (i, j) and (j, i). The head and the
-    tail of the document ride on the unshared rows (0, 0) and (26, 26),
-    so the text is made in one copy.
+    Only kn and 2 kn are formatted over t.den, 54 values; the texts of
+    -kn and -2 kn are theirs with the sign flipped. The 3051 nonzero
+    entries are taken from them in the order of smap.slot_values and
+    joined once with the fixed texts of _stensor_layout() and the point.
     """
     den = t.den
-    values = ['"%s"' % _fmt(v, den) for v in slot_values(t.kn)]
-    rows = [None] * 729
-    for ij, ji, take in _slot_table():
-        rows[ij] = rows[ji] = ",".join(take(values))
-    rows[0] = '{"basis":%s,"entries":[%s' % (_canonical(STENSOR_BASIS_TAG), rows[0])
-    rows[-1] = '%s],"point":%s}\n' % (rows[-1], _canonical(encode_vpoint(t.point)))
-    return _Rendered(",".join(rows))
+    one = [_fmt(v, den) for v in t.kn]
+    two = [_fmt(2 * v, den) for v in t.kn]
+    texts, take = _stensor_layout()
+    parts = [None] * (2 * len(texts))
+    parts[::2] = texts
+    # by slot, as smap.slot_values; slot 0, the value 0, is in the texts
+    parts[1:-1:2] = take([None, *map(_negated, two), *map(_negated, one), *one, *two])
+    parts[-1] = _canonical(encode_vpoint(t.point)) + "}\n"
+    return _Rendered("".join(parts))
 
 def decode_stensor(obj) -> StructureTensor:
     """The structure tensor of the point; ParseError unless the entries are exactly its 19683 constants."""

@@ -30,13 +30,14 @@ the Hessian covariant of F_x contracted with a x a, a x b and b x b
 
 structure_tensor exploits this when tabulating all 729 basis pairs: the
 map k -> tensor is linear and fixed, and each of its 19683 basis entries
-is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_table()
+is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_rows()
 finds that pattern once, from the sparse cross-product constants of
 albert.cross_tables() and the Gram shuffle. So a StructureTensor is
 built from its point alone and stores just k, as 27 integers over one
 denominator; lay_out reads its 378 shared rows from the 109 values 0 and
-c k_l whenever rows is read. jsonio.encode_stensor formats the same 109
-values once each and joins each distinct row once into its JSON text: no
+c k_l, through _slot_table(), whenever rows is read. jsonio.encode_stensor
+reads no rows: its layout, also read off _slot_rows(), places the texts
+of kn, 2 kn and their negatives into the document in one join. No
 Fraction is made on the way from the integers of the point through
 k_elem to the JSON bytes, nor by s_map.
 """
@@ -200,35 +201,46 @@ _COEFFS = (-2, -1, 1, 2)
 
 
 @lru_cache(maxsize=1)
-def _slot_table() -> tuple:
-    """The fixed linear pattern of structure_tensor: (i * 27 + j, j * 27 + i, take) for i <= j.
+def _slot_rows() -> tuple:
+    """The fixed linear pattern of structure_tensor: the 27 slots of each of the 729 (i, j), row-major.
 
     Entry n of S_ij (see structure_tensor) is a linear form in the 27
     integers kn of k. Over the basis it is 0 or one term c kn[l] with c
-    in _COEFFS. take is itemgetter over 27 slots into slot_values(kn),
-    so it reads row (i, j) from those values. Raises ValueError if an
-    entry has any other form.
+    in _COEFFS, and its slot is 0 or 1 + 27 q + l with c = _COEFFS[q]: its
+    index into slot_values(kn). A row is bytes, as every slot is below
+    109, so that the rows join into the 19683 slots in one C-level call;
+    (i, j) and (j, i) share one. Raises ValueError if an entry has any
+    other form.
     """
     _, consts, pair_coords = cross_tables()
     by_m = [[] for _ in range(27)]
     for l, m, n, c in consts:
-        by_m[m].append((l, n, c))
-    table = []
+        by_m[m].append((n, l, c))
+    rows = [None] * 729
     for i in range(27):
         for j in range(i, 27):
-            terms = [(n, l, -c * c2) for m, c in pair_coords[i][j] for l, n, c2 in by_m[m]]
-            terms += [(i, *_GRAM[j][1:]), (j, *_GRAM[i][1:])]
+            # {(n, l): c}: the terms c kn[l] of entry n, from the Gram shuffle less the crosses
             form = {}
-            for n, l, c in terms:
+            for n, l, c in (i, *_GRAM[j][1:]), (j, *_GRAM[i][1:]):
                 form[n, l] = form.get((n, l), 0) + c
+            for m, c in pair_coords[i][j]:
+                for n, l, c2 in by_m[m]:
+                    form[n, l] = form.get((n, l), 0) - c * c2
             slots = [0] * 27
             for (n, l), c in form.items():
                 if c:
                     if slots[n] or c not in _COEFFS:
                         raise ValueError("structure entry (%d, %d, %d) is not one term c k_l" % (i, j, n))
                     slots[n] = 1 + 27 * _COEFFS.index(c) + l
-            table.append((i * 27 + j, j * 27 + i, itemgetter(*slots)))
-    return tuple(table)
+            rows[i * 27 + j] = rows[j * 27 + i] = bytes(slots)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=1)
+def _slot_table() -> tuple:
+    """_slot_rows() for lay_out: (i * 27 + j, j * 27 + i, take) for i <= j, take itemgetter over row (i, j)."""
+    rows = _slot_rows()
+    return tuple((i * 27 + j, j * 27 + i, itemgetter(*rows[i * 27 + j])) for i in range(27) for j in range(i, 27))
 
 
 def slot_values(kn) -> list:
@@ -254,8 +266,8 @@ def structure_tensor(x: VPoint) -> StructureTensor:
         s_map(x, b_i, b_j) = 9 S_ij / (2 dk),
         S_ij = gram[j] b_i + gram[i] b_j - sum of c kx[m] over pair_coords[i][j],
 
-    and every entry of S_ij is 0 or c kn[l] (see _slot_table). So the
-    tensor is (9/2) k, as 9 kn over 2 dk, laid out by the slot table.
+    and every entry of S_ij is 0 or c kn[l] (see _slot_rows). So the
+    tensor is (9/2) k, as 9 kn over 2 dk, laid out by the slot rows.
     No Fraction is made.
     """
     return StructureTensor(x)

@@ -101,3 +101,21 @@ def _point_63(rng):
 def point_63():
     """point_63(rng): a dense point of V with 63-bit numerators, semistable or not."""
     return _point_63
+
+
+_ODD_PRIMES = [p for p in range(3, 108) if all(p % q for q in range(2, p))]
+
+
+@pytest.fixture(scope="session")
+def tall_point():
+    """A fixed semistable point: 54 nonzero coordinates, 200-bit numerators over the 27 odd primes below 108."""
+
+    def elem(num, prime):
+        return AlbertElem.from_coords([Fraction(num(i), _ODD_PRIMES[prime(i)]) for i in range(27)])
+
+    x = VPoint(
+        elem(lambda i: (-1) ** i * (2**199 + 7919 * i**3 + 1), lambda i: i),
+        elem(lambda i: (-1) ** (i // 2) * (2**200 - 104729 * i - 1), lambda i: (i + 13) % 27),
+    )
+    assert len(_ODD_PRIMES) == 27 and delta(x) != 0
+    return x

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from albertkit import jsonio, smap
 from albertkit.albert import AlbertElem, det_j, diag_elem, jordan_mul
 from albertkit.cli import main
 from albertkit.errors import ParseError
@@ -107,20 +108,44 @@ def _fixed_dense_point():
     return VPoint(a, b)
 
 
-# sha256 of the `structure` stdout bytes, as printed by the Fraction-based encoder
+# sha256 of the `structure` stdout bytes: w and dense as printed by the Fraction-based
+# encoder; sparse (the point of _fixed_product_inputs) and tall (conftest) as printed by
+# the row-join encoder, each row of 27 entries joined by smap's slot table
 STRUCTURE_SHA256 = {
     "w": "7ba41d6f63d9754f751864fc5696576c4e4aae87102bd1c38941928352d2a959",
     "dense": "2262c1fdc62b3ff0dc06dc2fa4a1c4c3120918d92b2ed52a8d225129e820309c",
+    "sparse": "1c91925e335c5d1505e1ce7d93eced31624aea9740bdc580533db4946954eb5d",
+    "tall": "c9d3256f77794704ebb522a4ae8f8a045ec77348804b25103728d471dad73b7d",
 }
 
 
-def test_structure_bytes_pinned(tmp_path, capsys):
-    for name, point in (("w", w_point()), ("dense", _fixed_dense_point())):
+def test_structure_bytes_pinned(tmp_path, capsys, tall_point):
+    points = {
+        "w": w_point(),
+        "dense": _fixed_dense_point(),
+        "sparse": _fixed_product_inputs()["sparse"],
+        "tall": tall_point,
+    }
+    assert set(points) == set(STRUCTURE_SHA256)
+    for name, point in points.items():
         path = tmp_path / (name + ".json")
         path.write_text(dumps(encode_vpoint(point)), encoding="utf-8")
         code, _, raw = run_cli(capsys, "structure", str(path))
         assert code == 0
-        assert hashlib.sha256(raw.encode()).hexdigest() == STRUCTURE_SHA256[name]
+        assert hashlib.sha256(raw.encode()).hexdigest() == STRUCTURE_SHA256[name], name
+
+
+def test_structure_builds_the_slot_rows_once(tmp_path, capsys):
+    # a cold structure command runs the per-pair slot computation once, for the
+    # document layout, and builds no table of int rows, which it never reads
+    cached = (smap._slot_rows, smap._slot_table, jsonio._stensor_layout)
+    for fn in cached:
+        fn.cache_clear()
+    path = tmp_path / "w.json"
+    path.write_text(dumps(encode_vpoint(w_point())), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "structure", str(path))
+    assert code == 0
+    assert [fn.cache_info().misses for fn in cached] == [1, 0, 1]
 
 
 def _fixed_product_inputs() -> dict:

@@ -22,6 +22,8 @@ from albertkit.gaction import (
 from albertkit.jsonio import (
     STENSOR_BASIS_TAG,
     _canonical,
+    _fmt,
+    _stensor_layout,
     cubic_to_str,
     decode_albert,
     decode_group,
@@ -40,7 +42,7 @@ from albertkit.jsonio import (
 )
 from albertkit.octonion import Oct
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
-from albertkit.smap import StructureTensor, circ_x, s_map, structure_tensor
+from albertkit.smap import StructureTensor, circ_x, lay_out, s_map, slot_values, structure_tensor
 from albertkit.verify import (
     rand_albert,
     rand_group,
@@ -187,6 +189,64 @@ def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
             # entries reduce against t.den to several different denominators
             assert len({v.denominator for v in flat}) > 2
     assert structure_tensor(points[0]).den == 1
+
+
+def _row_join_stensor(t) -> str:
+    """The tensor document by the row-join route: each of the 729 rows of quoted slot texts joined, then the rows."""
+    values = ['"%s"' % _fmt(v, t.den) for v in slot_values(t.kn)]
+    entries = ",".join(map(",".join, lay_out(values)))
+    return '{"basis":%s,"entries":[%s],"point":%s}\n' % (
+        json.dumps(STENSOR_BASIS_TAG),
+        entries,
+        _canonical(encode_vpoint(t.point)),
+    )
+
+
+def test_encode_stensor_matches_row_join(rng, sparse_point, tall_point):
+    # the one-join encoder against the row-join route it replaced, byte for byte
+    def elem(num, den):
+        return AlbertElem.from_coords([Fraction(num(i), den(i)) for i in range(27)])
+
+    points = {
+        "w": w_point(),
+        "zero": VPoint(E.scale(0), E),
+        "sparse": sparse_point(rng),
+        "tall": tall_point,
+        "even": VPoint(
+            elem(lambda i: (5 * i + 1) % 7 - 3, lambda i: 2 ** (i % 4)),
+            elem(lambda i: (3 * i + 2) % 5 - 2, lambda i: 2 ** (1 + i % 3)),
+        ),
+    }
+    tensors = {name: structure_tensor(x) for name, x in points.items()}
+    for name, t in tensors.items():
+        assert dumps(encode_stensor(t)) == _row_join_stensor(t), name
+    # what each point was chosen for
+    assert tensors["w"].kn.count(0) == 24
+    assert not any(tensors["zero"].kn)
+    tall = tensors["tall"]
+    assert all(tall.point.a.nums) and tall.den.bit_length() > 600 and max(map(abs, tall.kn)).bit_length() > 2000
+    even = tensors["even"]
+    # den is a power of 2: each 2 kn[l] over den reduces to half the denominator of kn[l]
+    assert even.den == 2**24
+    assert all(Fraction(2 * v, even.den).denominator * 2 == Fraction(v, even.den).denominator for v in even.kn if v)
+
+
+def test_stensor_layout_pinned():
+    # 3052 fixed texts around the 3051 nonzero entries; between them, the 16632 zeros
+    texts, take = _stensor_layout()
+    slots = take(range(109))
+    assert len(texts) == 3052 and len(slots) == 3051
+    assert slots == tuple(s for row in lay_out(range(109)) for s in row if s)
+    assert sum(text.count('"0"') for text in texts) == 16632
+    assert texts[0].startswith('{"basis":"%s","entries":["' % STENSOR_BASIS_TAG)
+    assert texts[-1].endswith('"],"point":')
+    # an entry of slot s, printed as the text of s, rebuilds the document of the slot ids
+    parts = [None] * 6104
+    parts[::2] = texts
+    parts[1:-1:2] = map(str, slots)
+    parts[-1] = "null}"
+    doc = json.loads("".join(parts))
+    assert doc["entries"] == [str(s) for row in lay_out(range(109)) for s in row]
 
 
 def test_group_full_round_trip(rng):

@@ -23,6 +23,7 @@ from albertkit.smap import (
     SIGNED_TERMS,
     SignedTerm,
     StructureTensor,
+    _slot_rows,
     _slot_table,
     circ_x,
     k_elem,
@@ -156,6 +157,11 @@ def test_slot_table_pinned():
     # 1 + 27 q + l the single term c kn[l] with c = (-2, -1, 1, 2)[q]
     table = _slot_table()
     assert len(table) == 378
+    # read off the 729 rows of slots, (i, j) and (j, i) sharing one
+    rows = _slot_rows()
+    assert len(rows) == 729 and all(len(r) == 27 for r in rows)
+    assert all(rows[i * 27 + j] is rows[j * 27 + i] for i in range(27) for j in range(27))
+    assert all(take(range(109)) == tuple(rows[ij]) for ij, _, take in table)
     assert sorted(ij for ij, _, _ in table) == [i * 27 + j for i in range(27) for j in range(i, 27)]
     assert sorted(ji for _, ji, _ in table) == sorted(j * 27 + i for i in range(27) for j in range(i, 27))
     ordered = []
