@@ -18,9 +18,13 @@ as octonion._IntCoords stores coordinates. apply_j, compose, tilde, mu and
 act_v work on those ints with one octonion._lowest per result; `scales`
 and the dense `L` are Fraction views made on demand. g2 is a GL2, its
 entries a, b, c, d as ints over one denominator, an octonion._IntCoords
-like pvs.BinaryCubic; its product, act_v and det2 work on those ints.
+like pvs.BinaryCubic; its product and act_v work on those ints.
 c is not stored: L is a similarity and det(e) = 1, so c = det(L e), read
-off L on demand. octonion._Frozen sets, compares and hashes the slots.
+off L on demand. The two multipliers come as int pairs from one place
+each: _c_pair(g) = (det numerator of L e, den^3) and _det2_pair(m) =
+(ad - bc, den^2). mu and chi combine them on ints, chi making its one
+Fraction, the value it returns; GroupElem.c and det2 are Fraction views
+of the same pairs. octonion._Frozen sets, compares and hashes the slots.
 
 The character of the V-action is chi(g) = c^4 det(g2)^6; the adjoint
 involution tilde(g) is the unique map with pair(gX, tilde(g)Y) = pair(X, Y);
@@ -34,9 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .albert import _GRAM, E, AlbertElem, _elem, det_j, det_table
+from .albert import _GRAM, AlbertElem, _det_num, _elem, det_table
 from .errors import SingularMatrix, ZeroScalar
-from .octonion import _canonical, _Frozen, _fractions, _IntCoords, _lowest, _rat, _reduced
+from .octonion import _canonical, _fmt, _Frozen, _fractions, _IntCoords, _lowest, _rat, _reduced
 from .pvs import VPoint
 
 _ID_PERM = tuple(range(27))
@@ -57,9 +61,14 @@ class GL2(_IntCoords):
 _ID2 = _reduced(GL2, (1, 0, 0, 1), 1)
 
 
-def det2(m: GL2) -> Fraction:
+def _det2_pair(m: GL2) -> tuple:
+    """det(m) as (ad - bc, den^2), ints over a positive denominator."""
     a, b, c, d = m.nums
-    return Fraction(a * d - b * c, m.den * m.den)
+    return a * d - b * c, m.den * m.den
+
+
+def det2(m: GL2) -> Fraction:
+    return Fraction(*_det2_pair(m))
 
 
 def _mul2(m: GL2, n: GL2) -> GL2:
@@ -86,12 +95,13 @@ class GroupElem(_Frozen):
     __slots__ = ("perm", "nums", "den", "g2")
 
     def __init__(self, perm, scales, c, g2=_ID2):
-        self._init(*_checked(perm, scales, 1, c, g2))
+        c = _rat(c)
+        self._init(*_checked(perm, scales, 1, c.numerator, c.denominator, g2))
 
     @property
     def c(self) -> Fraction:
         """The det multiplier, det(gX) = c det(X); det(e) = 1, so it is det(L e)."""
-        return det_j(self.apply_j(E))
+        return Fraction(*_c_pair(self))
 
     @property
     def scales(self) -> tuple:
@@ -133,10 +143,23 @@ def _group(perm, nums, den: int, g2) -> GroupElem:
     return g
 
 
-def _checked(perm, scales, den: int, c, g2) -> tuple:
+def _c_pair(g: GroupElem) -> tuple:
+    """c = det(L e) as (det numerator of L e, den^3), ints over a positive denominator.
+
+    e = E = diag(1, 1, 1) has coordinates 1, 1, 1 and then 24 zeros, so L e
+    is the first three scale numerators scattered by perm, over den.
+    """
+    x = [0] * 27
+    for i, n in zip(g.perm[:3], g.nums):
+        x[i] = n
+    return _det_num(x), g.den**3
+
+
+def _checked(perm, scales, den: int, cn: int, cd: int, g2) -> tuple:
     """(perm, nums, den, g2) of L b_j = (scales[j] / den) b_{perm[j]}, checked as the constructor documents.
 
-    The scales are rationals; ints, as decode_group passes them, need no Fraction.
+    The scales are rationals; ints, as decode_group passes them, need no
+    Fraction. c = cn / cd, cd > 0, need not be in lowest terms.
     """
     perm = tuple(perm)
     if any(type(i) is not int for i in perm) or sorted(perm) != list(_ID_PERM):
@@ -148,18 +171,17 @@ def _checked(perm, scales, den: int, c, g2) -> tuple:
     nums, den = _lowest(nums, d * den)
     if not all(nums):
         raise ZeroScalar(_NONZERO_SCALES)
-    c = _rat(c)
-    if c == 0:
+    if cn == 0:
         raise ZeroScalar("group element must scale det by a nonzero factor")
     g2 = _gl2(g2)
     q = sorted(_ID_PERM, key=perm.__getitem__)
     image = {}
     for l, m, n, a in det_table():
         l, m, n = sorted((q[l], q[m], q[n]))
-        image[l, m, n] = a * nums[l] * nums[m] * nums[n] * c.denominator
-    cd3 = c.numerator * den**3
+        image[l, m, n] = a * nums[l] * nums[m] * nums[n] * cd
+    cd3 = cn * den**3
     if image != {(l, m, n): a * cd3 for l, m, n, a in det_table()}:
-        raise ValueError("c = %s is not the det multiplier of L" % (c,))
+        raise ValueError("c = %s is not the det multiplier of L" % _fmt(cn, cd))
     return perm, nums, den, g2
 
 
@@ -170,7 +192,8 @@ def _gl2(m) -> GL2:
         if [len(row) for row in rows] != [2, 2]:
             raise ValueError("GL(2) factor must be 2x2")
         m = _reduced(GL2, *_canonical(rows[0] + rows[1]))
-    if not det2(m):
+    a, b, c, d = m.nums
+    if a * d == b * c:
         raise SingularMatrix("GL(2) factor must be invertible")
     return m
 
@@ -182,14 +205,23 @@ def identity_elem() -> GroupElem:
 def scalar_elem(t) -> GroupElem:
     """X -> tX; scales det by t^3."""
     t = _rat(t)
-    if t == 0:
+    return _scalar(t.numerator, t.denominator)
+
+
+def _scalar(p: int, q: int) -> GroupElem:
+    """scalar_elem(p / q) for ints p and q > 0, not necessarily in lowest terms."""
+    if p == 0:
         raise ZeroScalar(_NONZERO_SCALES)
-    return _group(_ID_PERM, (t.numerator,) * 27, t.denominator, _ID2)
+    return _group(_ID_PERM, (p,) * 27, q, _ID2)
 
 
 def diag_conj(l1, l2, l3) -> GroupElem:
     """X -> DXD for D = diag(l1, l2, l3): s_i -> l_i^2 s_i, x_1 -> l2 l3 x_1 cyclically."""
-    m, q = _canonical((_rat(l1), _rat(l2), _rat(l3)))  # l_i = m_i / q
+    return _diag(*_canonical((_rat(l1), _rat(l2), _rat(l3))))
+
+
+def _diag(m, q: int) -> GroupElem:
+    """diag_conj(*(n / q for n in m)) for 3 ints m and q > 0, not necessarily in lowest terms."""
     if not all(m):
         raise ZeroScalar(_NONZERO_SCALES)
     # a diagonal matrix in coordinates, over q^2: 3 diagonal entries, then 8 per slot
@@ -251,8 +283,10 @@ def _combine(g: GroupElem, p: int, q: int, x: VPoint) -> AlbertElem:
 
 
 def chi(g: GroupElem) -> Fraction:
-    """The character with delta(act_v(g, x)) = chi(g) delta(x)."""
-    return g.c**4 * det2(g.g2) ** 6
+    """The character with delta(act_v(g, x)) = chi(g) delta(x): c^4 det(g2)^6, one Fraction."""
+    cn, cd = _c_pair(g)
+    dn, dd = _det2_pair(g.g2)
+    return Fraction(cn**4 * dn**6, cd**4 * dd**6)
 
 
 def tilde(g: GroupElem) -> GroupElem:
@@ -270,7 +304,8 @@ def tilde(g: GroupElem) -> GroupElem:
 
 
 def mu(g: GroupElem) -> GroupElem:
-    """c det(g2)^2 L, as a map on J; scales det by chi(g) = c (c det(g2)^2)^3."""
-    factor = g.c * det2(g.g2) ** 2
-    f = factor.numerator
-    return _group(g.perm, [f * n for n in g.nums], g.den * factor.denominator, _ID2)
+    """c det(g2)^2 L, as a map on J; scales det by chi(g) = c (c det(g2)^2)^3. On ints, reduced once."""
+    cn, cd = _c_pair(g)
+    dn, dd = _det2_pair(g.g2)
+    f = cn * dn**2
+    return _group(g.perm, [f * n for n in g.nums], g.den * cd * dd**2, _ID2)

@@ -6,25 +6,28 @@ returns its whole document already rendered, as an immutable value whose
 text dumps prints as it is and json.dumps refuses. Decoders take parsed
 JSON, validate shape and raise ParseError with a readable message.
 dumps() fixes key order and spacing so identical values serialize to
-identical bytes. Every rational is printed by _fmt from an int over a
-positive denominator, and read by _parse straight from its decimal
-digits into two ints; decode_oct, decode_albert and decode_group (the
-scales of a full-form L, read off its columns, and g2) bring those over
-one denominator, and decode_stensor compares them with the tensor's
-integers: no decoder makes a Fraction per coordinate. encode_group
-formats ints too: L from its perm, nums and den, with one shared "0"
-for the 702 zero entries, and g2 from its nums and den. encode_stensor
-formats 54 values of a tensor, kn and 2 kn, flips their signs for -kn
-and -2 kn, and makes the document in one join: its 3051 nonzero entries
-between the fixed texts of a layout read once off smap's slot rows.
-decode_stensor accepts only the entries of the tensor of their point.
+identical bytes. Every rational is printed by _fmt (octonion._fmt) from
+an int over a positive denominator, and read by _parse straight from its
+decimal digits into two ints; decode_oct, decode_albert and decode_group
+(the scales of a full-form L, read off its columns, and g2) bring those
+over one denominator, and decode_stensor compares them with the tensor's
+integers: no decoder makes a Fraction per coordinate. decode_group
+makes none at all: c of the full form goes to the check as its parsed
+ints, and the scalar and diag shorthands to gaction's integer builders.
+encode_group formats ints too: L from its perm, nums and den, with one
+shared "0" for the 702 zero entries, g2 from its nums and den, and c
+from gaction._c_pair; it makes no Fraction. encode_stensor formats 54
+values of a tensor, kn and 2 kn, from one gcd per coordinate, flips
+their signs for -kn and -2 kn, and makes the document in one join: its
+3051 nonzero entries between the fixed texts of a layout read once off
+smap's slot rows. decode_stensor accepts only the entries of the tensor
+of their point.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -32,8 +35,8 @@ from operator import itemgetter
 
 from .albert import AlbertElem
 from .errors import ParseError
-from .gaction import GL2, GroupElem, _checked, _group, diag_conj, gl2_elem, perm_elem, scalar_elem
-from .octonion import Oct, _Frozen, _reduced
+from .gaction import GL2, GroupElem, _c_pair, _checked, _diag, _group, _scalar, gl2_elem, perm_elem
+from .octonion import Oct, _fmt, _Frozen, _reduced, _too_long
 from .pvs import BinaryCubic, VPoint
 from .smap import StructureTensor, _slot_rows, structure_tensor
 
@@ -42,19 +45,6 @@ STENSOR_BASIS_TAG = "jbasis-v1"
 # integers and fractions only: no decimals or exponents, whose few bytes
 # can stand for an arbitrarily large integer
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _fmt(n: int, d: int) -> str:
-    """n/d for d > 0 in lowest terms, "p" or "p/q"; ParseError past the int-to-str digit limit."""
-    g = gcd(n, d)
-    try:
-        if g == d:
-            return str(n // d)
-        return "%d/%d" % (n // g, d // g)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        msg = "the result has an integer of more than %d digits, the limit for printing one" % limit
-        raise ParseError(msg) from None
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -170,17 +160,37 @@ def _stensor_layout() -> tuple:
     return tuple(head.split("\0")), itemgetter(*slots.translate(None, b"\0"))
 
 
+def _fmt_and_double(v: int, d: int) -> tuple:
+    """(_fmt(v, d), _fmt(2 v, d)) from one gcd.
+
+    With v/d = n/q in lowest terms, 2v/d is 2n/q for odd q, sharing q's
+    digits, and n/(q/2) for even q, sharing n's.
+    """
+    g = gcd(v, d)
+    n, q = v // g, d // g
+    p = str(n)
+    if q == 1:
+        return p, str(2 * n)
+    if q & 1:
+        r = "/%d" % q
+        return p + r, str(2 * n) + r
+    return "%s/%d" % (p, q), p if q == 2 else "%s/%d" % (p, q >> 1)
+
+
 def encode_stensor(t: StructureTensor) -> _Rendered:
     """The tensor as the rendered document {"basis", "entries", "point"}, entries row-major in (i, j, k).
 
-    Only kn and 2 kn are formatted over t.den, 54 values; the texts of
-    -kn and -2 kn are theirs with the sign flipped. The 3051 nonzero
+    Only kn and 2 kn are formatted over t.den, 54 values from 27 gcds
+    (_fmt_and_double); the texts of -kn and -2 kn are theirs with the
+    sign flipped. The 3051 nonzero
     entries are taken from them in the order of smap.slot_values and
     joined once with the fixed texts of _stensor_layout() and the point.
     """
     den = t.den
-    one = [_fmt(v, den) for v in t.kn]
-    two = [_fmt(2 * v, den) for v in t.kn]
+    try:
+        one, two = zip(*[_fmt_and_double(v, den) for v in t.kn])
+    except ValueError:
+        raise _too_long() from None
     texts, take = _stensor_layout()
     parts = [None] * (2 * len(texts))
     parts[::2] = texts
@@ -227,7 +237,7 @@ def encode_group(g: GroupElem) -> dict:
     for j, (i, n) in enumerate(zip(g.perm, g.nums)):
         L[i][j] = _fmt(n, g.den)
     a, b, c, d = (_fmt(n, g.g2.den) for n in g.g2.nums)
-    return {"L": L, "c": rat_to_str(g.c), "g2": [[a, b], [c, d]]}
+    return {"L": L, "c": _fmt(*_c_pair(g)), "g2": [[a, b], [c, d]]}
 
 def decode_group(obj) -> GroupElem:
     """Full form {"L", "c", "g2"}, L monomial with det multiplier c, or shorthand {"kind", "params"}."""
@@ -239,11 +249,11 @@ def decode_group(obj) -> GroupElem:
         kind = obj["kind"]
         params = obj["params"]
         if kind == "scalar":
-            return scalar_elem(str_to_rat(params))
+            return _scalar(*_parse(params))
         if kind == "diag":
             if not isinstance(params, list) or len(params) != 3:
                 raise ParseError("diag shorthand needs 3 rationals")
-            return diag_conj(*[str_to_rat(v) for v in params])
+            return _diag(*_over_lcm([_parse(v) for v in params]))
         if kind == "perm":
             if (
                 not isinstance(params, list)
@@ -258,7 +268,7 @@ def decode_group(obj) -> GroupElem:
     if set(obj) != {"L", "c", "g2"}:
         raise ParseError('group element must be {"L", "c", "g2"} or a shorthand')
     L = _decode_matrix(obj["L"], 27, 27, "L")
-    c = str_to_rat(obj["c"])
+    c = _parse(obj["c"])
     g2 = _decode_gl2(obj["g2"], "g2")
     # each column's one nonzero (row, (p, q)): the perm and the scales of L
     cols = [[(i, pq) for i, pq in enumerate(col) if pq[0]] for col in zip(*L)]
@@ -266,7 +276,7 @@ def decode_group(obj) -> GroupElem:
         raise ParseError("L must be monomial: one nonzero entry in each column")
     perm, pairs = zip(*(col[0] for col in cols))
     try:
-        return _group(*_checked(perm, *_over_lcm(pairs), c, g2))
+        return _group(*_checked(perm, *_over_lcm(pairs), *c, g2))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -25,9 +25,12 @@ and coords() are Fraction views made on demand.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
+
+from .errors import ParseError
 
 
 def _rat(x) -> Fraction:
@@ -51,6 +54,23 @@ def _lowest(nums, den: int) -> tuple:
     if g != 1:
         return tuple([n // g for n in nums]), den // g
     return tuple(nums), den
+
+
+def _fmt(n: int, d: int) -> str:
+    """n/d for d > 0 in lowest terms, "p" or "p/q"; ParseError past the int-to-str digit limit."""
+    g = gcd(n, d)
+    try:
+        if g == d:
+            return str(n // d)
+        return "%d/%d" % (n // g, d // g)
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> ParseError:
+    """The error for a result with an integer past the int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return ParseError("the result has an integer of more than %d digits, the limit for printing one" % limit)
 
 
 def _fractions(nums, den: int) -> tuple:

@@ -113,12 +113,17 @@ def phi2(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return _signed_sum(x, piece).scale(9)
 
 
-def _k(A, B, d, f) -> AlbertElem:
-    """k_elem from the integers (A, B, d, f) of pvs._cubic_nums(x)."""
+def _k_nums(A, B, f) -> list:
+    """The 27 numerators of k_elem over 9 d^8, unreduced, from the integers (A, B, f) of pvs._cubic_nums(x)."""
     r0, r1, r2, r3 = 3 * f[0], f[1], f[2], 3 * f[3]
     caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
     crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
-    return _elem([caa * u + cab * v + cbb * w for u, v, w in crosses], 9 * d**8)
+    return [caa * u + cab * v + cbb * w for u, v, w in crosses]
+
+
+def _k(A, B, d, f) -> AlbertElem:
+    """k_elem from the integers (A, B, d, f) of pvs._cubic_nums(x)."""
+    return _elem(_k_nums(A, B, f), 9 * d**8)
 
 
 def k_elem(x: VPoint) -> AlbertElem:
@@ -167,10 +172,11 @@ def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 class StructureTensor(_Frozen):
     """All 27^3 structure constants of s_map at a point, in jbasis coordinates.
 
-    A function of the point alone: the constructor computes k_elem(point)
-    and stores the tensor as the fixed linear image of k it is (see
+    A function of the point alone: the constructor computes k, the
+    k_elem of the point, and stores the tensor as the fixed linear image of k it is (see
     structure_tensor): kn, the 27 numerators of (9/2) k over one positive
-    denominator den, with gcd(den, *kn) = 1 (octonion._lowest). == and
+    denominator den, with gcd(den, *kn) = 1 (octonion._lowest), reduced
+    once from k's integer combination (_k_nums) over 2 d^8. == and
     hash (octonion._Frozen) compare (point, kn, den).
     rows[i * 27 + j] is the 27 numerators of s_map(x, b_i, b_j) over den,
     (i, j) and (j, i) sharing one tuple, laid out on each read: the JSON
@@ -181,8 +187,9 @@ class StructureTensor(_Frozen):
     __slots__ = ("point", "kn", "den")
 
     def __init__(self, point: VPoint):
-        k = k_elem(point)
-        self._init(point, *_lowest([9 * v for v in k.nums], 2 * k.den))
+        A, B, d, f = _cubic_nums(point)
+        # (9/2) k = _k_nums / (2 d^8), reduced once
+        self._init(point, *_lowest(_k_nums(A, B, f), 2 * d**8))
 
     @property
     def rows(self) -> tuple:

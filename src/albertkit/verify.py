@@ -116,11 +116,16 @@ def rand_semistable(rng: random.Random) -> VPoint:
             return x
 
 
+# a GL(2) factor's four entries lie over four distinct ones of these primes, so
+# the denominators of two factors seldom agree and a mix-up between them shows
+_GL2_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def _rand_gl2(rng: random.Random):
     while True:
-        m = ((rand_rat(rng), rand_rat(rng)), (rand_rat(rng), rand_rat(rng)))
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
-            return m
+        a, b, c, d = (Fraction(rng.randint(-3, 3), p) for p in rng.sample(_GL2_PRIMES, 4))
+        if a * d - b * c != 0:
+            return ((a, b), (c, d))
 
 
 def rand_generator(rng: random.Random, with_gl2: bool = True) -> gaction.GroupElem:
@@ -521,14 +526,17 @@ def _scalar_chi(t):
 
 
 def _twisted_words(rng: random.Random, i: int) -> tuple:
-    """Two words, each a J word after a gl2 factor, whose GL(2) parts do not commute, and a point.
+    """Two words, each a gl2 factor after a J word, whose GL(2) parts do not commute, and a point.
 
     act_v applying g2 transposed would act by h2^T g2^T for g.compose(h)
     but by g2^T h2^T in turn, so it fails at every trial, not only when
-    two random words happen to carry such factors.
+    two random words happen to carry such factors. Each word is
+    gl2_elem(m).compose(j), whose g2 product m 1 keeps m's denominator
+    as the left operand's; as the two words' denominators differ, a GL(2)
+    product over the wrong operand's denominator shows in g.compose(h).
     """
     while True:
-        g, h = (_rand_j_group(rng).compose(gaction.gl2_elem(_rand_gl2(rng))) for _ in range(2))
+        g, h = (gaction.gl2_elem(_rand_gl2(rng)).compose(_rand_j_group(rng)) for _ in range(2))
         if g.compose(h).g2 != h.compose(g).g2:
             return g, h, rand_vpoint(rng)
 

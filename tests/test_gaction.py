@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 
 from albertkit.albert import (
+    E,
+    det_j,
     diag_elem,
     jbasis,
     pair_gram,
@@ -172,16 +174,16 @@ def test_group_elem_canonical_form(rng):
 
 
 def test_group_ops_make_few_fractions(rng, monkeypatch, count_fractions):
-    # the scales and g2 are integers over one denominator and c is read off L:
-    # apply_j, act_v, compose and tilde make no Fraction, whatever the 27 scales
-    # and the 4 entries of g2 are, and mu makes 4 (c, det2(g2), its square and
-    # c det2(g2)^2)
+    # the scales and g2 are integers over one denominator, and c and det(g2) are
+    # int pairs read off L and g2: apply_j, act_v, compose, tilde and mu make no
+    # Fraction, whatever the 27 scales and the 4 entries of g2 are, chi makes
+    # one, its value, and decoding the full form makes none
     elems = [rand_group(rng) for _ in range(8)] + [rand_special(rng)] + _wide_elems()
     X, x = rand_albert(rng), rand_vpoint(rng)
     calls = []
     for g, h in zip(elems, elems[1:]):
         calls += [(GroupElem.apply_j, (g, X), 0), (act_v, (g, x), 0), (GroupElem.compose, (g, h), 0)]
-        calls += [(tilde, (g,), 0), (mu, (g,), 4)]
+        calls += [(tilde, (g,), 0), (mu, (g,), 0), (chi, (g,), 1), (decode_group, (encode_group(g),), 0)]
     want = [f(*args) for f, args, _ in calls]
     counts, got = [], []
     made = count_fractions()
@@ -192,6 +194,21 @@ def test_group_ops_make_few_fractions(rng, monkeypatch, count_fractions):
     monkeypatch.undo()
     assert got == want
     assert all(n <= most for n, (_, _, most) in zip(counts, calls))
+
+
+def test_integer_multipliers_match_fraction_formulas(rng):
+    # c, det2, mu and chi from the int pairs against the literal Fraction
+    # formulas, over the 63-bit words and random words
+    elems = _wide_elems() + [rand_group(rng) for _ in range(12)]
+    assert sum(g.g2.den > 1 for g in elems) >= 6
+    for g in elems:
+        c = det_j(g.apply_j(E))
+        (a, b), (p, d) = _rows(g.g2)
+        d2 = a * d - b * p
+        assert g.c == c and det2(g.g2) == d2
+        assert mu(g).L == tuple(tuple(c * d2**2 * v for v in row) for row in g.L)
+        assert mu(g).g2 == identity_elem().g2
+        assert chi(g) == c**4 * d2**6
 
 
 def test_character_soundness(rng):

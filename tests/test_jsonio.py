@@ -23,6 +23,7 @@ from albertkit.jsonio import (
     STENSOR_BASIS_TAG,
     _canonical,
     _fmt,
+    _fmt_and_double,
     _stensor_layout,
     cubic_to_str,
     decode_albert,
@@ -231,6 +232,18 @@ def test_encode_stensor_matches_row_join(rng, sparse_point, tall_point):
     assert all(Fraction(2 * v, even.den).denominator * 2 == Fraction(v, even.den).denominator for v in even.kn if v)
 
 
+def test_stensor_texts_match_fmt(rng, sparse_point, tall_point):
+    # the texts of kn and 2 kn from one gcd each against two _fmt calls: on
+    # small values, which reach every branch, and on the coordinates of the
+    # tensors at w, a sparse point and a dense point of 200-bit numerators
+    cases = [(v, d) for v in range(-12, 13) for d in range(1, 13)]
+    for x in (w_point(), sparse_point(rng), tall_point):
+        t = structure_tensor(x)
+        cases += [(v, t.den) for v in t.kn]
+    for v, d in cases:
+        assert _fmt_and_double(v, d) == (_fmt(v, d), _fmt(2 * v, d)), (v, d)
+
+
 def test_stensor_layout_pinned():
     # 3052 fixed texts around the 3051 nonzero entries; between them, the 16632 zeros
     texts, take = _stensor_layout()
@@ -303,6 +316,31 @@ def test_group_shorthand():
         with pytest.raises(ParseError):
             decode_group(bad)
     assert decode_group(_full_identity()) == scalar_elem(1)
+
+
+def _outcome(f, *args):
+    """f(*args), or the kind and text of the AlbertKitError it raises."""
+    try:
+        return f(*args)
+    except AlbertKitError as exc:
+        return exc.kind, str(exc)
+
+
+def test_shorthand_decode_matches_builders(rng):
+    # the shorthands decode to ints: the same element, or the same error, as
+    # scalar_elem and diag_conj give on the same params, unreduced and zero ones too
+    big = 2**63 - 25
+    params = ["2/4", "-6/4", "0", "0/5", "-0", 0, 3, "-1/3", "10/15", "%d/%d" % (3 * big, 6 * (2**61 - 1)), "7/1"]
+    params += [rng.choice(["", "-"]) + "%d/%d" % (rng.randrange(2**64), rng.randrange(1, 2**64)) for _ in range(8)]
+    for p in params:
+        doc = {"kind": "scalar", "params": p}
+        assert _outcome(decode_group, doc) == _outcome(scalar_elem, Fraction(p))
+    triples = [["2/4", "0", "5"], ["0/3", "0", "0"], ["2/4", "-6/8", "10/15"]]
+    triples += [rng.sample(params, 3) for _ in range(24)]
+    assert any("0" in t or 0 in t for t in triples[3:])
+    for t in triples:
+        doc = {"kind": "diag", "params": t}
+        assert _outcome(decode_group, doc) == _outcome(diag_conj, *map(Fraction, t))
 
 
 def _codec_elems() -> dict:
@@ -419,16 +457,16 @@ def test_stensor_decode_errors_pinned():
         assert str(info.value) == detail
 
 
-def test_full_form_decode_makes_two_fractions(monkeypatch, count_fractions):
-    # the full form of a word with 63-bit scales reads L off its columns on
-    # integers: c and det2 of the g2 check are its only Fractions
+def test_full_form_decode_makes_no_fraction(monkeypatch, count_fractions):
+    # the full form of a word with 63-bit scales reads L off its columns, c and
+    # g2 on integers, and checks c and g2 on integers too
     word = _codec_elems()["word"]
     doc = json.loads(dumps(encode_group(word)))
     made = count_fractions()
     g = decode_group(doc)
     n = len(made)
     monkeypatch.undo()
-    assert g == word and n <= 2
+    assert g == word and n == 0
 
 
 def test_decode_stensor_makes_no_fraction(rng, monkeypatch, count_fractions):
@@ -444,9 +482,9 @@ def test_decode_stensor_makes_no_fraction(rng, monkeypatch, count_fractions):
 
 def test_group_op_fraction_counts(rng, monkeypatch, count_fractions):
     # a whole group op, from shorthand JSON with a gl2 factor to act_v, and its
-    # encoding. The op makes 14: the 4 decoded scalar and diag parameters,
-    # det2 of the gl2 check, mu's 4 and chi's 5 (c, det2 and their powers);
-    # compose, tilde and act_v make none. encode_group makes 1 per element, c.
+    # encoding. The op makes 1, the value chi returns: the shorthands decode to
+    # ints, and c and det2 are int pairs in mu and chi; decode, compose, tilde,
+    # mu and act_v make none. encode_group makes none, c included.
     word = [
         {"kind": "diag", "params": ["2", "-1/3", "5/7"]},
         {"kind": "gl2", "params": [["1/2", "-3"], ["5", "7/11"]]},
@@ -471,7 +509,7 @@ def test_group_op_fraction_counts(rng, monkeypatch, count_fractions):
     n_encode = len(made)
     monkeypatch.undo()
     assert got == want and [decode_group(doc) for doc in encoded] == list(got[:3])
-    assert (n_op, n_encode) == (14, 3)
+    assert (n_op, n_encode) == (1, 0)
 
 
 def test_dumps_canonical():

@@ -22,9 +22,9 @@ STATE_AFTER_CHECK = (
     "afb0084afdec 2c3f7dbf8b3f f9e81d3973dd 37a3b4bcb09b 32e196ab8636 cacb599193be "
     "e9847ebe3124 79cc249972b8 c98595a37e84 e1b7dfc48c90 e1b7dfc48c90 220c700f97df "
     "35030ef5ade2 2f9e036dc6ac 2f0e29f6c8f0 46e77fed46c2 727380d4a7fe 006f069501ae "
-    "63aa62060364 30fba8974030 6a6b2fc43f31 41f5fc91ea8d 3b6eb1bdb799 267c65d4494b "
-    "31e63eecc2b1 92a0a0d20d7b 140a1fa38a10 19aee824c1c0 1b74c8bf2c5f cf2fe17219e7 "
-    "6b55092ea2f6 6786e132a39f 53e70bf852e6 5d8fb93d61bd 9b649174ebd1 8c29d4991894 "
+    "63aa62060364 30fba8974030 6a6b2fc43f31 41f5fc91ea8d 3b6eb1bdb799 42c39f0e117d "
+    "31e63eecc2b1 92a0a0d20d7b c23a86e650b2 19aee824c1c0 e0ec825e9a82 df2b6e7ba087 "
+    "5048029954f2 bac6eeb8e302 5e23e3b02cb0 f3da69ff2f3a 4e49e79c2426 8c29d4991894 "
     "1df2660049aa e9be866834cd 3c228fefb683 0fd38f1f9102 841ee4e7fcd6 b6b4e4e729d1 "
     "099e7aa7639d 90fce26c64a1 474ea9313ac7 82fe26c6d027 df19c26c618d acf29d15dde8 "
     "dd14d20e2ab5 a6eda5c3eeb7 7e74f3979044 03af3374ec2e 525497382179 525497382179 "
@@ -33,12 +33,12 @@ STATE_AFTER_CHECK = (
 
 # for each (seed, trials): sha256 of the 61 concatenated per-check digests, first 12 hex digits
 STATE_AFTER_ALL = {
-    (0, 1): "c0e09a8e1c8b",
-    (0, 3): "293f7dde4541",
-    (0, 20): "5e1af7d8cfbc",
-    (11, 1): "69557c501a01",
-    (11, 3): "3ce0fd17fe24",
-    (11, 20): "f830795f6d25",
+    (0, 1): "c6b1b6fea055",
+    (0, 3): "d9204198f905",
+    (0, 20): "841ba6ba4959",
+    (11, 1): "c1f2fca6a569",
+    (11, 3): "a48afc09b55b",
+    (11, 20): "eef471d5d51d",
 }
 
 # cheap suites get more trials; the heavyweight ones make their point with few
