@@ -33,7 +33,13 @@ with no table read at run time: _cross_nums (270 constants, 10 per
 coordinate, each +-1 over the denominator 2), _det_num (the 45
 monomials of det) and _pair_nums (the 27 signed terms of the Gram
 shuffle _GRAM). They are the one source of J's constants, and the
-tests check each against the matrix route on the whole basis. On top
+tests check each against the matrix route on the whole basis. A fourth,
+_sharp_nums, is _cross_nums on the diagonal halved: x# = x x x in 135
+constants, 5 per coordinate, where _cross_nums(x, x) takes 270. With
+the identities of a cubic norm structure, x x y = (x+y)# - x# - y# and
+3 det(x) = pair(x#, x), it carries the binary cubic of a point
+(pvs._cubic_nums), the element k of smap and the index a# of isotope;
+the tests check it against _cross_nums and those identities. On top
 of them, _isotope_nums is the one isotope kernel,
 p(K, A) B + p(K, B) A - c(K, c(A, B)), which both smap.s_map and
 isotope.circ_a_tform evaluate.
@@ -238,6 +244,47 @@ def _cross_nums(x, y) -> list:
         -x2*y24 + x4*y14 - x6*y12 - x8*y11 - x10*y16 - x11*y8 - x12*y6 + x14*y4 - x16*y10 - x24*y2,
         -x2*y25 - x4*y13 + x5*y12 - x9*y11 - x10*y17 - x11*y9 + x12*y5 - x13*y4 - x17*y10 - x25*y2,
         -x2*y26 + x3*y11 + x4*y15 + x5*y16 + x6*y17 + x11*y3 + x15*y4 + x16*y5 + x17*y6 - x26*y2,
+    ]
+
+
+def _sharp_nums(x) -> list:
+    """Numerators of x# = x x x on integer coordinates, over den**2: _cross_nums(x, x) / 2.
+
+    Cross is symmetric and has no square terms, so the 10 constants of a
+    coordinate pair up, (l, m) with (m, l), and coordinate n of x# is 5
+    products c x_l x_m, each c = +-1: the constants (l, m, n, c) of
+    cross_tables() with l < m.
+    """
+    (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
+     x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
+    return [
+        x1*x2 - x3*x10 + x4*x7 + x5*x8 + x6*x9,
+        x0*x2 - x11*x18 + x12*x15 + x13*x16 + x14*x17,
+        x0*x1 - x19*x26 + x20*x23 + x21*x24 + x22*x25,
+        -x0*x3 + x15*x20 + x16*x21 + x17*x22 + x18*x26,
+        -x0*x4 - x11*x20 - x12*x26 + x16*x25 - x17*x24,
+        -x0*x5 - x11*x21 - x13*x26 - x15*x25 + x17*x23,
+        -x0*x6 - x11*x22 - x14*x26 + x15*x24 - x16*x23,
+        -x0*x7 - x13*x22 + x14*x21 - x15*x19 - x18*x23,
+        -x0*x8 + x12*x22 - x14*x20 - x16*x19 - x18*x24,
+        -x0*x9 - x12*x21 + x13*x20 - x17*x19 - x18*x25,
+        -x0*x10 + x11*x19 + x12*x23 + x13*x24 + x14*x25,
+        -x1*x11 + x4*x23 + x5*x24 + x6*x25 + x10*x26,
+        -x1*x12 - x4*x19 - x8*x25 + x9*x24 - x10*x20,
+        -x1*x13 - x5*x19 + x7*x25 - x9*x23 - x10*x21,
+        -x1*x14 - x6*x19 - x7*x24 + x8*x23 - x10*x22,
+        -x1*x15 - x3*x23 + x5*x22 - x6*x21 - x7*x26,
+        -x1*x16 - x3*x24 - x4*x22 + x6*x20 - x8*x26,
+        -x1*x17 - x3*x25 + x4*x21 - x5*x20 - x9*x26,
+        -x1*x18 + x3*x19 + x7*x20 + x8*x21 + x9*x22,
+        -x2*x19 + x7*x12 + x8*x13 + x9*x14 + x10*x18,
+        -x2*x20 - x3*x12 - x4*x18 + x8*x17 - x9*x16,
+        -x2*x21 - x3*x13 - x5*x18 - x7*x17 + x9*x15,
+        -x2*x22 - x3*x14 - x6*x18 + x7*x16 - x8*x15,
+        -x2*x23 - x5*x14 + x6*x13 - x7*x11 - x10*x15,
+        -x2*x24 + x4*x14 - x6*x12 - x8*x11 - x10*x16,
+        -x2*x25 - x4*x13 + x5*x12 - x9*x11 - x10*x17,
+        -x2*x26 + x3*x11 + x4*x15 + x5*x16 + x6*x17,
     ]
 
 

@@ -30,10 +30,10 @@ are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
 the matching trace form.
 
 On integers. Let A = a.nums over da, dn = det(a) da^3, S =
-_cross_nums(A, A) (so a# = S / (2 da^2)), p = _pair_nums and c =
-_cross_nums, and let x, y, z be the numerators of X, Y, Z over dx, dy,
-dz. Since D(X, Y, Z) = pair(X x Y, Z)/3, each form is one integer
-expression reduced once:
+2 _sharp_nums(A) = _cross_nums(A, A) (so S = 2 da^2 a#), p =
+_pair_nums and c = _cross_nums, and let x, y, z be the numerators of
+X, Y, Z over dx, dy, dz. Since D(X, Y, Z) = pair(X x Y, Z)/3, each
+form is one integer expression reduced once:
 
     t_form = (p(S,x) p(S,y) p(S,z) - 4 dn p(c(c(A,x), c(A,y)), c(A,z)))
              / (8 da^6 dx dy dz)
@@ -60,6 +60,7 @@ from .albert import (
     _elem,
     _isotope_nums,
     _pair_nums,
+    _sharp_nums,
     gram_apply,
     jbasis,
     pair_vec,
@@ -68,9 +69,12 @@ from .errors import SingularPoint
 
 
 def _index(a: AlbertElem) -> tuple:
-    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints."""
+    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints.
+
+    S is twice the numerators of albert._sharp_nums, so S = _cross_nums(A, A) at half the products.
+    """
     A = a.nums
-    return A, a.den, _det_num(A), _cross_nums(A, A)
+    return A, a.den, _det_num(A), [2 * v for v in _sharp_nums(A)]
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
@@ -155,14 +159,14 @@ def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The product defined implicitly by q_a(X circ Y, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
     It is the isotope kernel at a# (see the module docstring). With A =
-    a.nums over da, dn = det(a) da^3 and S = _cross_nums(A, A), the
+    a.nums over da, dn = det(a) da^3 and S = 2 _sharp_nums(A), the
     numerators of a# over 2 da^2,
 
         X circ Y = sgn(dn) da _isotope_nums(S, X.nums, Y.nums) / (4 |dn| den(X) den(Y)),
 
-    reduced once: three cross products, one det and two pairings on the
-    written-out kernels of albert, with no table built or read and no
-    Fraction.
+    reduced once: one sharp, two cross products, one det and two
+    pairings on the written-out kernels of albert, with no table built
+    or read and no Fraction.
     """
     A, da, dn, S = _index(a)
     return _over_det(da, dn, _isotope_nums(S, X.nums, Y.nums), 4 * X.den * Y.den)

@@ -20,7 +20,8 @@ from gaction._c_pair; it makes no Fraction. encode_stensor formats 54
 values of a tensor, kn and 2 kn, from one gcd per coordinate, flips
 their signs for -kn and -2 kn, and makes the document in one join: its
 3051 nonzero entries between the fixed texts of a layout read once off
-smap's slot rows. decode_stensor accepts only the entries of the tensor
+smap's slot rows, then the point, its 54 coordinate texts put into one
+fixed template. decode_stensor accepts only the entries of the tensor
 of their point.
 """
 
@@ -177,14 +178,21 @@ def _fmt_and_double(v: int, d: int) -> tuple:
     return "%s/%d" % (p, q), p if q == 2 else "%s/%d" % (p, q >> 1)
 
 
+def _point_text(x: VPoint) -> str:
+    """_canonical(encode_vpoint(x)): its 54 _fmt texts put into the fixed template _POINT with one %."""
+    a, b = x.a, x.b
+    da, db = a.den, b.den
+    return _POINT % (*[_fmt(n, da) for n in a.nums], *[_fmt(n, db) for n in b.nums])
+
+
 def encode_stensor(t: StructureTensor) -> _Rendered:
     """The tensor as the rendered document {"basis", "entries", "point"}, entries row-major in (i, j, k).
 
     Only kn and 2 kn are formatted over t.den, 54 values from 27 gcds
     (_fmt_and_double); the texts of -kn and -2 kn are theirs with the
-    sign flipped. The 3051 nonzero
-    entries are taken from them in the order of smap.slot_values and
-    joined once with the fixed texts of _stensor_layout() and the point.
+    sign flipped. The 3051 nonzero entries are taken from them in the
+    order of smap.slot_values and joined once with the fixed texts of
+    _stensor_layout() and the point's text (_point_text).
     """
     den = t.den
     try:
@@ -196,7 +204,7 @@ def encode_stensor(t: StructureTensor) -> _Rendered:
     parts[::2] = texts
     # by slot, as smap.slot_values; slot 0, the value 0, is in the texts
     parts[1:-1:2] = take([None, *map(_negated, two), *map(_negated, one), *one, *two])
-    parts[-1] = _canonical(encode_vpoint(t.point)) + "}\n"
+    parts[-1] = _point_text(t.point) + "}\n"
     return _Rendered("".join(parts))
 
 def decode_stensor(obj) -> StructureTensor:
@@ -283,6 +291,11 @@ def decode_group(obj) -> GroupElem:
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# the canonical text of encode_vpoint with a "%s" for each coordinate text, in
+# coordinate order: _fmt's texts of digits, "-" and "/" need no JSON escape
+_POINT = _canonical({h: {"diag": ["%s"] * 3, "oct": [["%s"] * 8] * 3} for h in "ab"})
 
 
 def dumps(obj) -> str:

@@ -13,7 +13,10 @@ point is w = (diag(1, -1, 0), diag(0, 1, -1)) with F_w = v1 v2 (v1 - v2)
 and delta(w) = 1.
 
 F_x is held as 4 ints over one denominator (BinaryCubic, an _IntCoords
-like Oct), and delta is computed from them in integers.
+like Oct), and delta is computed from them in integers. The one route
+to F_x is _cubic_nums: the sharps a# and b# from albert._sharp_nums and
+four pairings, 3 D(a,a,b) = pair(a#, b), 3 D(a,b,b) = pair(a, b#) and
+det = pair(a#, a)/3. smap reuses its sharps to form k.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .albert import AlbertElem, _det_num, diag_elem
+from .albert import AlbertElem, _pair_nums, _sharp_nums, diag_elem
 from .octonion import _canonical, _Frozen, _IntCoords, _rat, _reduced
 
 
@@ -88,25 +91,28 @@ class BinaryCubic(_IntCoords):
 
 
 def _cubic_nums(x: VPoint) -> tuple:
-    """(A, B, d, f): A = d a and B = d b in integers, d = lcm(a.den, b.den), and F_x as 4 ints f over d^3.
+    """(A, B, SA, SB, d, f): the point and its sharps in integers, and F_x as 4 ints f over d^3.
 
-    Four determinants fix f: det(A +- B) = f0 +- f1 + f2 +- f3, so
-    f1 = (det(A+B) - det(A-B))/2 - det(B) and
-    f2 = (det(A+B) + det(A-B))/2 - det(A).
+    A = d a and B = d b with d = lcm(a.den, b.den), and SA = d^2 a# and
+    SB = d^2 b# from albert._sharp_nums. In a cubic norm structure
+    3 D(a, a, b) = pair(a#, b) and det(a) = pair(a#, a)/3, so with
+    p = _pair_nums
+
+        f = (p(SA, A)/3, p(SA, B), p(A, SB), p(SB, B)/3),
+
+    two sharps and four pairings; both divisions by 3 are exact.
     """
     a, b = x.a, x.b
     d = lcm(a.den, b.den)
-    A = [v * (d // a.den) for v in a.nums]
-    B = [v * (d // b.den) for v in b.nums]
-    f0, f3 = _det_num(A), _det_num(B)
-    p = _det_num([u + v for u, v in zip(A, B)])
-    m = _det_num([u - v for u, v in zip(A, B)])
-    return A, B, d, (f0, (p - m) // 2 - f3, (p + m) // 2 - f0, f3)
+    A = a.nums if a.den == d else [v * (d // a.den) for v in a.nums]
+    B = b.nums if b.den == d else [v * (d // b.den) for v in b.nums]
+    SA, SB = _sharp_nums(A), _sharp_nums(B)
+    return A, B, SA, SB, d, (_pair_nums(SA, A) // 3, _pair_nums(SA, B), _pair_nums(A, SB), _pair_nums(SB, B) // 3)
 
 
 def cubic_of(x: VPoint) -> BinaryCubic:
     """The binary cubic v -> det(a v1 + b v2) of x = (a, b), from the integers of _cubic_nums."""
-    _, _, d, f = _cubic_nums(x)
+    *_, d, f = _cubic_nums(x)
     return _reduced(BinaryCubic, f, d**3)
 
 

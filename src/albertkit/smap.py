@@ -24,7 +24,8 @@ Everything factors through the single element
     k_elem(x) = sum sign * dd * (v1 x v3),
 
 the Hessian covariant of F_x contracted with a x a, a x b and b x b
-(see k_elem), via
+(see k_elem), which are read off three sharps, a#, b# and (a+b)#, of
+albert._sharp_nums, via
 
     s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
 
@@ -52,9 +53,9 @@ from typing import NamedTuple
 from .albert import (
     _GRAM,
     AlbertElem,
-    _cross_nums,
     _elem,
     _isotope_nums,
+    _sharp_nums,
     cross,
     cross_tables,
     trilinear_d,
@@ -113,17 +114,23 @@ def phi2(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return _signed_sum(x, piece).scale(9)
 
 
-def _k_nums(A, B, f) -> list:
-    """The 27 numerators of k_elem over 9 d^8, unreduced, from the integers (A, B, f) of pvs._cubic_nums(x)."""
+def _k_nums(A, B, SA, SB, f) -> list:
+    """The 27 numerators of k_elem over 9 d^8, unreduced, from the integers (A, B, SA, SB, f) of pvs._cubic_nums(x).
+
+    With the cross numerators c(A, A) = 2 SA, c(B, B) = 2 SB and c(A, B) =
+    (A+B)# - SA - SB, caa c(A, A) + cab c(A, B) + cbb c(B, B) is
+    (2 caa - cab) SA + (2 cbb - cab) SB + cab (A+B)#: one more sharp.
+    """
     r0, r1, r2, r3 = 3 * f[0], f[1], f[2], 3 * f[3]
     caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
-    crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
-    return [caa * u + cab * v + cbb * w for u, v, w in crosses]
+    ca, cb = 2 * caa - cab, 2 * cbb - cab
+    sharps = zip(SA, SB, _sharp_nums([u + v for u, v in zip(A, B)]))
+    return [ca * u + cb * v + cab * w for u, v, w in sharps]
 
 
-def _k(A, B, d, f) -> AlbertElem:
-    """k_elem from the integers (A, B, d, f) of pvs._cubic_nums(x)."""
-    return _elem(_k_nums(A, B, f), 9 * d**8)
+def _k(A, B, SA, SB, d, f) -> AlbertElem:
+    """k_elem from the integers (A, B, SA, SB, d, f) of pvs._cubic_nums(x)."""
+    return _elem(_k_nums(A, B, SA, SB, f), 9 * d**8)
 
 
 def k_elem(x: VPoint) -> AlbertElem:
@@ -137,12 +144,13 @@ def k_elem(x: VPoint) -> AlbertElem:
 
         k = 2(p1 p3 - p2^2) a x a + 2(p1 p2 - p0 p3) a x b + 2(p0 p2 - p1^2) b x b.
 
-    It is formed in integers: pvs._cubic_nums gives A = d a, B = d b and
-    F_x as 4 ints f over d^3, hence r = 3 d^3 p = (3 f0, f1, f2, 3 f3), and
-    k is one integer combination of the three cross numerators over 9 d^8,
-    reduced once. The numerators come from the written-out kernels
-    albert._det_num and albert._cross_nums, so no table is built or read,
-    and no Fraction is made.
+    It is formed in integers: pvs._cubic_nums gives A = d a, B = d b, the
+    sharps of a and b over d^2 and F_x as 4 ints f over d^3, hence r =
+    3 d^3 p = (3 f0, f1, f2, 3 f3). As a x b = ((a+b)# - a# - b#)/2, k
+    is one integer combination of the three sharps a#, b# and (a+b)#
+    over 9 d^8 (_k_nums), reduced once. The numerators come from the
+    written-out kernels albert._sharp_nums and albert._pair_nums, so no
+    table is built or read, and no Fraction is made.
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """
@@ -187,9 +195,9 @@ class StructureTensor(_Frozen):
     __slots__ = ("point", "kn", "den")
 
     def __init__(self, point: VPoint):
-        A, B, d, f = _cubic_nums(point)
+        A, B, SA, SB, d, f = _cubic_nums(point)
         # (9/2) k = _k_nums / (2 d^8), reduced once
-        self._init(point, *_lowest(_k_nums(A, B, f), 2 * d**8))
+        self._init(point, *_lowest(_k_nums(A, B, SA, SB, f), 2 * d**8))
 
     @property
     def rows(self) -> tuple:
@@ -285,8 +293,8 @@ def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 
     One read of pvs._cubic_nums gives both k and delta: 2 Fractions, delta and its inverse.
     """
-    A, B, d, f = _cubic_nums(x)
+    A, B, SA, SB, d, f = _cubic_nums(x)
     dlt = _reduced(BinaryCubic, f, d**3).discriminant()
     if dlt == 0:
         raise NotSemistable("delta(x) = 0: no algebra is attached to x")
-    return _contract(_k(A, B, d, f), X, Y).scale(1 / dlt)
+    return _contract(_k(A, B, SA, SB, d, f), X, Y).scale(1 / dlt)

@@ -16,6 +16,8 @@ from albertkit.albert import (
     _cross_nums,
     _det_num,
     _pair_nums,
+    _sharp_nums,
+    _variables,
     basis_crosses,
     cross,
     cross_tables,
@@ -521,6 +523,54 @@ def test_kernels_match_tables_random(bits, rng):
         assert _cross_nums(tuple(x), tuple(y)) == _table_cross(x, y)
         assert _det_num(x) == _table_det(x)
         assert _pair_nums(x, y) == _gram_pair(x, y)
+
+
+def _sharp_line(n):
+    """The line of _sharp_nums that holds coordinate n: the constants (l, m, n, c) of cross_tables() with l < m."""
+    return _signed(("x%d*x%d" % (l, m), c) for l, m, k, c in cross_tables()[1] if k == n and l < m) + ","
+
+
+def test_sharp_kernel_matches_cross_constants():
+    # read off 27 variables as cross_tables() is, coordinate n of _sharp_nums
+    # holds the constants of cross with l < m: cross has none with l = m, so
+    # the other half of its 270, (m, l), are the same terms again
+    consts = cross_tables()[1]
+    assert all(l != m for l, m, _, _ in consts)
+    for n, p in enumerate(_sharp_nums(_variables(0))):
+        got = {key: c for key, c in p.items() if c}
+        want = {(l, m): c for l, m, k, c in consts if k == n and l < m}
+        assert got == want, "_sharp_nums coordinate %d should read\n        %s" % (n, _sharp_line(n))
+
+
+def _assert_sharp_identities(x, y):
+    """x# against cross, and the identities of a cubic norm structure, on integer coordinates."""
+    s, t = _sharp_nums(x), _sharp_nums(y)
+    assert [2 * v for v in s] == _cross_nums(x, x)
+    # (x#)# = det(x) x, and 3 det(x) = pair(x#, x)
+    assert _sharp_nums(s) == [_det_num(x) * v for v in x]
+    assert _pair_nums(s, x) == 3 * _det_num(x)
+    # twice x x y is (x+y)# - x# - y#
+    xy = _sharp_nums([u + v for u, v in zip(x, y)])
+    assert _cross_nums(x, y) == [p - u - v for p, u, v in zip(xy, s, t)]
+
+
+def test_sharp_kernel_identities_on_basis():
+    # single basis elements, and sums of two and three, where det is not 0
+    sums = [_unit(l) for l in range(27)]
+    sums += [_unit(l, m) for l in range(27) for m in range(l + 1, 27)]
+    sums += [_unit(l, m, n) for l in range(0, 27, 4) for m in range(l + 1, 27, 3) for n in range(m + 1, 27, 2)]
+    assert any(_det_num(x) for x in sums)
+    for i, x in enumerate(sums):
+        _assert_sharp_identities(x, sums[(7 * i + 3) % len(sums)])
+
+
+@pytest.mark.parametrize("bits", [4, 20, 63, 200])
+def test_sharp_kernel_identities_random(bits, rng):
+    def vec():
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(27)]
+
+    for _ in range(20):
+        _assert_sharp_identities(vec(), vec())
 
 
 def test_table_sizes():

@@ -24,6 +24,7 @@ from albertkit.jsonio import (
     _canonical,
     _fmt,
     _fmt_and_double,
+    _point_text,
     _stensor_layout,
     cubic_to_str,
     decode_albert,
@@ -242,6 +243,24 @@ def test_stensor_texts_match_fmt(rng, sparse_point, tall_point):
         cases += [(v, t.den) for v in t.kn]
     for v, d in cases:
         assert _fmt_and_double(v, d) == (_fmt(v, d), _fmt(2 * v, d)), (v, d)
+
+
+def test_point_text_matches_canonical(rng, sparse_point, point_63, tall_point):
+    # the point of a tensor document from one template against the json.dumps route
+    def elem(num, den):
+        return AlbertElem.from_coords([Fraction(num(i), den(i)) for i in range(27)])
+
+    points = [
+        w_point(),
+        sparse_point(rng),
+        VPoint(elem(lambda i: i - 13, lambda i: 1 + i % 5), elem(lambda i: 2 * i + 1, lambda i: 3)),
+        point_63(rng),
+        tall_point,
+        VPoint(E.scale(0), E.scale(0)),
+        VPoint(E.scale(-1), elem(lambda i: -(i + 1), lambda i: 1 + i % 4)),
+    ]
+    for x in points:
+        assert _point_text(x) == _canonical(encode_vpoint(x)), x
 
 
 def test_stensor_layout_pinned():

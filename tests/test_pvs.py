@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertkit.albert import AlbertElem, E, det_j, diag_elem, trilinear_d
+from albertkit.albert import AlbertElem, E, _det_num, _sharp_nums, det_j, diag_elem, trilinear_d
 from albertkit.octonion import Oct
-from albertkit.pvs import BinaryCubic, VPoint, cubic_of, delta, is_semistable, w_point
+from albertkit.pvs import BinaryCubic, VPoint, _cubic_nums, cubic_of, delta, is_semistable, w_point
+from albertkit.verify import rand_semistable
 
 # the 9 halves in [-2, 2], 0 first so that shrinking still goes towards 0
 rats = st.sampled_from([Fraction(0)] + [Fraction(s * n, 2) for n in range(1, 5) for s in (1, -1)])
@@ -53,6 +55,29 @@ def test_cubic_coefficients_are_d_values(sparse_point, point_63, x, seed):
             det_j(y.b),
         )
         assert delta(y) == 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
+
+
+def _four_dets(x) -> tuple:
+    """(A, B, d, f): F_x from four determinants, det(A +- B) = f0 +- f1 + f2 +- f3."""
+    a, b = x.a, x.b
+    d = lcm(a.den, b.den)
+    A = [v * (d // a.den) for v in a.nums]
+    B = [v * (d // b.den) for v in b.nums]
+    f0, f3 = _det_num(A), _det_num(B)
+    p = _det_num([u + v for u, v in zip(A, B)])
+    m = _det_num([u - v for u, v in zip(A, B)])
+    return A, B, d, (f0, (p - m) // 2 - f3, (p + m) // 2 - f0, f3)
+
+
+def test_cubic_nums_match_four_dets(sparse_point, point_63, tall_point):
+    # the integers of F_x from two sharps and four pairings against the
+    # four-determinant route, at w, a sparse point, a dense point of small
+    # height, a 63-bit point and a 200-bit one
+    rng = random.Random(3)
+    for x in (w_point(), sparse_point(rng), rand_semistable(rng), point_63(rng), tall_point):
+        A, B, SA, SB, d, f = _cubic_nums(x)
+        assert (list(A), list(B), d, f) == _four_dets(x)
+        assert (SA, SB) == (_sharp_nums(A), _sharp_nums(B))
 
 
 def test_discriminant_values():

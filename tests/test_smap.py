@@ -9,6 +9,7 @@ from albertkit import smap
 from albertkit.albert import (
     AlbertElem,
     E,
+    _cross_nums,
     cross,
     jbasis,
     jordan_mul,
@@ -17,7 +18,7 @@ from albertkit.albert import (
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
 from albertkit.jsonio import dumps, encode_stensor
-from albertkit.pvs import VPoint, w_point
+from albertkit.pvs import VPoint, _cubic_nums, w_point
 from albertkit.reference import literal_k
 from albertkit.smap import (
     SIGNED_TERMS,
@@ -287,6 +288,18 @@ def test_k_elem_is_literal_signed_sum(rng, sparse_point, point_63):
         X, Y = rand_albert(rng), rand_albert(rng)
         assert phi1(x, X, Y) == cross(k, cross(X, Y))
         assert literal_vs_contracted(x, X, Y)
+
+
+def test_k_nums_match_three_crosses(rng, sparse_point, point_63, tall_point):
+    # k's integers from the sharps a#, b# and (a+b)# against caa a x a + cab a x b
+    # + cbb b x b on three cross products: the same unreduced integers, so every
+    # reduced k, and every tensor's bytes, stay as they were
+    for x in (w_point(), sparse_point(rng), rand_semistable(rng), point_63(rng), tall_point):
+        A, B, SA, SB, d, f = _cubic_nums(x)
+        r0, r1, r2, r3 = 3 * f[0], f[1], f[2], 3 * f[3]
+        caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
+        crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
+        assert smap._k_nums(A, B, SA, SB, f) == [caa * u + cab * v + cbb * w for u, v, w in crosses]
 
 
 def test_circ_x_is_isotope_at_a_of_x(rng, sparse_point):
