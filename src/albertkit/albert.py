@@ -40,9 +40,9 @@ the identities of a cubic norm structure, x x y = (x+y)# - x# - y# and
 3 det(x) = pair(x#, x), it carries the binary cubic of a point
 (pvs._cubic_nums), the element k of smap and the index a# of isotope;
 the tests check it against _cross_nums and those identities. On top
-of them, _isotope_nums is the one isotope kernel,
-p(K, A) B + p(K, B) A - c(K, c(A, B)), which both smap.s_map and
-isotope.circ_a_tform evaluate.
+of them, _isotope_nums is the one isotope kernel, which smap and
+isotope.circ_a_tform evaluate, and _elem_div the one division, in
+which smap.circ_x and both isotope products end.
 
 Tables. Two sparse tables list the same constants for the readers that
 need them by index. Each is read, once and on first use, off its
@@ -111,6 +111,12 @@ class AlbertElem(_IntCoords):
 
 # the element nums/den (den > 0), reduced to canonical form
 _elem = partial(_reduced, AlbertElem)
+
+
+def _elem_div(c: int, n: int, nums, den: int) -> AlbertElem:
+    """The element c nums / (n den), for n != 0 and den > 0: the sign of n moved into c, reduced once."""
+    c, n = (c, n) if n > 0 else (-c, -n)
+    return _elem([c * v for v in nums], n * den)
 
 
 def diag_elem(a, b, c) -> AlbertElem:
@@ -348,8 +354,8 @@ def _isotope_nums(K, A, B) -> list:
 
     Over 4 dk da db, for the elements k, a, b with these numerators over
     dk, da, db, it is (pair(k, a) b + pair(k, b) a)/4 - k x (a x b). The
-    isotope product at an index is 2/det times it at k = index#, and
-    s_map at a point x is 18 times it at k = k_elem(x): one kernel for both.
+    isotope product at an index a is 2/det(a) times it at k = a#, and
+    s_map at a point x is 4 times it at k = (9/2) k_elem(x): one kernel.
     """
     ka, kb = _pair_nums(K, A), _pair_nums(K, B)
     return [ka * b + kb * a - c for a, b, c in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]

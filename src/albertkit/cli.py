@@ -46,16 +46,6 @@ def _trials(text: str) -> int:
     return n
 
 
-def _rat(key, fn):
-    """The result {key: fn(*inputs)}, a rational."""
-    return lambda args, *inputs: {key: rat_to_str(fn(*inputs))}
-
-
-def _elem(key, fn):
-    """The result {key: fn(*inputs)}, an element of J."""
-    return lambda args, *inputs: {key: encode_albert(fn(*inputs))}
-
-
 def _albert(*files):
     """Element files, each given as (argument, help)."""
     return [(name, helptext, decode_albert) for name, helptext in files]
@@ -82,26 +72,28 @@ def _qa(args, a):
 
 
 _ELEM = _albert(("elem", "element JSON file"))
+_INDEX = _albert(("a", "index element"))
 _POINT = [("point", "VPoint JSON file", decode_vpoint)]
 _XY = _albert(("x", "left factor"), ("y", "right factor"))
 _XYZ = _albert(("x", "first"), ("y", "second"), ("z", "third"))
 
-# subcommand -> (help, input files as (argument, help, decoder), result of (args, *decoded inputs))
+# subcommand -> (help, input files as (argument, help, decoder), result of (args, *decoded inputs));
+# each result looks its function up when the command runs, so a rebound name is the one called
 _COMMANDS = {
-    "det": ("cubic form of an element", _ELEM, _rat("det", det_j)),
-    "trace": ("trace of an element", _ELEM, _rat("trace", trace_j)),
-    "jordan": ("Jordan product", _XY, _elem("jordan", jordan_mul)),
-    "cross": ("Freudenthal cross product", _XY, _elem("cross", cross_j)),
-    "dform": ("polarized determinant D(X, Y, Z)", _XYZ, _rat("dform", trilinear_d)),
-    "cubic": ("binary cubic of a point of V", _POINT, lambda args, x: {"cubic": cubic_to_str(cubic_of(x))}),
-    "delta": ("degree-12 invariant of a point of V", _POINT, _rat("delta", delta)),
+    "det": ("cubic form of an element", _ELEM, lambda _, *v: {"det": rat_to_str(det_j(*v))}),
+    "trace": ("trace of an element", _ELEM, lambda _, *v: {"trace": rat_to_str(trace_j(*v))}),
+    "jordan": ("Jordan product", _XY, lambda _, *v: {"jordan": encode_albert(jordan_mul(*v))}),
+    "cross": ("Freudenthal cross product", _XY, lambda _, *v: {"cross": encode_albert(cross_j(*v))}),
+    "dform": ("polarized determinant D(X, Y, Z)", _XYZ, lambda _, *v: {"dform": rat_to_str(trilinear_d(*v))}),
+    "cubic": ("binary cubic of a point of V", _POINT, lambda _, x: {"cubic": cubic_to_str(cubic_of(x))}),
+    "delta": ("degree-12 invariant of a point of V", _POINT, lambda _, x: {"delta": rat_to_str(delta(x))}),
     "smap": ("structure map S_x(X, Y)", _POINT + _albert(("x", "first input"), ("y", "second input")), _smap),
     "structure": (
         "full 27x27x27 structure tensor at a point", _POINT, lambda args, x: encode_stensor(smap.structure_tensor(x))
     ),
-    "tform": ("trilinear form T_a(X, Y, Z)", _albert(("a", "index element")) + _XYZ, _rat("tform", isotope.t_form)),
+    "tform": ("trilinear form T_a(X, Y, Z)", _INDEX + _XYZ, lambda _, *v: {"tform": rat_to_str(isotope.t_form(*v))}),
     "isotope-mul": ("isotope product X circ_a Y", _albert(("a", "index element, det != 0")) + _XY, _isotope_mul),
-    "qa": ("bilinear form Q_a", _albert(("a", "index element")), _qa),
+    "qa": ("bilinear form Q_a", _INDEX, _qa),
 }
 
 

@@ -15,25 +15,21 @@ and the bilinear form
  * circ_a_tform: the unique V with
        q_a(V, Z) = det(a)^{-1} t_form(a; X, Y, Z)  for every Z.
 
-With a# = a x a, solving the t_form equation gives the isotope of the
-cubic norm structure at a (McCrimmon, A Taste of Jordan Algebras, on
-isotopes J^(u); Petersson and Racine, "Jordan algebras of degree 3 and
-the Tits process", J. Algebra 1986):
-
-    X circ_a Y = det(a)^{-1} ((pair(a#, X) Y + pair(a#, Y) X)/2 - 2 a# x (X x Y)).
-
-That is albert._isotope_nums at K = a#, the kernel s_map contracts at a
-point; circ_a_tform evaluates it in integers, with no linear solve.
+Solving the t_form equation gives the isotope of the cubic norm
+structure at a in closed form (see circ_a_tform): the isotope kernel
+albert._isotope_nums at a#, the kernel s_map evaluates at a point, with
+no linear solve.
 
 Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
 the matching trace form.
 
-On integers. Let A = a.nums over da, dn = det(a) da^3, S =
-2 _sharp_nums(A) = _cross_nums(A, A) (so S = 2 da^2 a#), p =
-_pair_nums and c = _cross_nums, and let x, y, z be the numerators of
-X, Y, Z over dx, dy, dz. Since D(X, Y, Z) = pair(X x Y, Z)/3, each
-form is one integer expression reduced once:
+On integers. _index is the one integer context of an index a: A =
+a.nums over da, S = 2 _sharp_nums(A) = _cross_nums(A, A) (so S = 2 da^2
+a#) and dn = det(a) da^3, read off S. With p = _pair_nums and c =
+_cross_nums, and x, y, z the numerators of X, Y, Z over dx, dy, dz,
+since D(X, Y, Z) = pair(X x Y, Z)/3 each form is one integer expression
+reduced once:
 
     t_form = (p(S,x) p(S,y) p(S,z) - 4 dn p(c(c(A,x), c(A,y)), c(A,z)))
              / (8 da^6 dx dy dz)
@@ -46,7 +42,8 @@ term of phi_a collapses, and the Springer route is two lines:
     phi_a           = det(a)^3 (4 (X x a) x (Y x a) - pair(X x Y, a) a)
     circ_a_springer = det(a)^-1 (4 (X x a) x (Y x a) - pair(X x Y, a) a),
 
-one bracket c(c(x,A), c(y,A)) - p(c(x,y), A) A over 2 dx dy da^2.
+one bracket c(c(x,A), c(y,A)) - p(c(x,y), A) A over 2 dx dy da^2. Both
+products divide by det(a) once, in albert._elem_div.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from .albert import (
     _cross_nums,
     _det_num,
     _elem,
+    _elem_div,
     _isotope_nums,
     _pair_nums,
     _sharp_nums,
@@ -71,10 +69,12 @@ from .errors import SingularPoint
 def _index(a: AlbertElem) -> tuple:
     """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints.
 
-    S is twice the numerators of albert._sharp_nums, so S = _cross_nums(A, A) at half the products.
+    S is twice the numerators of albert._sharp_nums, so S = _cross_nums(A, A)
+    at half the products, and 3 det(a) = pair(a#, a) reads dn off it: p(S, A) = 6 dn.
     """
     A = a.nums
-    return A, a.den, _det_num(A), [2 * v for v in _sharp_nums(A)]
+    S = [2 * v for v in _sharp_nums(A)]
+    return A, a.den, _pair_nums(S, A) // 6, S
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
@@ -137,16 +137,10 @@ def _require_invertible(dn):
     return dn
 
 
-def _over_det(da, dn, nums, den) -> AlbertElem:
-    """(nums / (den da^2)) / det(a), det(a) = dn / da^3 != 0: sgn(dn) da nums over |dn| den, reduced once."""
-    c = da if _require_invertible(dn) > 0 else -da
-    return _elem([c * v for v in nums], abs(dn) * den)
-
-
 def circ_a_springer(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """det(a)^{-4} phi_a(X, Y); the isotope product in closed form: the bracket _springer_nums over det(a)."""
     A = a.nums
-    return _over_det(a.den, _det_num(A), _springer_nums(A, X.nums, Y.nums), 2 * X.den * Y.den)
+    return _elem_div(a.den, _require_invertible(_det_num(A)), _springer_nums(A, X.nums, Y.nums), 2 * X.den * Y.den)
 
 
 def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
@@ -158,15 +152,17 @@ def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The product defined implicitly by q_a(X circ Y, Z) = det(a)^{-1} t_form(a; X, Y, Z).
 
-    It is the isotope kernel at a# (see the module docstring). With A =
-    a.nums over da, dn = det(a) da^3 and S = 2 _sharp_nums(A), the
-    numerators of a# over 2 da^2,
+    Solving it gives the isotope of the cubic norm structure at a
+    (McCrimmon, A Taste of Jordan Algebras, on isotopes J^(u); Petersson
+    and Racine, "Jordan algebras of degree 3 and the Tits process",
+    J. Algebra 1986), 2/det(a) times the isotope kernel at a# = a x a:
 
-        X circ Y = sgn(dn) da _isotope_nums(S, X.nums, Y.nums) / (4 |dn| den(X) den(Y)),
+        X circ_a Y = det(a)^{-1} ((pair(a#, X) Y + pair(a#, Y) X)/2 - 2 a# x (X x Y))
+                   = da _isotope_nums(S, X.nums, Y.nums) / (4 dn den(X) den(Y))
 
-    reduced once: one sharp, two cross products, one det and two
-    pairings on the written-out kernels of albert, with no table built
-    or read and no Fraction.
+    with (A, da, dn, S) = _index(a): one sharp, two cross products and
+    three pairings on the written-out kernels, one division
+    (albert._elem_div), no table and no Fraction.
     """
     A, da, dn, S = _index(a)
-    return _over_det(da, dn, _isotope_nums(S, X.nums, Y.nums), 4 * X.den * Y.den)
+    return _elem_div(da, _require_invertible(dn), _isotope_nums(S, X.nums, Y.nums), 4 * X.den * Y.den)

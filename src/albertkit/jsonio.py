@@ -127,7 +127,7 @@ def decode_vpoint(obj) -> VPoint:
 
 
 def cubic_to_str(f: BinaryCubic) -> str:
-    return "[%s, %s, %s, %s]" % tuple(_fmt(n, f.den) for n in f.nums)
+    return str(f)
 
 
 class _Rendered(_Frozen):

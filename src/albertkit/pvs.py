@@ -12,11 +12,11 @@ that divides by delta demands semistability. The reference semistable
 point is w = (diag(1, -1, 0), diag(0, 1, -1)) with F_w = v1 v2 (v1 - v2)
 and delta(w) = 1.
 
-F_x is held as 4 ints over one denominator (BinaryCubic, an _IntCoords
-like Oct), and delta is computed from them in integers. The one route
-to F_x is _cubic_nums: the sharps a# and b# from albert._sharp_nums and
-four pairings, 3 D(a,a,b) = pair(a#, b), 3 D(a,b,b) = pair(a, b#) and
-det = pair(a#, a)/3. smap reuses its sharps to form k.
+The one route to F_x is _cubic_nums: 4 ints f over d^3, from the
+sharps a# and b# of albert._sharp_nums and four pairings; smap reuses
+the sharps to form k. The one route to delta is _delta_nums, from which
+delta makes one Fraction and smap.circ_x divides in integers; neither
+builds the BinaryCubic (an _IntCoords like Oct) that cubic_of returns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from .albert import AlbertElem, _pair_nums, _sharp_nums, diag_elem
-from .octonion import _canonical, _Frozen, _IntCoords, _rat, _reduced
+from .octonion import _canonical, _fmt, _Frozen, _IntCoords, _lowest, _rat, _reduced
 
 
 class VPoint(_Frozen):
@@ -58,7 +58,7 @@ class BinaryCubic(_IntCoords):
         return "BinaryCubic(%s, %s, %s, %s)" % self.coeffs()
 
     def __str__(self):
-        return "[%s, %s, %s, %s]" % self.coeffs()
+        return "[%s, %s, %s, %s]" % tuple(_fmt(n, self.den) for n in self.nums)
 
     def evaluate(self, v1, v2) -> Fraction:
         v1 = _rat(v1)
@@ -72,22 +72,12 @@ class BinaryCubic(_IntCoords):
         )
 
     def discriminant(self) -> Fraction:
-        """Discriminant of the cubic a v^3 + b v^2 + c v + d:
+        return Fraction(_discriminant(*self.nums), self.den**4)
 
-        18abcd - 4 b^3 d + b^2 c^2 - 4 a c^3 - 27 a^2 d^2,
 
-        one integer expression in the numerators, over den^4. Nonzero
-        exactly when the three projective roots are distinct.
-        """
-        a, b, c, d = self.nums
-        disc = (
-            18 * a * b * c * d
-            - 4 * b**3 * d
-            + b**2 * c**2
-            - 4 * a * c**3
-            - 27 * a**2 * d**2
-        )
-        return Fraction(disc, self.den**4)
+def _discriminant(a, b, c, d) -> int:
+    """Discriminant of a v^3 + b v^2 + c v + d, of degree 4: nonzero iff the three projective roots are distinct."""
+    return 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
 
 
 def _cubic_nums(x: VPoint) -> tuple:
@@ -116,9 +106,16 @@ def cubic_of(x: VPoint) -> BinaryCubic:
     return _reduced(BinaryCubic, f, d**3)
 
 
+def _delta_nums(d: int, f) -> tuple:
+    """(n, m): delta = n / m for F_x = f / d^3: reduced to f / den first (cheaper), n = _discriminant(*f), m = den^4."""
+    f, q = _lowest(f, d**3)
+    return _discriminant(*f), q**4
+
+
 def delta(x: VPoint) -> Fraction:
-    """Degree-12 relative invariant: the discriminant of cubic_of(x), the one Fraction made."""
-    return cubic_of(x).discriminant()
+    """Degree-12 relative invariant: the discriminant of cubic_of(x), from _delta_nums; the one Fraction made."""
+    *_, d, f = _cubic_nums(x)
+    return Fraction(*_delta_nums(d, f))
 
 
 def is_semistable(x: VPoint) -> bool:

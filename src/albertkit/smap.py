@@ -23,11 +23,11 @@ Everything factors through the single element
 
     k_elem(x) = sum sign * dd * (v1 x v3),
 
-the Hessian covariant of F_x contracted with a x a, a x b and b x b
-(see k_elem), which are read off three sharps, a#, b# and (a+b)#, of
-albert._sharp_nums, via
-
-    s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X).
+the Hessian covariant of F_x contracted with a x a, a x b and b x b,
+read off three sharps (see k_elem). _tensor_nums holds (9/2) k as 27
+integers kn over one denominator, with the cubic's integers: s_map is
+the isotope kernel albert._isotope_nums at kn, and circ_x divides it
+once by the integer discriminant.
 
 structure_tensor exploits this when tabulating all 729 basis pairs: the
 map k -> tensor is linear and fixed, and each of its 19683 basis entries
@@ -40,7 +40,7 @@ c k_l, through _slot_table(), whenever rows is read. jsonio.encode_stensor
 reads no rows: its layout, also read off _slot_rows(), places the texts
 of kn, 2 kn and their negatives into the document in one join. No
 Fraction is made on the way from the integers of the point through
-k_elem to the JSON bytes, nor by s_map.
+kn to the JSON bytes, nor by s_map or circ_x.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .albert import (
     _GRAM,
     AlbertElem,
     _elem,
+    _elem_div,
     _isotope_nums,
     _sharp_nums,
     cross,
@@ -61,8 +62,8 @@ from .albert import (
     trilinear_d,
 )
 from .errors import NotSemistable
-from .octonion import _Frozen, _lowest, _reduced
-from .pvs import BinaryCubic, VPoint, _cubic_nums
+from .octonion import _Frozen, _lowest
+from .pvs import VPoint, _cubic_nums, _delta_nums
 
 
 class SignedTerm(NamedTuple):
@@ -128,11 +129,6 @@ def _k_nums(A, B, SA, SB, f) -> list:
     return [ca * u + cb * v + cab * w for u, v, w in sharps]
 
 
-def _k(A, B, SA, SB, d, f) -> AlbertElem:
-    """k_elem from the integers (A, B, SA, SB, d, f) of pvs._cubic_nums(x)."""
-    return _elem(_k_nums(A, B, SA, SB, f), 9 * d**8)
-
-
 def k_elem(x: VPoint) -> AlbertElem:
     """sum over terms of sign * dd * (v1 x v3); phi1 = k x (X x Y).
 
@@ -148,33 +144,38 @@ def k_elem(x: VPoint) -> AlbertElem:
     sharps of a and b over d^2 and F_x as 4 ints f over d^3, hence r =
     3 d^3 p = (3 f0, f1, f2, 3 f3). As a x b = ((a+b)# - a# - b#)/2, k
     is one integer combination of the three sharps a#, b# and (a+b)#
-    over 9 d^8 (_k_nums), reduced once. The numerators come from the
-    written-out kernels albert._sharp_nums and albert._pair_nums, so no
-    table is built or read, and no Fraction is made.
+    over 9 d^8 (_k_nums), read here as 2 kn / (9 den) off _tensor_nums.
+    The numerators come from the written-out kernels albert._sharp_nums
+    and albert._pair_nums, so no table is built or read, and no Fraction
+    is made.
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """
-    return _k(*_cubic_nums(x))
+    return _elem_div(2, 9, *_tensor_nums(x)[:2])
 
 
-def _contract(k: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
-    """s_map through k = k_elem(x): 9 _isotope_nums(K, A, B) / (2 dk dx dy), reduced once."""
-    return _elem([9 * v for v in _isotope_nums(k.nums, X.nums, Y.nums)], 2 * k.den * X.den * Y.den)
+def _tensor_nums(x: VPoint) -> tuple:
+    """(kn, den, d, f): (9/2) k_elem(x) = _k_nums / (2 d^8) = kn / den in lowest terms, and F_x = f / d^3.
+
+    The one integer context of a point, which every map of x here reads.
+    """
+    A, B, SA, SB, d, f = _cubic_nums(x)
+    return (*_lowest(_k_nums(A, B, SA, SB, f), 2 * d**8), d, f)
 
 
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """-18 phi1 + (3/2) phi2, contracted through k = k_elem(x), in integers.
 
-    With K, A, B the numerators of k, X, Y over dk, dx, dy, p = _pair_nums
-    and c = _cross_nums (twice the cross product, in numerators),
+    With kn / den = (9/2) k from _tensor_nums and A, B the numerators of
+    X, Y over dx, dy,
 
         s_map = -18 k x (X x Y) + (9/2)(pair(k, X) Y + pair(k, Y) X)
-              = 9 (p(K, A) B + p(K, B) A - c(K, c(A, B))) / (2 dk dx dy),
+              = _isotope_nums(kn, A, B) / (den dx dy),
 
-    with the isotope kernel albert._isotope_nums, which circ_a_tform
-    evaluates at a#. No Fraction is made.
+    reduced once. No Fraction is made.
     """
-    return _contract(k_elem(x), X, Y)
+    kn, den, _, _ = _tensor_nums(x)
+    return _elem(_isotope_nums(kn, X.nums, Y.nums), den * X.den * Y.den)
 
 
 class StructureTensor(_Frozen):
@@ -183,8 +184,7 @@ class StructureTensor(_Frozen):
     A function of the point alone: the constructor computes k, the
     k_elem of the point, and stores the tensor as the fixed linear image of k it is (see
     structure_tensor): kn, the 27 numerators of (9/2) k over one positive
-    denominator den, with gcd(den, *kn) = 1 (octonion._lowest), reduced
-    once from k's integer combination (_k_nums) over 2 d^8. == and
+    denominator den, with gcd(den, *kn) = 1, read off _tensor_nums. == and
     hash (octonion._Frozen) compare (point, kn, den).
     rows[i * 27 + j] is the 27 numerators of s_map(x, b_i, b_j) over den,
     (i, j) and (j, i) sharing one tuple, laid out on each read: the JSON
@@ -195,9 +195,7 @@ class StructureTensor(_Frozen):
     __slots__ = ("point", "kn", "den")
 
     def __init__(self, point: VPoint):
-        A, B, SA, SB, d, f = _cubic_nums(point)
-        # (9/2) k = _k_nums / (2 d^8), reduced once
-        self._init(point, *_lowest(_k_nums(A, B, SA, SB, f), 2 * d**8))
+        self._init(point, *_tensor_nums(point)[:2])
 
     @property
     def rows(self) -> tuple:
@@ -291,10 +289,13 @@ def structure_tensor(x: VPoint) -> StructureTensor:
 def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """The isotope product delta(x)^{-1} s_map(x, X, Y); needs x semistable.
 
-    One read of pvs._cubic_nums gives both k and delta: 2 Fractions, delta and its inverse.
+    One read of _tensor_nums gives both k and delta = p / q
+    (pvs._delta_nums), so with A, B the numerators of X, Y over dx, dy
+    the product is q _isotope_nums(kn, A, B) / (p den dx dy): one
+    division (albert._elem_div), no Fraction.
     """
-    A, B, SA, SB, d, f = _cubic_nums(x)
-    dlt = _reduced(BinaryCubic, f, d**3).discriminant()
-    if dlt == 0:
+    kn, den, d, f = _tensor_nums(x)
+    p, q = _delta_nums(d, f)
+    if p == 0:
         raise NotSemistable("delta(x) = 0: no algebra is attached to x")
-    return _contract(_k(A, B, SA, SB, d, f), X, Y).scale(1 / dlt)
+    return _elem_div(q, p, _isotope_nums(kn, X.nums, Y.nums), den * X.den * Y.den)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albertkit import jsonio, smap
+from albertkit import cli, isotope, jsonio, smap
 from albertkit.albert import AlbertElem, det_j, diag_elem, jordan_mul
 from albertkit.cli import main
 from albertkit.errors import ParseError
@@ -172,10 +172,14 @@ def _fixed_product_inputs() -> dict:
     }
 
 
-# sha256 of stdout for `smap`, `smap --normalize`, both `isotope-mul` methods and the
-# cubic-norm forms `dform`, `tform`, `qa` and `qa --gram`, on _fixed_product_inputs()
-# named in argument order; both isotope methods print the same bytes
+# sha256 of stdout for `cubic`, `delta`, `smap`, `smap --normalize`, both `isotope-mul`
+# methods and the cubic-norm forms `dform`, `tform`, `qa` and `qa --gram`, on
+# _fixed_product_inputs() named in argument order; both isotope methods print the same bytes
 PRODUCT_SHA256 = {
+    ("cubic", "w"): "ff43870b035364b49ae0854530b08709766f08e4593a99846dd2b85aa0a9d440",
+    ("cubic", "sparse"): "f161445c395c4c8fc7127951892d84a644e49acbade79099dc5944dcdd484261",
+    ("delta", "w"): "d9f7f23e3603b5189a9ecac5e2d01122c4c02f413ea21f07ae4d4b380bc9f676",
+    ("delta", "sparse"): "94745004fa9e4dd163fb5961febce6b453b3535a307a2b7b3ff413b8668ec4e3",
     ("smap", "w x63 y63"): "fb6f55b739a5d9facbfb7cacf1ce401c8631689168109e2f10442f9e9dbb3178",
     ("smap", "sparse x63 y63"): "1ebc75a83f24fe89a592a0bd7e57eae7462fdcb76d8450102454d789cfbb03fe",
     ("smap --normalize", "w x63 y63"): "03b24260dc392e6c5cef46c5297756ba66f20281c286e67ea1ff2405916be83d",
@@ -199,7 +203,7 @@ def test_product_bytes_pinned(tmp_path, capsys):
     inputs = _fixed_product_inputs()
     assert det_j(inputs["neg"]) < 0 and inputs["two_dens"].den == 21
     assert inputs["z63"].den == 1000003 * 999983 * (2**31 - 1)
-    assert delta(inputs["sparse"]) != 0 and sum(1 for v in inputs["sparse"].a.nums if v) == 5
+    assert delta(inputs["sparse"]) < 0 and sum(1 for v in inputs["sparse"].a.nums if v) == 5
     paths = {}
     for name, value in inputs.items():
         paths[name] = tmp_path / (name + ".json")
@@ -209,6 +213,16 @@ def test_product_bytes_pinned(tmp_path, capsys):
         code, _, raw = run_cli(capsys, *command.split(), *(str(paths[name]) for name in operands.split()))
         assert code == 0
         assert hashlib.sha256(raw.encode()).hexdigest() == digest, (command, operands)
+
+
+def test_commands_call_the_names_bound_when_they_run(files, capsys, monkeypatch):
+    # each command looks its function up when it runs, so a rebinding reaches the CLI
+    monkeypatch.setattr(cli, "det_j", lambda X: Fraction(7))
+    monkeypatch.setattr(isotope, "t_form", lambda a, X, Y, Z: Fraction(-5, 3))
+    assert run_cli(capsys, "det", files["e"])[1] == {"det": "7"}
+    assert run_cli(capsys, "tform", files["e"], files["x"], files["y"], files["z"])[1] == {"tform": "-5/3"}
+    monkeypatch.undo()
+    assert run_cli(capsys, "det", files["e"])[1] == {"det": "1"}
 
 
 def test_tform_qa(files, capsys):

@@ -613,8 +613,7 @@ def test_structure_path_makes_no_fraction(rng, sparse_point, monkeypatch, count_
 
 
 def test_point_side_fraction_counts(rng, sparse_point, count_fractions):
-    # s_map and the cubic command run on integers; delta makes its one result
-    # and circ_x at most one more, dividing by it
+    # s_map, circ_x and the cubic command run on integers; delta makes its one result
     calls = [(x, rand_albert(rng), rand_albert(rng)) for x in (w_point(), rand_semistable(rng), sparse_point(rng))]
     made = count_fractions()
 
@@ -627,7 +626,7 @@ def test_point_side_fraction_counts(rng, sparse_point, count_fractions):
         assert made_by(s_map, x, X, Y) == 0
         assert made_by(lambda: cubic_to_str(cubic_of(x))) == 0
         assert made_by(delta, x) == 1
-        assert made_by(circ_x, x, X, Y) <= 2
+        assert made_by(circ_x, x, X, Y) == 0
 
 
 def test_load_json(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from albertkit.albert import AlbertElem, E, _det_num, _sharp_nums, det_j, diag_elem, trilinear_d
 from albertkit.octonion import Oct
-from albertkit.pvs import BinaryCubic, VPoint, _cubic_nums, cubic_of, delta, is_semistable, w_point
+from albertkit.pvs import BinaryCubic, VPoint, _cubic_nums, _discriminant, cubic_of, delta, is_semistable, w_point
 from albertkit.verify import rand_semistable
 
 # the 9 halves in [-2, 2], 0 first so that shrinking still goes towards 0
@@ -89,6 +89,11 @@ def test_discriminant_values():
     assert BinaryCubic(0, 1, 0, 0).discriminant() == 0
     # x y (x - y): roots 0, inf, 1
     assert BinaryCubic(0, 1, -1, 0).discriminant() == 1
+    # the integer expression itself, which delta and circ_x read; degree 4, so 2^4 at 2 f
+    assert [_discriminant(*f) for f in ((1, 0, -1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, -1, 0))] == [4, 0, 0, 1]
+    assert _discriminant(2, 0, -2, 0) == 64 and _discriminant(1, -6, 11, -6) == 4
+    # over a denominator: (x/2)(x - y/3)(x + y) has the roots 0, 1/3, -1
+    assert BinaryCubic(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6), 0).discriminant() == Fraction(1, 81)
 
 
 @settings(max_examples=25, deadline=None)

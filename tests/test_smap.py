@@ -18,7 +18,7 @@ from albertkit.albert import (
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
 from albertkit.jsonio import dumps, encode_stensor
-from albertkit.pvs import VPoint, _cubic_nums, w_point
+from albertkit.pvs import VPoint, _cubic_nums, delta, w_point
 from albertkit.reference import literal_k
 from albertkit.smap import (
     SIGNED_TERMS,
@@ -35,6 +35,7 @@ from albertkit.smap import (
     structure_tensor,
 )
 from albertkit.verify import predicate, rand_albert, rand_semistable, rand_vpoint
+from test_cli import _fixed_product_inputs
 
 # all sign patterns for replacing each of the four (first, second) component
 # pairs by its swap; the sign is the parity of the number of swaps
@@ -131,6 +132,17 @@ def test_normalized_product_scaling(rng):
         tw = VPoint(w.a.scale(t), w.b.scale(t))
         X, Y = rand_albert(rng), rand_albert(rng)
         assert circ_x(tw, X, Y) == jordan_mul(X, Y).scale(t ** -4)
+
+
+def test_circ_x_matches_s_map_over_delta(rng, point_63, tall_point):
+    # the one integer division against the Fraction route it replaced: at w (d = 1), at the
+    # pinned sparse point (delta < 0), at semistable 63-bit points and at a 200-bit one
+    sparse = _fixed_product_inputs()["sparse"]
+    tall = [x for x in (point_63(rng) for _ in range(3)) if delta(x) != 0]
+    assert delta(sparse) < 0 and tall and sparse.a.den > 1
+    for x in (w_point(), sparse, *tall, tall_point):
+        for X, Y in ((rand_albert(rng), rand_albert(rng)), (tall[0].a, tall[0].b), (E, E)):
+            assert circ_x(x, X, Y) == s_map(x, X, Y).scale(1 / delta(x))
 
 
 def test_circ_x_rejects_unstable():
