@@ -41,8 +41,9 @@ the identities of a cubic norm structure, x x y = (x+y)# - x# - y# and
 (pvs._cubic_nums), the element k of smap and the index a# of isotope;
 the tests check it against _cross_nums and those identities. On top
 of them, _isotope_nums is the one isotope kernel, which smap and
-isotope.circ_a_tform evaluate, and _elem_div the one division, in
-which smap.circ_x and both isotope products end.
+isotope.circ_a_tform evaluate, and _div_scale the one division rule:
+smap.circ_x and both isotope products move the sign of their divisor
+into a scale their kernel applies in its own pass, then reduce once.
 
 Tables. Two sparse tables list the same constants for the readers that
 need them by index. Each is read, once and on first use, off its
@@ -113,10 +114,14 @@ class AlbertElem(_IntCoords):
 _elem = partial(_reduced, AlbertElem)
 
 
-def _elem_div(c: int, n: int, nums, den: int) -> AlbertElem:
-    """The element c nums / (n den), for n != 0 and den > 0: the sign of n moved into c, reduced once."""
-    c, n = (c, n) if n > 0 else (-c, -n)
-    return _elem([c * v for v in nums], n * den)
+def _div_scale(c: int, n: int) -> tuple:
+    """c / n for n != 0 as (scale, positive divisor): the sign of n moved into c.
+
+    The one division rule. A product c kernel / (n den) passes the scale to
+    its kernel, which applies it in its own combination pass, and reduces
+    once over the divisor times den: no second list of numerators.
+    """
+    return (c, n) if n > 0 else (-c, -n)
 
 
 def diag_elem(a, b, c) -> AlbertElem:
@@ -349,16 +354,17 @@ def pair(X: AlbertElem, Y: AlbertElem) -> Fraction:
     return Fraction(_pair_nums(X.nums, Y.nums), X.den * Y.den)
 
 
-def _isotope_nums(K, A, B) -> list:
-    """p(K, A) B + p(K, B) A - c(K, c(A, B)) on integer coordinates, p = _pair_nums and c = _cross_nums.
+def _isotope_nums(K, A, B, scale: int = 1) -> list:
+    """scale (p(K, A) B + p(K, B) A - c(K, c(A, B))) on integer coordinates, p = _pair_nums and c = _cross_nums.
 
     Over 4 dk da db, for the elements k, a, b with these numerators over
     dk, da, db, it is (pair(k, a) b + pair(k, b) a)/4 - k x (a x b). The
     isotope product at an index a is 2/det(a) times it at k = a#, and
     s_map at a point x is 4 times it at k = (9/2) k_elem(x): one kernel.
+    The scale (see _div_scale) is applied in the same pass.
     """
-    ka, kb = _pair_nums(K, A), _pair_nums(K, B)
-    return [ka * b + kb * a - c for a, b, c in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]
+    ka, kb = scale * _pair_nums(K, A), scale * _pair_nums(K, B)
+    return [ka * b + kb * a - scale * w for a, b, w in zip(A, B, _cross_nums(K, _cross_nums(A, B)))]
 
 
 def _det_num(x) -> int:

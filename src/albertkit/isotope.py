@@ -24,12 +24,12 @@ Both give the Jordan product at a = e, and they agree everywhere they
 are defined (asserted exactly in tests). pairing_a = det(a)^{-2} q_a is
 the matching trace form.
 
-On integers. _index is the one integer context of an index a: A =
+On integers. The integer context of an index a is (A, da, dn, S): A =
 a.nums over da, S = 2 _sharp_nums(A) = _cross_nums(A, A) (so S = 2 da^2
-a#) and dn = det(a) da^3, read off S. With p = _pair_nums and c =
-_cross_nums, and x, y, z the numerators of X, Y, Z over dx, dy, dz,
-since D(X, Y, Z) = pair(X x Y, Z)/3 each form is one integer expression
-reduced once:
+a#) and dn = det(a) da^3, read off S; all four are tuples or ints. With
+p = _pair_nums and c = _cross_nums, and x, y, z the numerators of X, Y,
+Z over dx, dy, dz, since D(X, Y, Z) = pair(X x Y, Z)/3 each form is one
+integer expression reduced once:
 
     t_form = (p(S,x) p(S,y) p(S,z) - 4 dn p(c(c(A,x), c(A,y)), c(A,z)))
              / (8 da^6 dx dy dz)
@@ -43,19 +43,41 @@ term of phi_a collapses, and the Springer route is two lines:
     circ_a_springer = det(a)^-1 (4 (X x a) x (Y x a) - pair(X x Y, a) a),
 
 one bracket c(c(x,A), c(y,A)) - p(c(x,y), A) A over 2 dx dy da^2. Both
-products divide by det(a) once, in albert._elem_div.
+products divide by det(a) once: albert._div_scale moves its sign into
+the scale da, which the kernel applies in its own pass, and the result
+is reduced once.
+
+The context cache. _invertible_index(a) is the one cache of the index
+side: a functools.lru_cache of at most 16 contexts, keyed on the
+immutable value a (equal elements share an entry), the least recently
+used evicted first. Only an invertible a enters it: at a singular a it
+raises SingularPoint on every call and leaves no entry. The products
+(circ_a_tform, circ_a_springer, pairing_a) read it directly; the forms
+defined at every a (t_form, q_a, gram_qa, phi_a) read it through
+_index(a), which builds a singular a's context afresh. So multiplying
+many pairs in one isotope pays for a# and det(a) once.
+
+An entry holds a's 27 numerators (the key's own tuple), S at about
+twice their length and dn at three times one: about three times the
+integers of a. For the largest index a JSON file can give, 27
+coordinates of 4300 digits over distinct 4300-digit denominators, that
+is 4.4 MB (sys.getsizeof), so the 16 entries hold at most about 70 MB.
+Code that monkeypatches a kernel the context is built from
+(albert._sharp_nums, _pair_nums) must call
+_invertible_index.cache_clear(), or a context cached before it keeps
+the old kernel's values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .albert import (
     AlbertElem,
     _cross_nums,
-    _det_num,
+    _div_scale,
     _elem,
-    _elem_div,
     _isotope_nums,
     _pair_nums,
     _sharp_nums,
@@ -66,15 +88,32 @@ from .albert import (
 from .errors import SingularPoint
 
 
-def _index(a: AlbertElem) -> tuple:
-    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints.
+def _context(a: AlbertElem) -> tuple:
+    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints or tuples.
 
     S is twice the numerators of albert._sharp_nums, so S = _cross_nums(A, A)
     at half the products, and 3 det(a) = pair(a#, a) reads dn off it: p(S, A) = 6 dn.
     """
     A = a.nums
-    S = [2 * v for v in _sharp_nums(A)]
+    S = tuple([2 * v for v in _sharp_nums(A)])
     return A, a.den, _pair_nums(S, A) // 6, S
+
+
+@lru_cache(maxsize=16)
+def _invertible_index(a: AlbertElem) -> tuple:
+    """_context(a) for det(a) != 0, cached (see the module docstring); SingularPoint, and no entry, otherwise."""
+    ctx = _context(a)
+    if ctx[2] == 0:
+        raise SingularPoint("det(a) = 0: the isotope at a is undefined")
+    return ctx
+
+
+def _index(a: AlbertElem) -> tuple:
+    """The context of any a, for the forms defined at a singular a too: cached when det(a) != 0."""
+    try:
+        return _invertible_index(a)
+    except SingularPoint:
+        return _context(a)
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
@@ -113,10 +152,10 @@ def gram_qa(a: AlbertElem) -> tuple:
     )
 
 
-def _springer_nums(A, x, y) -> list:
-    """c(c(x, A), c(y, A)) - p(c(x, y), A) A: 4 (X x a) x (Y x a) - pair(X x Y, a) a over 2 da^2 dx dy."""
-    r = _pair_nums(_cross_nums(x, y), A)
-    return [v - r * w for v, w in zip(_cross_nums(_cross_nums(x, A), _cross_nums(y, A)), A)]
+def _springer_nums(A, x, y, scale: int) -> list:
+    """scale (c(c(x, A), c(y, A)) - p(c(x, y), A) A): 4 (X x a) x (Y x a) - pair(X x Y, a) a over 2 da^2 dx dy."""
+    r = scale * _pair_nums(_cross_nums(x, y), A)
+    return [scale * v - r * w for v, w in zip(_cross_nums(_cross_nums(x, A), _cross_nums(y, A)), A)]
 
 
 def phi_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -125,28 +164,21 @@ def phi_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     Bilinear symmetric; degree 11 in a. phi_a(e, X, Y) = X o Y. It is
     det(a)^3 times the bracket _springer_nums (see the module docstring).
     """
-    A = a.nums
-    d3 = _det_num(A) ** 3
-    return _elem([d3 * v for v in _springer_nums(A, X.nums, Y.nums)], 2 * a.den**11 * X.den * Y.den)
-
-
-def _require_invertible(dn):
-    """dn, the numerator of det(a); SingularPoint when it is 0."""
-    if dn == 0:
-        raise SingularPoint("det(a) = 0: the isotope at a is undefined")
-    return dn
+    A, da, dn, _ = _index(a)
+    return _elem(_springer_nums(A, X.nums, Y.nums, dn**3), 2 * da**11 * X.den * Y.den)
 
 
 def circ_a_springer(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     """det(a)^{-4} phi_a(X, Y); the isotope product in closed form: the bracket _springer_nums over det(a)."""
-    A = a.nums
-    return _elem_div(a.den, _require_invertible(_det_num(A)), _springer_nums(A, X.nums, Y.nums), 2 * X.den * Y.den)
+    A, da, dn, _ = _invertible_index(a)
+    c, n = _div_scale(da, dn)
+    return _elem(_springer_nums(A, X.nums, Y.nums, c), 2 * n * X.den * Y.den)
 
 
 def pairing_a(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> Fraction:
     """det(a)^{-2} q_a(X, Y); the isotope's trace form."""
-    dn = _require_invertible(_det_num(a.nums))
-    return q_a(a, X, Y) * a.den**6 / dn**2
+    _, da, dn, _ = _invertible_index(a)
+    return q_a(a, X, Y) * da**6 / dn**2
 
 
 def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -160,9 +192,11 @@ def circ_a_tform(a: AlbertElem, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
         X circ_a Y = det(a)^{-1} ((pair(a#, X) Y + pair(a#, Y) X)/2 - 2 a# x (X x Y))
                    = da _isotope_nums(S, X.nums, Y.nums) / (4 dn den(X) den(Y))
 
-    with (A, da, dn, S) = _index(a): one sharp, two cross products and
-    three pairings on the written-out kernels, one division
-    (albert._elem_div), no table and no Fraction.
+    with (A, da, dn, S) = _invertible_index(a), cached per index: two
+    cross products and two pairings on the written-out kernels, one pass
+    that applies the scale da with the sign of dn (albert._div_scale),
+    one reduction, no table and no Fraction.
     """
-    A, da, dn, S = _index(a)
-    return _elem_div(da, _require_invertible(dn), _isotope_nums(S, X.nums, Y.nums), 4 * X.den * Y.den)
+    _, da, dn, S = _invertible_index(a)
+    c, n = _div_scale(da, dn)
+    return _elem(_isotope_nums(S, X.nums, Y.nums, c), 4 * n * X.den * Y.den)

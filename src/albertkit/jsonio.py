@@ -60,10 +60,14 @@ def _parse(s) -> tuple:
         return s, 1
     if not isinstance(s, str):
         raise ParseError("rational must be a string, got %r" % type(s).__name__)
-    m = _RATIONAL.fullmatch(s.strip())
-    if not m:
-        raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
-    p, q = m.groups()
+    # the common text, ASCII digits with at most a leading "-" and one "/", skips
+    # the regex; any other string (spaces, signs, non-ASCII digits) goes to it
+    p, slash, q = s.partition("/")
+    if not (s.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash)):
+        m = _RATIONAL.fullmatch(s.strip())
+        if not m:
+            raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
+        p, q = m.groups()
     try:
         p, q = int(p), int(q) if q else 1
     except ValueError as exc:

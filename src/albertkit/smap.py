@@ -54,7 +54,7 @@ from .albert import (
     _GRAM,
     AlbertElem,
     _elem,
-    _elem_div,
+    _div_scale,
     _isotope_nums,
     _sharp_nums,
     cross,
@@ -115,18 +115,33 @@ def phi2(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
     return _signed_sum(x, piece).scale(9)
 
 
-def _k_nums(A, B, SA, SB, f) -> list:
-    """The 27 numerators of k_elem over 9 d^8, unreduced, from the integers (A, B, SA, SB, f) of pvs._cubic_nums(x).
+def _hessian(f) -> tuple:
+    """(ca, cb, cab): k_elem over 9 d^8 is ca a# + cb b# + cab (a+b)# on the sharps of pvs._cubic_nums, F_x = f / d^3.
 
-    With the cross numerators c(A, A) = 2 SA, c(B, B) = 2 SB and c(A, B) =
+    With r = (3 f0, f1, f2, 3 f3) the Hessian coefficients are caa = r1 r3
+    - r2^2, cab = r1 r2 - r0 r3 and cbb = r0 r2 - r1^2 (see k_elem). With
+    the cross numerators c(A, A) = 2 SA, c(B, B) = 2 SB and c(A, B) =
     (A+B)# - SA - SB, caa c(A, A) + cab c(A, B) + cbb c(B, B) is
     (2 caa - cab) SA + (2 cbb - cab) SB + cab (A+B)#: one more sharp.
     """
     r0, r1, r2, r3 = 3 * f[0], f[1], f[2], 3 * f[3]
     caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
-    ca, cb = 2 * caa - cab, 2 * cbb - cab
+    return 2 * caa - cab, 2 * cbb - cab, cab
+
+
+def _sharp_sum(h, A, B, SA, SB) -> list:
+    """ca SA + cb SB + cab (A+B)# for h = (ca, cb, cab): the sharp of A + B and one pass."""
+    ca, cb, cab = h
     sharps = zip(SA, SB, _sharp_nums([u + v for u, v in zip(A, B)]))
     return [ca * u + cb * v + cab * w for u, v, w in sharps]
+
+
+def _k_nums(A, B, SA, SB, f) -> list:
+    """The 27 numerators of k_elem over 9 d^8, unreduced, from the integers (A, B, SA, SB, f) of pvs._cubic_nums(x).
+
+    The reduce-at-the-end route, which the tests hold _tensor_nums to.
+    """
+    return _sharp_sum(_hessian(f), A, B, SA, SB)
 
 
 def k_elem(x: VPoint) -> AlbertElem:
@@ -144,23 +159,29 @@ def k_elem(x: VPoint) -> AlbertElem:
     sharps of a and b over d^2 and F_x as 4 ints f over d^3, hence r =
     3 d^3 p = (3 f0, f1, f2, 3 f3). As a x b = ((a+b)# - a# - b#)/2, k
     is one integer combination of the three sharps a#, b# and (a+b)#
-    over 9 d^8 (_k_nums), read here as 2 kn / (9 den) off _tensor_nums.
+    over 9 d^8 (_hessian and _sharp_sum), read here as 2 kn / (9 den)
+    off _tensor_nums.
     The numerators come from the written-out kernels albert._sharp_nums
     and albert._pair_nums, so no table is built or read, and no Fraction
     is made.
     Tests pin this to the literal signed sum, and to phi1/phi2 through the
     s_map recombination.
     """
-    return _elem_div(2, 9, *_tensor_nums(x)[:2])
+    kn, den, _, _ = _tensor_nums(x)
+    return _elem([2 * v for v in kn], 9 * den)
 
 
 def _tensor_nums(x: VPoint) -> tuple:
     """(kn, den, d, f): (9/2) k_elem(x) = _k_nums / (2 d^8) = kn / den in lowest terms, and F_x = f / d^3.
 
     The one integer context of a point, which every map of x here reads.
+    The three Hessian coefficients are reduced over 2 d^8 first, and k
+    over what is left: most of the common factor of k's numerators
+    already divides them, and they are 3 integers where k has 27.
     """
     A, B, SA, SB, d, f = _cubic_nums(x)
-    return (*_lowest(_k_nums(A, B, SA, SB, f), 2 * d**8), d, f)
+    h, den = _lowest(_hessian(f), 2 * d**8)
+    return (*_lowest(_sharp_sum(h, A, B, SA, SB), den), d, f)
 
 
 def s_map(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
@@ -291,11 +312,13 @@ def circ_x(x: VPoint, X: AlbertElem, Y: AlbertElem) -> AlbertElem:
 
     One read of _tensor_nums gives both k and delta = p / q
     (pvs._delta_nums), so with A, B the numerators of X, Y over dx, dy
-    the product is q _isotope_nums(kn, A, B) / (p den dx dy): one
-    division (albert._elem_div), no Fraction.
+    the product is q _isotope_nums(kn, A, B) / (p den dx dy): the scale q
+    with the sign of p (albert._div_scale) applied in the kernel's pass,
+    one reduction, no Fraction.
     """
     kn, den, d, f = _tensor_nums(x)
     p, q = _delta_nums(d, f)
     if p == 0:
         raise NotSemistable("delta(x) = 0: no algebra is attached to x")
-    return _elem_div(q, p, _isotope_nums(kn, X.nums, Y.nums), den * X.den * Y.den)
+    c, n = _div_scale(q, p)
+    return _elem(_isotope_nums(kn, X.nums, Y.nums, c), n * den * X.den * Y.den)

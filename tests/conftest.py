@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, settings
 
+from albertkit import isotope
 from albertkit.albert import AlbertElem, jbasis
 from albertkit.reference import jordan_via_matrix
 from albertkit.pvs import VPoint, delta
@@ -14,6 +15,18 @@ from albertkit.pvs import VPoint, delta
 # own settings (max_examples, deadline) apply on top of this profile.
 settings.register_profile("default", phases=tuple(p for p in Phase if p is not Phase.shrink))
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def fresh_index_cache():
+    """Clear isotope's index cache around each test.
+
+    A context cached by one test would otherwise serve the next, past a
+    kernel that test monkeypatches, and the cache tests count from empty.
+    """
+    isotope._invertible_index.cache_clear()
+    yield
+    isotope._invertible_index.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from albertkit import pvs, smap
+from albertkit import isotope, pvs, smap
 from albertkit.albert import (
     ALBERT_ZERO,
     AlbertElem,
@@ -26,6 +26,7 @@ from albertkit.albert import (
 from albertkit.errors import SingularPoint
 from albertkit.isotope import (
     _index,
+    _invertible_index,
     circ_a_springer,
     circ_a_tform,
     gram_qa,
@@ -208,6 +209,79 @@ def test_index_reads_det_off_the_sharp(rng):
     assert all(det_j(a) == 0 for a in singular) and all(det_j(a) < 0 for a in negative)
     for a in (*jbasis(), *singular, *negative, E):
         assert _index(a)[2] == _det_num(a.nums)
+
+
+def _negative_two_dens(rng):
+    """An index with det(a) < 0 over the denominator 3 (2^40 + 1)."""
+    a = _invertible(_two_dens, rng)
+    return -a if det_j(a) > 0 else a
+
+
+def test_index_cache_repeated_and_fresh_agree(rng, monkeypatch):
+    # the products read a# and det(a) once per index: an equal index, built anew,
+    # is served from the cache, and after cache_clear a fresh context gives the
+    # same results; at det(a) < 0 over da > 1, 63-bit integer and sparse indices
+    index = [_negative_two_dens(rng), _invertible(_big, rng), _invertible(_sparse, rng)]
+    assert det_j(index[0]) < 0 and index[0].den > 1 and index[1].den == 1
+    args = [(a, rand_albert(rng), _big(rng)) for a in index]
+    fns = (circ_a_tform, circ_a_springer, pairing_a)
+    sharp, sharps = isotope._sharp_nums, []
+    monkeypatch.setattr(isotope, "_sharp_nums", lambda A: sharps.append(A) or sharp(A))
+    first = [[fn(*t) for fn in fns] for t in args]
+    again = [[fn(AlbertElem.from_coords(a.coords()), X, Y) for fn in fns] for a, X, Y in args]
+    forms = [(t_form(a, X, Y, X), q_a(a, X, Y), phi_a(a, X, Y)) for a, X, Y in args]
+    assert sharps == [a.nums for a in index]
+    info = _invertible_index.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
+    _invertible_index.cache_clear()
+    fresh = [[fn(*t) for fn in fns] for t in args]
+    assert first == again == fresh and len(sharps) == 6
+    monkeypatch.undo()
+    for (a, X, Y), (tform, springer, pairing), (t, q, phi) in zip(args, first, forms):
+        assert tform == springer == phi.scale(1 / det_j(a) ** 4)
+        assert pairing == q / det_j(a) ** 2 and t == _literal_t(a, X, Y, X)
+
+
+def test_singular_index_raises_every_call_and_leaves_no_entry(rng):
+    circ_a_tform(E, E, E)
+    before = _invertible_index.cache_info()
+    singular = [diag_elem(0, 1, 1), _big_singular(rng, 63), ALBERT_ZERO]
+    for a in singular:
+        for fn in (circ_a_tform, circ_a_springer, pairing_a):
+            for _ in range(2):
+                with pytest.raises(SingularPoint, match="det\\(a\\) = 0"):
+                    fn(a, E, rand_albert(rng))
+        # the forms are defined at a singular a, and read its context uncached
+        X, Y = rand_albert(rng), _big(rng)
+        assert t_form(a, X, Y, E) == _literal_t(a, X, Y, E) and q_a(a, X, Y) == _literal_q(a, X, Y)
+        assert phi_a(a, X, Y) == ALBERT_ZERO and gram_qa(a)[1][1] == _literal_q(a, jbasis()[1], jbasis()[1])
+    after = _invertible_index.cache_info()
+    assert after.currsize == before.currsize == 1 and after.hits == before.hits
+
+
+def test_index_cache_is_bounded():
+    maxsize = _invertible_index.cache_info().maxsize
+    assert maxsize is not None
+    index = [diag_elem(1, 1, n) for n in range(1, maxsize + 6)]
+    for n, a in enumerate(index, 1):
+        circ_a_tform(a, E, E)
+        assert _invertible_index.cache_info().currsize == min(n, maxsize)
+    # the least recently used went first: the newest index is a hit, the first a miss
+    misses = _invertible_index.cache_info().misses
+    circ_a_tform(index[-1], E, E)
+    assert _invertible_index.cache_info().misses == misses
+    circ_a_tform(index[0], E, E)
+    assert _invertible_index.cache_info().misses == misses + 1
+
+
+def test_index_context_is_ints_and_tuples(rng):
+    # a cached context is shared by every caller of its index, so none can alter it
+    index = [E, _negative_two_dens(rng), _invertible(_big, rng), _invertible(_sparse, rng)]
+    for ctx in [_invertible_index(a) for a in index] + [_index(diag_elem(0, 1, 1))]:
+        A, da, dn, S = ctx
+        assert type(A) is tuple and type(S) is tuple and len(A) == len(S) == 27
+        assert type(da) is int and type(dn) is int
+        assert all(type(v) is int for v in A + S)
 
 
 def test_forms_match_paper_literal(rng, sparse_point):

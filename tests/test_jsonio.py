@@ -20,10 +20,12 @@ from albertkit.gaction import (
     tilde,
 )
 from albertkit.jsonio import (
+    _RATIONAL,
     STENSOR_BASIS_TAG,
     _canonical,
     _fmt,
     _fmt_and_double,
+    _parse,
     _point_text,
     _stensor_layout,
     cubic_to_str,
@@ -66,6 +68,35 @@ def test_rational_strings():
     for bad in ("x", "1/0", "", None, 1.5, True, False, "2e3", "1e999999999", "1.5", "1/-2", big, big + "/3"):
         with pytest.raises(ParseError):
             str_to_rat(bad)
+
+
+def _parse_by_regex(s):
+    """The regex route alone, as _parse read every string before its ASCII fast path."""
+    m = _RATIONAL.fullmatch(s.strip())
+    if not m:
+        raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
+    p, q = m.groups()
+    try:
+        p, q = int(p), int(q) if q else 1
+    except ValueError as exc:
+        raise ParseError("bad rational %r: %s" % (s, exc)) from None
+    if not q:
+        raise ParseError("bad rational %r: the denominator is 0" % s)
+    return p, q
+
+
+def test_parse_fast_path_matches_regex_route(rng):
+    # the same (p, q) or the same ParseError text on edge strings: spaces, signs,
+    # underscores and non-ASCII digits (which int() would take), empty parts, a zero
+    # denominator, leading zeros and one digit past the int-to-str limit
+    edge = [" 1", "1 ", "+1", "1_0", "\u00b2", "\u0661", "1/\u00b2", "1/0", "1/", "/2", "--1", "-", ""]
+    edge += ["007", "-0", "1/-2", "9" * 4301, "1/" + "7" * 4301, "-12/08", "3/4/5", "\n5\t", "1 /2", "0/7"]
+    edge += [rat_to_str(rand_rat_nonzero(rng)) for _ in range(20)]
+    edge += [str(rng.randrange(-(2**63), 2**63)) + "/" + str(rng.randrange(1, 2**20)) for _ in range(20)]
+    got = {s: _outcome(_parse, s) for s in edge}
+    assert got == {s: _outcome(_parse_by_regex, s) for s in edge}
+    assert got[" 1"] == (1, 1) and got["-0"] == (0, 1) and got["007"] == (7, 1)
+    assert got["1_0"][1].startswith("bad rational '1_0'") and "4301 digits" in got["9" * 4301][1]
 
 
 def test_rat_to_str_input_types(rng, sparse_point):

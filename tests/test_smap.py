@@ -18,6 +18,7 @@ from albertkit.albert import (
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
 from albertkit.jsonio import dumps, encode_stensor
+from albertkit.octonion import _lowest
 from albertkit.pvs import VPoint, _cubic_nums, delta, w_point
 from albertkit.reference import literal_k
 from albertkit.smap import (
@@ -312,6 +313,19 @@ def test_k_nums_match_three_crosses(rng, sparse_point, point_63, tall_point):
         caa, cab, cbb = r1 * r3 - r2 * r2, r1 * r2 - r0 * r3, r0 * r2 - r1 * r1
         crosses = zip(_cross_nums(A, A), _cross_nums(A, B), _cross_nums(B, B))
         assert smap._k_nums(A, B, SA, SB, f) == [caa * u + cab * v + cbb * w for u, v, w in crosses]
+
+
+def test_tensor_nums_reduce_first_matches_reduce_at_end(rng, sparse_point, point_63, tall_point):
+    # reducing the three Hessian coefficients over 2 d^8 before k gives the (kn, den)
+    # of reducing k's 27 numerators at the end; also where k = 0, at (a, 2a)
+    big = AlbertElem.from_coords([rng.randrange(-(2**63), 2**63) for _ in range(27)])
+    points = [w_point(), sparse_point(rng), sparse_point(rng), point_63(rng), tall_point]
+    points += [VPoint(big, rand_albert(rng)), VPoint(big, big.scale(2)), rand_semistable(rng)]
+    for x in points:
+        A, B, SA, SB, d, f = _cubic_nums(x)
+        want = _lowest(smap._k_nums(A, B, SA, SB, f), 2 * d**8)
+        assert smap._tensor_nums(x) == (*want, d, f)
+    assert smap._tensor_nums(points[-2])[:2] == ((0,) * 27, 1)
 
 
 def test_circ_x_is_isotope_at_a_of_x(rng, sparse_point):
