@@ -20,7 +20,6 @@ from .albert import det_j, jordan_mul, trace_j, trilinear_d
 from .albert import cross as cross_j
 from .errors import AlbertKitError, ParseError
 from .jsonio import (
-    cubic_to_str,
     decode_albert,
     decode_vpoint,
     dumps,
@@ -85,7 +84,7 @@ _COMMANDS = {
     "jordan": ("Jordan product", _XY, lambda _, *v: {"jordan": encode_albert(jordan_mul(*v))}),
     "cross": ("Freudenthal cross product", _XY, lambda _, *v: {"cross": encode_albert(cross_j(*v))}),
     "dform": ("polarized determinant D(X, Y, Z)", _XYZ, lambda _, *v: {"dform": rat_to_str(trilinear_d(*v))}),
-    "cubic": ("binary cubic of a point of V", _POINT, lambda _, x: {"cubic": cubic_to_str(cubic_of(x))}),
+    "cubic": ("binary cubic of a point of V", _POINT, lambda _, x: {"cubic": str(cubic_of(x))}),
     "delta": ("degree-12 invariant of a point of V", _POINT, lambda _, x: {"delta": rat_to_str(delta(x))}),
     "smap": ("structure map S_x(X, Y)", _POINT + _albert(("x", "first input"), ("y", "second input")), _smap),
     "structure": (

@@ -28,7 +28,6 @@ of their point.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -38,14 +37,10 @@ from .albert import AlbertElem
 from .errors import ParseError
 from .gaction import GL2, GroupElem, _c_pair, _checked, _diag, _group, _scalar, gl2_elem, perm_elem
 from .octonion import Oct, _fmt, _Frozen, _reduced, _too_long
-from .pvs import BinaryCubic, VPoint
-from .smap import StructureTensor, _slot_rows, structure_tensor
+from .pvs import VPoint
+from .smap import StructureTensor, _slot_rows, slot_values, structure_tensor
 
 STENSOR_BASIS_TAG = "jbasis-v1"
-
-# integers and fractions only: no decimals or exponents, whose few bytes
-# can stand for an arbitrarily large integer
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -60,14 +55,12 @@ def _parse(s) -> tuple:
         return s, 1
     if not isinstance(s, str):
         raise ParseError("rational must be a string, got %r" % type(s).__name__)
-    # the common text, ASCII digits with at most a leading "-" and one "/", skips
-    # the regex; any other string (spaces, signs, non-ASCII digits) goes to it
-    p, slash, q = s.partition("/")
-    if not (s.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash)):
-        m = _RATIONAL.fullmatch(s.strip())
-        if not m:
-            raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
-        p, q = m.groups()
+    # ASCII digits, a leading "-" and one "/" only: no decimals or exponents, whose
+    # few bytes can stand for an arbitrarily large integer, nor non-ASCII digits
+    t = s.strip()
+    p, slash, q = t.partition("/")
+    if not (t.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash)):
+        raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
     try:
         p, q = int(p), int(q) if q else 1
     except ValueError as exc:
@@ -128,10 +121,6 @@ def decode_vpoint(obj) -> VPoint:
     if not isinstance(obj, dict) or set(obj) != {"a", "b"}:
         raise ParseError('point of V must be {"a": ..., "b": ...}')
     return VPoint(decode_albert(obj["a"]), decode_albert(obj["b"]))
-
-
-def cubic_to_str(f: BinaryCubic) -> str:
-    return str(f)
 
 
 class _Rendered(_Frozen):
@@ -222,7 +211,8 @@ def decode_stensor(obj) -> StructureTensor:
         raise ParseError("entries must hold 27^3 rationals")
     t = structure_tensor(decode_vpoint(obj["point"]))
     pairs = list(map(_parse, entries))
-    if any(p * t.den != v * q for (p, q), v in zip(pairs, (n for r in t.rows for n in r))):
+    values = slot_values(t.kn)
+    if any(p * t.den != values[s] * q for (p, q), s in zip(pairs, b"".join(_slot_rows()))):
         raise ParseError("entries are not the structure tensor of the point")
     return t
 

@@ -35,19 +35,18 @@ is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_rows()
 finds that pattern once, from the sparse cross-product constants of
 albert.cross_tables() and the Gram shuffle. So a StructureTensor is
 built from its point alone and stores just k, as 27 integers over one
-denominator; lay_out reads its 378 shared rows from the 109 values 0 and
-c k_l, through _slot_table(), whenever rows is read. jsonio.encode_stensor
-reads no rows: its layout, also read off _slot_rows(), places the texts
-of kn, 2 kn and their negatives into the document in one join. No
-Fraction is made on the way from the integers of the point through
-kn to the JSON bytes, nor by s_map or circ_x.
+denominator, and the slot pattern is the one layout of its entries:
+entry (i, j, n) is slot_values(kn)[_slot_rows()[i * 27 + j][n]] over
+den. jsonio.encode_stensor places the texts of kn, 2 kn and their
+negatives at those slots in one join, and decode_stensor compares the
+parsed entries with the values there. No Fraction is made on the way
+from the integers of the point through kn to the JSON bytes, nor by
+s_map or circ_x.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .albert import (
@@ -206,26 +205,15 @@ class StructureTensor(_Frozen):
     k_elem of the point, and stores the tensor as the fixed linear image of k it is (see
     structure_tensor): kn, the 27 numerators of (9/2) k over one positive
     denominator den, with gcd(den, *kn) = 1, read off _tensor_nums. == and
-    hash (octonion._Frozen) compare (point, kn, den).
-    rows[i * 27 + j] is the 27 numerators of s_map(x, b_i, b_j) over den,
-    (i, j) and (j, i) sharing one tuple, laid out on each read: the JSON
-    encoder never reads it. flat (row-major in (i, j, k)) is their
-    Fraction view. Immutable.
+    hash (octonion._Frozen) compare (point, kn, den). The 27 numerators of
+    s_map(x, b_i, b_j) over den are slot_values(kn) read at the slots
+    _slot_rows()[i * 27 + j]. Immutable.
     """
 
     __slots__ = ("point", "kn", "den")
 
     def __init__(self, point: VPoint):
         self._init(point, *_tensor_nums(point)[:2])
-
-    @property
-    def rows(self) -> tuple:
-        return lay_out(slot_values(self.kn))
-
-    @property
-    def flat(self) -> tuple:
-        d = self.den
-        return tuple(Fraction(v, d) for r in self.rows for v in r)
 
     def __repr__(self):
         return "StructureTensor(point=%r, <19683 entries>)" % (self.point,)
@@ -270,24 +258,9 @@ def _slot_rows() -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=1)
-def _slot_table() -> tuple:
-    """_slot_rows() for lay_out: (i * 27 + j, j * 27 + i, take) for i <= j, take itemgetter over row (i, j)."""
-    rows = _slot_rows()
-    return tuple((i * 27 + j, j * 27 + i, itemgetter(*rows[i * 27 + j])) for i in range(27) for j in range(i, 27))
-
-
 def slot_values(kn) -> list:
-    """The 109 values the rows are read from: 0, then c kn[l] at slot 1 + 27 q + l, c = _COEFFS[q]."""
+    """The 109 values the slots of _slot_rows() index: 0, then c kn[l] at slot 1 + 27 q + l, c = _COEFFS[q]."""
     return [0] + [c * v for c in _COEFFS for v in kn]
-
-
-def lay_out(values) -> tuple:
-    """The 729 rows of 27 read from 109 slot values (ints or their strings); (i, j) and (j, i) share one tuple."""
-    rows = [None] * 729
-    for ij, ji, take in _slot_table():
-        rows[ij] = rows[ji] = take(values)
-    return tuple(rows)
 
 
 def structure_tensor(x: VPoint) -> StructureTensor:

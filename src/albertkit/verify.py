@@ -392,11 +392,17 @@ def _recombine(x, X, Y):
     return smap.s_map(x, X, Y) == direct
 
 
+def _slot_row(t, r, c) -> AlbertElem:
+    """Row (r, c) of the tensor t, read at the slot bytes encode_stensor prints from."""
+    values = smap.slot_values(t.kn)
+    return _elem([values[s] for s in smap._slot_rows()[r * 27 + c]], t.den)
+
+
 @_check("smap-contraction", "tensor-matches-smap", _of(rand_vpoint, _cells(6)), per=6, cap=4)
 def _tensor_rows(x, cells):
     t = smap.structure_tensor(x)
-    rows, basis = t.rows, jbasis()
-    return all(_elem(rows[r * 27 + c], t.den) == smap.s_map(x, basis[r], basis[c]) for r, c in cells)
+    basis = jbasis()
+    return all(_slot_row(t, r, c) == smap.s_map(x, basis[r], basis[c]) for r, c in cells)
 
 
 @_check("smap-contraction", "argument-swap", _of(rand_vpoint, rand_albert, rand_albert), per=2)
@@ -410,7 +416,7 @@ def _diagonal_zero(a, X, Y):
     return smap.phi1(x, X, Y).is_zero() and smap.phi2(x, X, Y).is_zero()
 
 
-# at least two trials, because k(w) = E/9 has 24 zero coordinates: a slot-table
+# at least two trials, because k(w) = E/9 has 24 zero coordinates: a slot-row
 # fault that touches only octonion coordinates of k passes at w
 @_check(
     "smap-contraction",
@@ -422,14 +428,14 @@ def _diagonal_zero(a, X, Y):
 def _tensor_isotope(x):
     # all 378 unordered basis pairs against delta(x) circ_a_springer(a(x), b_i, b_j),
     # a(x) = 81 k#/delta(x), with k the literal signed sum: this route shares
-    # neither the slot table nor the Hessian form of k_elem
+    # neither the slot rows nor the Hessian form of k_elem
     t = smap.structure_tensor(x)
     d = delta(x)
     k = literal_k(x)
     a = cross(k, k).scale(81 / d)
-    rows, basis = t.rows, jbasis()
+    basis = jbasis()
     return all(
-        _elem(rows[r * 27 + c], t.den) == isotope.circ_a_springer(a, basis[r], basis[c]).scale(d)
+        _slot_row(t, r, c) == isotope.circ_a_springer(a, basis[r], basis[c]).scale(d)
         for r in range(27)
         for c in range(r, 27)
     )

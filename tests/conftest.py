@@ -8,6 +8,7 @@ from albertkit import isotope
 from albertkit.albert import AlbertElem, jbasis
 from albertkit.reference import jordan_via_matrix
 from albertkit.pvs import VPoint, delta
+from albertkit.smap import _slot_rows
 
 # Every phase but shrink: a failing example is reported as drawn. Shrinking
 # elements of 27 coordinates through a broken kernel takes a minute or more
@@ -27,6 +28,15 @@ def fresh_index_cache():
     isotope._invertible_index.cache_clear()
     yield
     isotope._invertible_index.cache_clear()
+
+
+def slot_entries(values) -> list:
+    """The 19683 entries of a tensor, row-major in (i, j, n): values, its 109 slot values, read at smap's slot bytes.
+
+    slot_entries(slot_values(t.kn)) are the numerators over t.den;
+    slot_entries(range(109)) are the slots themselves.
+    """
+    return [values[s] for s in b"".join(_slot_rows())]
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,7 @@ from albertkit.linalg import solve_exact
 from albertkit.octonion import ZORN_BASIS
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
 from albertkit.reference import te_expansion
-from albertkit.smap import circ_x, s_map, structure_tensor
+from albertkit.smap import circ_x, s_map, slot_values, structure_tensor
 from albertkit.verify import (
     predicate,
     rand_albert,
@@ -52,6 +52,7 @@ from albertkit.verify import (
     rand_semistable,
     rand_vpoint,
 )
+from conftest import slot_entries
 
 
 def _rng(tag):
@@ -142,13 +143,12 @@ def test_c05_second_kernel_at_base_point(basis):
 
 def test_c06_structure_tensor_at_base_point(jordan_tensor):
     t = structure_tensor(w_point())
-    rows = t.rows
-    entries = 0
+    flat = [Fraction(v, t.den) for v in slot_entries(slot_values(t.kn))]
+    assert len(flat) == 19683
     for i in range(27):
         for j in range(27):
-            assert tuple(Fraction(v, t.den) for v in rows[i * 27 + j]) == jordan_tensor[i][j]
-            entries += 27
-    assert entries == 19683
+            ij = i * 27 + j
+            assert tuple(flat[27 * ij : 27 * ij + 27]) == jordan_tensor[i][j]
     _report("c06 structure tensor at the base point is the Jordan tensor (19683)")
 
 

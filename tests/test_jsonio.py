@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from albertkit.gaction import (
     tilde,
 )
 from albertkit.jsonio import (
-    _RATIONAL,
     STENSOR_BASIS_TAG,
     _canonical,
     _fmt,
@@ -28,7 +28,6 @@ from albertkit.jsonio import (
     _parse,
     _point_text,
     _stensor_layout,
-    cubic_to_str,
     decode_albert,
     decode_group,
     decode_oct,
@@ -46,7 +45,7 @@ from albertkit.jsonio import (
 )
 from albertkit.octonion import Oct
 from albertkit.pvs import VPoint, cubic_of, delta, w_point
-from albertkit.smap import StructureTensor, circ_x, lay_out, s_map, slot_values, structure_tensor
+from albertkit.smap import StructureTensor, _slot_rows, circ_x, s_map, slot_values, structure_tensor
 from albertkit.verify import (
     rand_albert,
     rand_group,
@@ -55,6 +54,11 @@ from albertkit.verify import (
     rand_semistable,
     rand_vpoint,
 )
+from conftest import slot_entries
+
+# the grammar of a rational string, as a regex: integers and fractions only, no
+# decimals or exponents, whose few bytes can stand for an arbitrarily large integer
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def test_rational_strings():
@@ -71,7 +75,7 @@ def test_rational_strings():
 
 
 def _parse_by_regex(s):
-    """The regex route alone, as _parse read every string before its ASCII fast path."""
+    """The regex route alone, as _parse once read every string before its ASCII check."""
     m = _RATIONAL.fullmatch(s.strip())
     if not m:
         raise ParseError("bad rational %r: expected p or p/q in decimal digits" % s)
@@ -153,7 +157,7 @@ def test_vpoint_round_trip(rng):
 
 
 def test_cubic_string():
-    assert cubic_to_str(cubic_of(w_point())) == "[0, 1, -1, 0]"
+    assert str(cubic_of(w_point())) == "[0, 1, -1, 0]"
 
 
 def test_stensor_round_trip(rng, sparse_point):
@@ -165,8 +169,9 @@ def test_stensor_round_trip(rng, sparse_point):
         assert doc["basis"] == STENSOR_BASIS_TAG
         assert len(doc["entries"]) == 19683
         back = decode_stensor(doc)
-        assert back == t
-        assert back.rows == t.rows and back.den == t.den
+        assert back == t and back.den == t.den
+        entries = [Fraction(v, back.den) for v in slot_entries(slot_values(back.kn))]
+        assert entries == list(map(str_to_rat, doc["entries"]))
     bad = dict(doc)
     bad["basis"] = "other"
     with pytest.raises(ParseError):
@@ -178,11 +183,18 @@ def test_stensor_round_trip(rng, sparse_point):
     # a decoder takes parsed JSON, not the rendered document
     with pytest.raises(ParseError):
         decode_stensor(enc)
-    # a tensor holds only the image of k at its point: any other entries are refused
-    changed = list(doc["entries"])
-    changed[100] = rat_to_str(str_to_rat(changed[100]) + 1)
-    with pytest.raises(ParseError):
-        decode_stensor({**doc, "entries": changed})
+    # a tensor holds only the image of k at its point: a changed entry is refused
+    # wherever it sits, at index 100, at the last index, at a zero slot set to
+    # "1" and at one entry of c k_l for each c = -2, -1, 1, 2
+    slots = b"".join(_slot_rows())
+    at = [100, 19682, slots.index(0)]
+    at += [next(n for n, s in enumerate(slots) if s and (s - 1) // 27 == q) for q in range(4)]
+    assert doc["entries"][at[2]] == "0"
+    for n in at:
+        changed = list(doc["entries"])
+        changed[n] = rat_to_str(str_to_rat(changed[n]) + 1)
+        with pytest.raises(ParseError):
+            decode_stensor({**doc, "entries": changed})
     at_w = json.loads(dumps(encode_stensor(structure_tensor(w_point()))))
     with pytest.raises(ParseError):
         decode_stensor({**doc, "entries": at_w["entries"]})
@@ -209,7 +221,7 @@ def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
     points = (VPoint(E.scale(0), E), w_point(), rand_semistable(rng), _sparse_semistable(rng), sparse_point(rng))
     for x in points:
         t = structure_tensor(x)
-        flat = t.flat
+        flat = [Fraction(v, t.den) for v in slot_entries(slot_values(t.kn))]
         strings = [rat_to_str(v) for v in flat]
         enc = encode_stensor(t)
         text = dumps(enc)
@@ -225,9 +237,9 @@ def test_encode_stensor_matches_rat_to_str(rng, sparse_point):
 
 
 def _row_join_stensor(t) -> str:
-    """The tensor document by the row-join route: each of the 729 rows of quoted slot texts joined, then the rows."""
+    """The tensor document by the entry-join route: the quoted slot texts of all 19683 entries joined once."""
     values = ['"%s"' % _fmt(v, t.den) for v in slot_values(t.kn)]
-    entries = ",".join(map(",".join, lay_out(values)))
+    entries = ",".join(slot_entries(values))
     return '{"basis":%s,"entries":[%s],"point":%s}\n' % (
         json.dumps(STENSOR_BASIS_TAG),
         entries,
@@ -299,7 +311,7 @@ def test_stensor_layout_pinned():
     texts, take = _stensor_layout()
     slots = take(range(109))
     assert len(texts) == 3052 and len(slots) == 3051
-    assert slots == tuple(s for row in lay_out(range(109)) for s in row if s)
+    assert slots == tuple(s for s in slot_entries(range(109)) if s)
     assert sum(text.count('"0"') for text in texts) == 16632
     assert texts[0].startswith('{"basis":"%s","entries":["' % STENSOR_BASIS_TAG)
     assert texts[-1].endswith('"],"point":')
@@ -309,7 +321,7 @@ def test_stensor_layout_pinned():
     parts[1:-1:2] = map(str, slots)
     parts[-1] = "null}"
     doc = json.loads("".join(parts))
-    assert doc["entries"] == [str(s) for row in lay_out(range(109)) for s in row]
+    assert doc["entries"] == [str(s) for s in slot_entries(range(109))]
 
 
 def test_group_full_round_trip(rng):
@@ -520,7 +532,7 @@ def test_full_form_decode_makes_no_fraction(monkeypatch, count_fractions):
 
 
 def test_decode_stensor_makes_no_fraction(rng, monkeypatch, count_fractions):
-    # the parsed entries are compared with the tensor's integer rows
+    # the parsed entries are compared with the tensor's integers at the slot bytes
     x = rand_semistable(rng)
     doc = json.loads(dumps(encode_stensor(structure_tensor(x))))
     made = count_fractions()
@@ -655,7 +667,7 @@ def test_point_side_fraction_counts(rng, sparse_point, count_fractions):
 
     for x, X, Y in calls:
         assert made_by(s_map, x, X, Y) == 0
-        assert made_by(lambda: cubic_to_str(cubic_of(x))) == 0
+        assert made_by(lambda: str(cubic_of(x))) == 0
         assert made_by(delta, x) == 1
         assert made_by(circ_x, x, X, Y) == 0
 

@@ -17,7 +17,6 @@ from albertkit.albert import (
 )
 from albertkit.errors import NotSemistable
 from albertkit.gaction import act_v, chi, gl2_elem
-from albertkit.jsonio import dumps, encode_stensor
 from albertkit.octonion import _lowest
 from albertkit.pvs import VPoint, _cubic_nums, delta, w_point
 from albertkit.reference import literal_k
@@ -26,16 +25,16 @@ from albertkit.smap import (
     SignedTerm,
     StructureTensor,
     _slot_rows,
-    _slot_table,
     circ_x,
     k_elem,
-    lay_out,
     phi1,
     phi2,
     s_map,
+    slot_values,
     structure_tensor,
 )
 from albertkit.verify import predicate, rand_albert, rand_semistable, rand_vpoint
+from conftest import slot_entries
 from test_cli import _fixed_product_inputs
 
 # all sign patterns for replacing each of the four (first, second) component
@@ -157,32 +156,28 @@ def test_structure_tensor_matches_s(rng, sparse_point):
     basis = jbasis()
     for x in (rand_semistable(rng), sparse_point(rng)):
         t = structure_tensor(x)
-        rows, flat = t.rows, t.flat
+        flat = [Fraction(v, t.den) for v in slot_entries(slot_values(t.kn))]
         for i in range(27):
             for j in range(27):
-                prod = s_map(x, basis[i], basis[j]).coords()
                 ij = i * 27 + j
-                assert tuple(Fraction(v, t.den) for v in rows[ij]) == prod
-                assert flat[27 * ij : 27 * ij + 27] == prod
+                assert tuple(flat[27 * ij : 27 * ij + 27]) == s_map(x, basis[i], basis[j]).coords()
 
 
 def test_slot_table_pinned():
-    # 378 unordered pairs of 27 slots; slot 0 is the value 0, slot
-    # 1 + 27 q + l the single term c kn[l] with c = (-2, -1, 1, 2)[q]
-    table = _slot_table()
-    assert len(table) == 378
-    # read off the 729 rows of slots, (i, j) and (j, i) sharing one
+    # 729 rows of 27 slots, one immutable bytes object for each of the 378
+    # unordered pairs, (i, j) and (j, i) sharing it; slot 0 is the value 0,
+    # slot 1 + 27 q + l the single term c kn[l] with c = (-2, -1, 1, 2)[q]
     rows = _slot_rows()
-    assert len(rows) == 729 and all(len(r) == 27 for r in rows)
+    assert type(rows) is tuple and len(rows) == 729
+    assert all(type(r) is bytes and len(r) == 27 for r in rows)
     assert all(rows[i * 27 + j] is rows[j * 27 + i] for i in range(27) for j in range(27))
-    assert all(take(range(109)) == tuple(rows[ij]) for ij, _, take in table)
-    assert sorted(ij for ij, _, _ in table) == [i * 27 + j for i in range(27) for j in range(i, 27)]
-    assert sorted(ji for _, ji, _ in table) == sorted(j * 27 + i for i in range(27) for j in range(i, 27))
-    ordered = []
-    for ij, ji, take in table:
-        slots = take(range(109))
-        assert len(slots) == 27
-        ordered += slots if ij == ji else slots * 2
+    assert len({id(r) for r in rows}) == 378
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]
+    with pytest.raises(TypeError):
+        rows[0][0] = 1
+    ordered = slot_entries(range(109))
+    assert ordered == [s for r in rows for s in r]
     assert len(ordered) == 19683
     assert ordered.count(0) == 16632
     assert {(s - 1) % 27 for s in ordered if s} == set(range(27))
@@ -192,7 +187,7 @@ def test_slot_table_pinned():
 
 def test_structure_tensor_is_isotope(rng, sparse_point):
     # all 378 unordered basis pairs against the isotope product at a(x), by a
-    # route that shares neither the slot table nor the Hessian form of k_elem
+    # route that shares neither the slot rows nor the Hessian form of k_elem
     tensor_is_isotope = predicate("smap-contraction/tensor-is-isotope")
     for x in (w_point(), rand_semistable(rng), rand_semistable(rng), sparse_point(rng)):
         assert tensor_is_isotope(x)
@@ -200,10 +195,11 @@ def test_structure_tensor_is_isotope(rng, sparse_point):
 
 def test_structure_tensor_at_base_point_is_jordan(jordan_tensor):
     t = structure_tensor(w_point())
-    rows = t.rows
+    flat = [Fraction(v, t.den) for v in slot_entries(slot_values(t.kn))]
     for i in range(27):
         for j in range(i, 27):
-            assert tuple(Fraction(v, t.den) for v in rows[i * 27 + j]) == jordan_tensor[i][j]
+            ij = i * 27 + j
+            assert tuple(flat[27 * ij : 27 * ij + 27]) == jordan_tensor[i][j]
 
 
 def test_structure_tensor_deterministic(rng):
@@ -222,37 +218,13 @@ def test_structure_tensor_integer_form(rng):
     assert [Fraction(v, t.den) for v in t.kn] == list(k_elem(x).scale(Fraction(9, 2)).coords())
     # a function of the point alone: the constructor takes nothing else
     again = StructureTensor(x)
-    assert again == t and (again.kn, again.den, again.rows) == (t.kn, t.den, t.rows)
+    assert again == t and (again.kn, again.den) == (t.kn, t.den)
     assert hash(again) == hash(t) and len({t, again, structure_tensor(w_point())}) == 2
     with pytest.raises(TypeError):
         StructureTensor(w_point(), [1] * 27, 1)
-    # rows: one immutable tuple of tuples, shared across (i, j) and (j, i)
-    rows = t.rows
-    assert type(rows) is tuple and len(rows) == 729 and all(type(r) is tuple for r in rows)
-    assert all(rows[i * 27 + j] is rows[j * 27 + i] for i in range(27) for j in range(27))
-    with pytest.raises(TypeError):
-        rows[0] = rows[1]
     # k = 0: the zero tensor, over 1
     zero = structure_tensor(VPoint(E.scale(0), E))
-    assert zero.den == 1 and not any(zero.kn) and not any(v for r in zero.rows for v in r)
-
-
-def test_rows_are_laid_out_only_when_read(monkeypatch, rng):
-    # the structure command reads no int rows: a refactor that lays them out
-    # again would keep every output byte, so count the calls
-    calls = []
-
-    def counted(values):
-        calls.append(1)
-        return lay_out(values)
-
-    monkeypatch.setattr(smap, "lay_out", counted)
-    t = structure_tensor(rand_semistable(rng))
-    dumps(encode_stensor(t))
-    assert len(calls) == 0
-    rows = t.rows
-    assert len(calls) == 1
-    assert t.flat == tuple(Fraction(v, t.den) for r in rows for v in r) and len(calls) == 2
+    assert zero.den == 1 and not any(zero.kn) and not any(slot_entries(slot_values(zero.kn)))
 
 
 def test_s_equivariance_spot(rng):
