@@ -45,19 +45,13 @@ isotope.circ_a_tform evaluate, and _div_scale the one division rule:
 smap.circ_x and both isotope products move the sign of their divisor
 into a scale their kernel applies in its own pass, then reduce once.
 
-Tables. Two sparse tables list the same constants for the readers that
-need them by index. Each is read, once and on first use, off its
-kernel evaluated on _Poly variables, so every constant is an int:
-
- * cross_tables(): the 270 nonzero constants of cross on basis pairs,
-   from _cross_nums. jordan_mul is cross plus trace and pairing terms.
- * det_table(): the 45 monomials of det, from _det_num; D is their
-   polarization, over the denominator 6.
-
-smap._slot_rows reads cross_tables(), and the similarity check of
-gaction.GroupElem is det_table()'s only reader in src/; no form of J
-or of an isotope (D, t_form, q_a, gram_qa, phi_a, either product) and
-neither k_elem nor delta builds a table.
+Tables. A kernel evaluated on _Poly variables gives its constants as
+ints. det_table() lists the 45 monomials of det, read off _det_num once
+and on first use; D is their polarization, over the denominator 6. The
+similarity check of gaction.GroupElem is its only reader in src/.
+smap._slot_rows reads the cross constants off _cross_nums on variables
+itself, once. No form of J or of an isotope (D, t_form, q_a, gram_qa,
+phi_a, either product) and neither k_elem nor delta builds a table.
 
 Oracles. The literal routes the kernels are tested against live in
 reference.py; basis_crosses() below is built on its matrix route.
@@ -186,24 +180,6 @@ def _variables(first: int) -> list:
 
 
 @lru_cache(maxsize=1)
-def cross_tables() -> tuple:
-    """The cross product on basis pairs as integers: (den, consts, pair_coords).
-
-    den is 2. consts lists each nonzero constant as (l, m, n, c), sorted:
-    coordinate n of cross(b_l, b_m) is c/den. pair_coords[l][m] lists the
-    nonzero coordinates of cross(b_l, b_m) as (n, c), on the same
-    denominator. The constants are read off _cross_nums evaluated once on
-    two sets of 27 variables, x_l numbered l and y_m numbered 27 + m.
-    """
-    coords = _cross_nums(_variables(0), _variables(27))
-    consts = sorted((l, m - 27, n, c) for n, p in enumerate(coords) for (l, m), c in p.items() if c)
-    pair_coords = [[[] for _ in range(27)] for _ in range(27)]
-    for l, m, n, c in consts:
-        pair_coords[l][m].append((n, c))
-    return 2, tuple(consts), tuple(tuple(map(tuple, row)) for row in pair_coords)
-
-
-@lru_cache(maxsize=1)
 def det_table() -> tuple:
     """The monomials of det as (l, m, n, c), l <= m <= n, sorted: det(X) = sum c X_l X_m X_n.
 
@@ -221,7 +197,7 @@ def _cross_nums(x, y) -> list:
     """Numerators of cross on integer coordinates, over the denominator 2.
 
     Coordinate n is the sum of c x_l y_m over its 10 constants (l, m, n, c),
-    each c = +-1; cross_tables() lists them, read off this code.
+    each c = +-1: coordinate n of cross(b_l, b_m) is c/2.
     """
     (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
      x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
@@ -264,7 +240,7 @@ def _sharp_nums(x) -> list:
     Cross is symmetric and has no square terms, so the 10 constants of a
     coordinate pair up, (l, m) with (m, l), and coordinate n of x# is 5
     products c x_l x_m, each c = +-1: the constants (l, m, n, c) of
-    cross_tables() with l < m.
+    _cross_nums with l < m.
     """
     (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13,
      x14, x15, x16, x17, x18, x19, x20, x21, x22, x23, x24, x25, x26) = x
@@ -408,8 +384,8 @@ def trilinear_d(X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:
 def basis_crosses() -> tuple:
     """cross(b_i, b_j) for all basis pairs, as a 27x27 table of AlbertElems.
 
-    Built by reference.cross_via_matrix, independently of cross_tables();
-    the tests check the tables against it.
+    Built by reference.cross_via_matrix, independently of _cross_nums;
+    the tests check the kernel against it.
     """
     from .reference import cross_via_matrix
 

@@ -47,15 +47,15 @@ products divide by det(a) once: albert._div_scale moves its sign into
 the scale da, which the kernel applies in its own pass, and the result
 is reduced once.
 
-The context cache. _invertible_index(a) is the one cache of the index
-side: a functools.lru_cache of at most 16 contexts, keyed on the
-immutable value a (equal elements share an entry), the least recently
-used evicted first. Only an invertible a enters it: at a singular a it
-raises SingularPoint on every call and leaves no entry. The products
-(circ_a_tform, circ_a_springer, pairing_a) read it directly; the forms
-defined at every a (t_form, q_a, gram_qa, phi_a) read it through
-_index(a), which builds a singular a's context afresh. So multiplying
-many pairs in one isotope pays for a# and det(a) once.
+The context cache. _index(a) is the one context of an index, for every
+a: a functools.lru_cache of at most 16 contexts, keyed on the immutable
+value a (equal elements share an entry), the least recently used
+evicted first. A singular a takes an entry too. The forms defined at
+every a (t_form, q_a, gram_qa, phi_a) read it directly; the products
+(circ_a_tform, circ_a_springer, pairing_a) read it through
+_invertible_index, which raises SingularPoint on every call when
+det(a) = 0. So multiplying many pairs in one isotope pays for a# and
+det(a) once.
 
 An entry holds a's 27 numerators (the key's own tuple), S at about
 twice their length and dn at three times one: about three times the
@@ -63,9 +63,8 @@ integers of a. For the largest index a JSON file can give, 27
 coordinates of 4300 digits over distinct 4300-digit denominators, that
 is 4.4 MB (sys.getsizeof), so the 16 entries hold at most about 70 MB.
 Code that monkeypatches a kernel the context is built from
-(albert._sharp_nums, _pair_nums) must call
-_invertible_index.cache_clear(), or a context cached before it keeps
-the old kernel's values.
+(albert._sharp_nums, _pair_nums) must call _index.cache_clear(), or a
+context cached before it keeps the old kernel's values.
 """
 
 from __future__ import annotations
@@ -88,8 +87,9 @@ from .albert import (
 from .errors import SingularPoint
 
 
-def _context(a: AlbertElem) -> tuple:
-    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints or tuples.
+@lru_cache(maxsize=16)
+def _index(a: AlbertElem) -> tuple:
+    """(A, da, dn, S): a = A / da, det(a) = dn / da^3 and a# = a x a = S / (2 da^2), all ints or tuples; cached.
 
     S is twice the numerators of albert._sharp_nums, so S = _cross_nums(A, A)
     at half the products, and 3 det(a) = pair(a#, a) reads dn off it: p(S, A) = 6 dn.
@@ -99,21 +99,12 @@ def _context(a: AlbertElem) -> tuple:
     return A, a.den, _pair_nums(S, A) // 6, S
 
 
-@lru_cache(maxsize=16)
 def _invertible_index(a: AlbertElem) -> tuple:
-    """_context(a) for det(a) != 0, cached (see the module docstring); SingularPoint, and no entry, otherwise."""
-    ctx = _context(a)
+    """_index(a) for the products, which are defined only where det(a) != 0: SingularPoint otherwise."""
+    ctx = _index(a)
     if ctx[2] == 0:
         raise SingularPoint("det(a) = 0: the isotope at a is undefined")
     return ctx
-
-
-def _index(a: AlbertElem) -> tuple:
-    """The context of any a, for the forms defined at a singular a too: cached when det(a) != 0."""
-    try:
-        return _invertible_index(a)
-    except SingularPoint:
-        return _context(a)
 
 
 def t_form(a: AlbertElem, X: AlbertElem, Y: AlbertElem, Z: AlbertElem) -> Fraction:

@@ -32,8 +32,8 @@ once by the integer discriminant.
 structure_tensor exploits this when tabulating all 729 basis pairs: the
 map k -> tensor is linear and fixed, and each of its 19683 basis entries
 is either 0 or a single term c k_l with c in (-2, -1, 1, 2). _slot_rows()
-finds that pattern once, from the sparse cross-product constants of
-albert.cross_tables() and the Gram shuffle. So a StructureTensor is
+finds that pattern once, from the constants of albert._cross_nums,
+read off it on variables, and the Gram shuffle. So a StructureTensor is
 built from its point alone and stores just k, as 27 integers over one
 denominator, and the slot pattern is the one layout of its entries:
 entry (i, j, n) is slot_values(kn)[_slot_rows()[i * 27 + j][n]] over
@@ -52,12 +52,13 @@ from typing import NamedTuple
 from .albert import (
     _GRAM,
     AlbertElem,
+    _cross_nums,
     _elem,
     _div_scale,
     _isotope_nums,
     _sharp_nums,
+    _variables,
     cross,
-    cross_tables,
     trilinear_d,
 )
 from .errors import NotSemistable
@@ -234,10 +235,13 @@ def _slot_rows() -> tuple:
     (i, j) and (j, i) share one. Raises ValueError if an entry has any
     other form.
     """
-    _, consts, pair_coords = cross_tables()
+    # coordinate n of cross(b_l, b_m) is c/2 for each term c x_l y_m of _cross_nums, y_m numbered 27 + m
     by_m = [[] for _ in range(27)]
-    for l, m, n, c in consts:
-        by_m[m].append((n, l, c))
+    pair_coords = [[[] for _ in range(27)] for _ in range(27)]
+    for n, p in enumerate(_cross_nums(_variables(0), _variables(27))):
+        for (l, m), c in p.items():
+            by_m[m - 27].append((n, l, c))
+            pair_coords[l][m - 27].append((n, c))
     rows = [None] * 729
     for i in range(27):
         for j in range(i, 27):
@@ -267,15 +271,15 @@ def structure_tensor(x: VPoint) -> StructureTensor:
     """Tabulate s_map(x, b_i, b_j) over all basis pairs, in integers: StructureTensor(x).
 
     With k = k_elem(x) as its 27 integers kn over its denominator dk, let
-    kx[m] = 2 dk cross(k, b_m), from the constants of cross_tables() (all
+    kx[m] = 2 dk cross(k, b_m), from the constants of _cross_nums (all
     over 2), and gram = gram_apply(kn) = dk pair_vec(k). Then
 
         s_map(x, b_i, b_j) = 9 S_ij / (2 dk),
-        S_ij = gram[j] b_i + gram[i] b_j - sum of c kx[m] over pair_coords[i][j],
+        S_ij = gram[j] b_i + gram[i] b_j - sum over m of c_m kx[m],
 
-    and every entry of S_ij is 0 or c kn[l] (see _slot_rows). So the
-    tensor is (9/2) k, as 9 kn over 2 dk, laid out by the slot rows.
-    No Fraction is made.
+    with c_m / 2 coordinate m of cross(b_i, b_j). Every entry of S_ij is
+    0 or c kn[l] (see _slot_rows). So the tensor is (9/2) k, as 9 kn over
+    2 dk, laid out by the slot rows. No Fraction is made.
     """
     return StructureTensor(x)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Callable, NamedTuple
 
 from . import gaction, isotope, smap
@@ -39,6 +40,7 @@ from .octonion import (
     OCT_UNIT,
     Oct,
     ZORN_BASIS,
+    _reduced,
     oct_conj,
     oct_mul,
     oct_norm,
@@ -64,26 +66,31 @@ class CheckResult(NamedTuple):
 _DENOMS = (1, 1, 1, 2)
 
 
-def rand_rat(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.choice(_DENOMS))
+def _draw(rng: random.Random) -> tuple:
+    """One coordinate's draw: a numerator in -3..3, then a denominator from _DENOMS."""
+    return rng.randint(-3, 3), rng.choice(_DENOMS)
+
+
+def _rand_value(cls, rng: random.Random, n: int):
+    """The cls value of n drawn coordinates, in order, as ints over the lcm of their denominators."""
+    draws = [_draw(rng) for _ in range(n)]
+    den = lcm(*[d for _, d in draws])
+    return _reduced(cls, [p * (den // d) for p, d in draws], den)
 
 
 def rand_rat_nonzero(rng: random.Random) -> Fraction:
     while True:
-        t = rand_rat(rng)
-        if t != 0:
-            return t
+        n, d = _draw(rng)
+        if n:
+            return Fraction(n, d)
 
 
 def rand_oct(rng: random.Random) -> Oct:
-    return Oct.from_coords([rand_rat(rng) for _ in range(8)])
+    return _rand_value(Oct, rng, 8)
 
 
 def rand_albert(rng: random.Random) -> AlbertElem:
-    return AlbertElem(
-        (rand_rat(rng), rand_rat(rng), rand_rat(rng)),
-        (rand_oct(rng), rand_oct(rng), rand_oct(rng)),
-    )
+    return _rand_value(AlbertElem, rng, 27)
 
 
 def rand_invertible(rng: random.Random) -> AlbertElem:
@@ -144,9 +151,10 @@ def rand_generator(rng: random.Random, with_gl2: bool = True) -> gaction.GroupEl
     return gaction.gl2_elem(_rand_gl2(rng))
 
 
-def rand_group(rng: random.Random, max_factors: int = 3, with_gl2: bool = True) -> gaction.GroupElem:
+def rand_group(rng: random.Random, with_gl2: bool = True) -> gaction.GroupElem:
+    """A word of one to three generators."""
     g = rand_generator(rng, with_gl2)
-    for _ in range(rng.randint(0, max_factors - 1)):
+    for _ in range(rng.randint(0, 2)):
         g = g.compose(rand_generator(rng, with_gl2))
     return g
 

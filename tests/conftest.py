@@ -25,9 +25,9 @@ def fresh_index_cache():
     A context cached by one test would otherwise serve the next, past a
     kernel that test monkeypatches, and the cache tests count from empty.
     """
-    isotope._invertible_index.cache_clear()
+    isotope._index.cache_clear()
     yield
-    isotope._invertible_index.cache_clear()
+    isotope._index.cache_clear()
 
 
 def slot_entries(values) -> list:

@@ -160,7 +160,7 @@ def test_c07_equivariance_of_s():
     ]
     count = 0
     for k in range(50):
-        g = rand_group(r, max_factors=3)
+        g = rand_group(r)
         assert s_equivariance(g, *triples[k % 20])
         count += 1
     assert count == 50
@@ -172,7 +172,7 @@ def test_c08_rescaled_action_is_isomorphism():
     r = _rng("c08")
     w = w_point()
     for k in range(16):
-        g = rand_group(r, max_factors=3)
+        g = rand_group(r)
         x = w if k < 8 else rand_semistable(r)
         assert normalized_isomorphism(g, x, rand_albert(r), rand_albert(r))
     _report("c08 the rescaled action intertwines the normalized products")
@@ -237,7 +237,7 @@ def test_c10_both_isotope_constructions_agree():
         assert two_definitions_agree(small(r), small(r), small(r))
     # transported unit: for a = g(e), g carries the base product to circ_a
     for _ in range(10):
-        g = rand_group(r, max_factors=3)
+        g = rand_group(r)
         a = g.apply_j(E)
         assert det_j(a) == g.c != 0
         X, Y = rand_albert(r), rand_albert(r)
@@ -277,7 +277,7 @@ def test_c12_character_law():
         assert chi_law(g, rand_vpoint(r))
         assert chi(g) == g.c ** 4 * det2(g.g2) ** 6
     for _ in range(50):
-        assert chi_law(rand_group(r, max_factors=3), rand_vpoint(r))
+        assert chi_law(rand_group(r), rand_vpoint(r))
     _report("c12 the degree-12 invariant transforms by c^4 det^6 (generators + 50)")
 
 

@@ -20,7 +20,6 @@ from albertkit.albert import (
     _variables,
     basis_crosses,
     cross,
-    cross_tables,
     det_j,
     det_table,
     diag_elem,
@@ -245,19 +244,6 @@ def test_basis_crosses_table(basis, rng):
         assert table[i][j] == table[j][i]
 
 
-def test_cross_tables_rebuild_basis_crosses():
-    table = basis_crosses()
-    den, consts, pair_coords = cross_tables()
-    from_consts = [[[0] * 27 for _ in range(27)] for _ in range(27)]
-    for l, m, n, c in consts:
-        from_consts[l][m][n] = c
-    for i in range(27):
-        for j in range(27):
-            coords = table[i][j].coords()
-            assert tuple(Fraction(c, den) for c in from_consts[i][j]) == coords
-            assert pair_coords[i][j] == tuple((n, c) for n, c in enumerate(from_consts[i][j]) if c)
-
-
 def test_matrix_round_trip():
     X = AlbertElem(
         (1, Fraction(-1, 2), 3),
@@ -394,9 +380,20 @@ def test_kernels_match_references_63_bit(X, Y, Z):
 # -- the written-out kernels against the matrix route and the tables read off them --
 
 
+@lru_cache(maxsize=1)
+def _cross_consts() -> tuple:
+    """The constants (l, m, n, c) of cross, sorted: coordinate n of cross(b_l, b_m) is c/2.
+
+    Read off _cross_nums evaluated on two sets of 27 variables, x_l numbered
+    l and y_m numbered 27 + m, as smap._slot_rows reads them.
+    """
+    coords = _cross_nums(_variables(0), _variables(27))
+    return tuple(sorted((l, m - 27, n, c) for n, p in enumerate(coords) for (l, m), c in p.items() if c))
+
+
 def _table_cross(x, y):
     out = [0] * 27
-    for l, m, n, c in cross_tables()[1]:
+    for l, m, n, c in _cross_consts():
         out[n] += c * x[l] * y[m]
     return out
 
@@ -526,15 +523,15 @@ def test_kernels_match_tables_random(bits, rng):
 
 
 def _sharp_line(n):
-    """The line of _sharp_nums that holds coordinate n: the constants (l, m, n, c) of cross_tables() with l < m."""
-    return _signed(("x%d*x%d" % (l, m), c) for l, m, k, c in cross_tables()[1] if k == n and l < m) + ","
+    """The line of _sharp_nums that holds coordinate n: the constants (l, m, n, c) of cross with l < m."""
+    return _signed(("x%d*x%d" % (l, m), c) for l, m, k, c in _cross_consts() if k == n and l < m) + ","
 
 
 def test_sharp_kernel_matches_cross_constants():
-    # read off 27 variables as cross_tables() is, coordinate n of _sharp_nums
+    # read off 27 variables as the cross constants are, coordinate n of _sharp_nums
     # holds the constants of cross with l < m: cross has none with l = m, so
     # the other half of its 270, (m, l), are the same terms again
-    consts = cross_tables()[1]
+    consts = _cross_consts()
     assert all(l != m for l, m, _, _ in consts)
     for n, p in enumerate(_sharp_nums(_variables(0))):
         got = {key: c for key, c in p.items() if c}
@@ -574,8 +571,7 @@ def test_sharp_kernel_identities_random(bits, rng):
 
 
 def test_table_sizes():
-    den, consts, _ = cross_tables()
-    assert den == 2 and len(consts) == 270
+    assert len(_cross_consts()) == 270
     assert len(det_table()) == 45
     assert all(l <= m <= n for l, m, n, _ in det_table())
 
@@ -583,10 +579,7 @@ def test_table_sizes():
 def test_table_constants_are_ints():
     # a Fraction constant leaves every output the same, but puts the
     # kernels that contract against it on Fraction arithmetic
-    den, consts, pair_coords = cross_tables()
-    assert type(den) is int
-    assert all(type(c) is int for *_, c in consts)
-    assert all(type(c) is int for row in pair_coords for cell in row for _, c in cell)
+    assert all(type(c) is int for *_, c in _cross_consts())
     assert all(type(c) is int for *_, c in det_table())
 
 

@@ -13,7 +13,6 @@ from albertkit.albert import (
     E,
     _det_num,
     cross,
-    cross_tables,
     det_j,
     det_table,
     diag_elem,
@@ -231,9 +230,9 @@ def test_index_cache_repeated_and_fresh_agree(rng, monkeypatch):
     again = [[fn(AlbertElem.from_coords(a.coords()), X, Y) for fn in fns] for a, X, Y in args]
     forms = [(t_form(a, X, Y, X), q_a(a, X, Y), phi_a(a, X, Y)) for a, X, Y in args]
     assert sharps == [a.nums for a in index]
-    info = _invertible_index.cache_info()
+    info = _index.cache_info()
     assert (info.currsize, info.misses) == (3, 3)
-    _invertible_index.cache_clear()
+    _index.cache_clear()
     fresh = [[fn(*t) for fn in fns] for t in args]
     assert first == again == fresh and len(sharps) == 6
     monkeypatch.undo()
@@ -242,36 +241,43 @@ def test_index_cache_repeated_and_fresh_agree(rng, monkeypatch):
         assert pairing == q / det_j(a) ** 2 and t == _literal_t(a, X, Y, X)
 
 
-def test_singular_index_raises_every_call_and_leaves_no_entry(rng):
-    circ_a_tform(E, E, E)
-    before = _invertible_index.cache_info()
+def test_singular_index_raises_every_call_from_one_entry(rng, monkeypatch):
+    # a singular index takes one cache entry like any other: each product raises on
+    # every call, the second call a cache hit, and the forms defined at a singular a
+    # read the same entry, so a# is computed once for all 3 products and 4 forms
+    sharp, sharps = isotope._sharp_nums, []
+    monkeypatch.setattr(isotope, "_sharp_nums", lambda A: sharps.append(A) or sharp(A))
     singular = [diag_elem(0, 1, 1), _big_singular(rng, 63), ALBERT_ZERO]
     for a in singular:
         for fn in (circ_a_tform, circ_a_springer, pairing_a):
+            hits = []
             for _ in range(2):
                 with pytest.raises(SingularPoint, match="det\\(a\\) = 0"):
                     fn(a, E, rand_albert(rng))
-        # the forms are defined at a singular a, and read its context uncached
+                hits.append(_index.cache_info().hits)
+            assert hits[1] == hits[0] + 1
         X, Y = rand_albert(rng), _big(rng)
         assert t_form(a, X, Y, E) == _literal_t(a, X, Y, E) and q_a(a, X, Y) == _literal_q(a, X, Y)
         assert phi_a(a, X, Y) == ALBERT_ZERO and gram_qa(a)[1][1] == _literal_q(a, jbasis()[1], jbasis()[1])
-    after = _invertible_index.cache_info()
-    assert after.currsize == before.currsize == 1 and after.hits == before.hits
+        assert sharps == [a.nums]
+        sharps.clear()
+    info = _index.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
 
 
 def test_index_cache_is_bounded():
-    maxsize = _invertible_index.cache_info().maxsize
+    maxsize = _index.cache_info().maxsize
     assert maxsize is not None
     index = [diag_elem(1, 1, n) for n in range(1, maxsize + 6)]
     for n, a in enumerate(index, 1):
         circ_a_tform(a, E, E)
-        assert _invertible_index.cache_info().currsize == min(n, maxsize)
+        assert _index.cache_info().currsize == min(n, maxsize)
     # the least recently used went first: the newest index is a hit, the first a miss
-    misses = _invertible_index.cache_info().misses
+    misses = _index.cache_info().misses
     circ_a_tform(index[-1], E, E)
-    assert _invertible_index.cache_info().misses == misses
+    assert _index.cache_info().misses == misses
     circ_a_tform(index[0], E, E)
-    assert _invertible_index.cache_info().misses == misses + 1
+    assert _index.cache_info().misses == misses + 1
 
 
 def test_index_context_is_ints_and_tuples(rng):
@@ -379,7 +385,7 @@ def test_tform_and_delta_build_no_table(rng, sparse_point, monkeypatch):
     read, reads = pvs._cubic_nums, []
     for module in (pvs, smap):
         monkeypatch.setattr(module, "_cubic_nums", lambda x: reads.append(x) or read(x))
-    cross_tables.cache_clear()
+    smap._slot_rows.cache_clear()
     det_table.cache_clear()
     got = circ_a_tform(a, X, Y)
     d = delta(x)
@@ -389,7 +395,7 @@ def test_tform_and_delta_build_no_table(rng, sparse_point, monkeypatch):
     assert reads == [x]
     # the forms behind dform, tform, qa, qa --gram and isotope-mul --method springer
     forms = (trilinear_d(X, Y, a), t_form(a, X, Y, a), q_a(a, X, Y), gram_qa(a), circ_a_springer(a, X, Y))
-    assert cross_tables.cache_info().currsize == 0
+    assert smap._slot_rows.cache_info().currsize == 0
     assert det_table.cache_info().currsize == 0
     assert got == want == forms[-1] and d != 0 and c.scale(d) == s
 

@@ -185,6 +185,30 @@ def test_slot_table_pinned():
     assert {(s - 1) % 27 for s in ordered if s and (s - 1) // 27 in (1, 2)} == set(range(27))
 
 
+def test_slot_rows_reject_an_entry_of_other_form(monkeypatch):
+    # an entry that is not 0 or one term c k_l raises rather than being laid out:
+    # one cross coordinate tripled puts a c outside (-2, -1, 1, 2), and a Gram
+    # shuffle that sends b_0 to b_1 leaves an entry two terms
+    cross_nums = smap._cross_nums
+
+    def tripled(x, y):
+        out = cross_nums(x, y)
+        out[0] = out[0] + out[0] + out[0]
+        return out
+
+    gram = ((0, 1, 1),) + smap._GRAM[1:]
+    try:
+        for name, value in (("_cross_nums", tripled), ("_GRAM", gram)):
+            _slot_rows.cache_clear()
+            monkeypatch.setattr(smap, name, value)
+            with pytest.raises(ValueError, match="is not one term c k_l"):
+                _slot_rows()
+            monkeypatch.undo()
+    finally:
+        monkeypatch.undo()
+        _slot_rows.cache_clear()
+
+
 def test_structure_tensor_is_isotope(rng, sparse_point):
     # all 378 unordered basis pairs against the isotope product at a(x), by a
     # route that shares neither the slot rows nor the Hessian form of k_elem
